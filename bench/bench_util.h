@@ -250,19 +250,6 @@ inline std::vector<Sweep::AxisValue> FilersAxis(const std::vector<int>& counts) 
   return values;
 }
 
-// Partitioned-engine group counts (SimConfig::num_partitions); 1 is the
-// legacy serial engine. Any count must reproduce the serial results
-// bit-for-bit (DESIGN.md §12).
-inline std::vector<Sweep::AxisValue> PartitionsAxis(const std::vector<int>& counts) {
-  std::vector<Sweep::AxisValue> values;
-  values.reserve(counts.size());
-  for (int partitions : counts) {
-    values.push_back({Table::Cell(static_cast<int64_t>(partitions)),
-                      [partitions](ExperimentParams& p) { p.num_partitions = partitions; }});
-  }
-  return values;
-}
-
 inline std::vector<WritebackPolicy> AllWritebackPolicies() {
   return std::vector<WritebackPolicy>(kAllWritebackPolicies.begin(),
                                       kAllWritebackPolicies.end());

@@ -188,90 +188,6 @@ BenchRow BenchSimulation(Architecture arch, uint64_t ops,
                   m.measured_read_blocks + m.measured_write_blocks, SecondsSince(start)};
 }
 
-// Fleet-scale rows: a 16-host RAM-hit-heavy workload (the partitioned
-// engine's certified-batch fast path) through the legacy serial engine
-// (partitions=1) and the partitioned engine at 4 queues. The two rows
-// produce identical metrics by the DESIGN.md §12 contract; the
-// items_per_sec ratio is the engine's measured speedup on this machine
-// (bounded by core count — on a 1-core runner it isolates the batching
-// overhead instead).
-BenchRow BenchPartitionedSimulation(int partitions, uint64_t ops) {
-  SimConfig config;
-  config.ram_bytes = 4096ULL * 4096;
-  config.flash_bytes = 32768ULL * 4096;
-  config.num_hosts = 16;
-  config.threads_per_host = 4;
-  config.num_partitions = partitions;
-  config.arch = Architecture::kUnified;
-  Simulation sim(config);
-  std::vector<TraceRecord> records;
-  records.reserve(ops);
-  Rng rng(7);
-  for (uint64_t i = 0; i < ops; ++i) {
-    TraceRecord r;
-    // 2% writes, hot 2048-block set shared fleet-wide: after the first
-    // pass nearly every read is a pure RAM hit the coordinator can defer.
-    r.op = rng.NextBool(0.02) ? TraceOp::kWrite : TraceOp::kRead;
-    r.host = static_cast<uint16_t>(rng.NextBounded(16));
-    r.thread = static_cast<uint16_t>(rng.NextBounded(4));
-    r.file_id = 1;
-    r.block = rng.NextBounded(2048);
-    records.push_back(r);
-  }
-  VectorTraceSource source(std::move(records));
-  const auto start = Clock::now();
-  const Metrics m = sim.Run(source);
-  char name[32];
-  std::snprintf(name, sizeof(name), "sim_fleet_p%d", partitions);
-  return BenchRow{name, m.measured_read_blocks + m.measured_write_blocks,
-                  SecondsSince(start)};
-}
-
-// Miss-heavy fleet rows (the §12 widened certified class): 16 hosts over
-// per-host private working sets 4x their RAM — most reads miss RAM into
-// the flash tier, and writes land on sole-holder resident blocks — exactly
-// the two access classes the widening added to the certified batches. The
-// p1/p4 pair produces identical metrics; their items_per_sec ratio is the
-// widening's measured payoff on a workload the pure-RAM-hit engine could
-// not batch at all. The P>1 run CHECKs that flash hits and private writes
-// actually entered parallel batches, so the row can never silently degrade
-// to the narrow engine.
-BenchRow BenchPartitionedMisses(int partitions, uint64_t ops) {
-  SimConfig config;
-  config.ram_bytes = 4096ULL * 4096;
-  config.flash_bytes = 32768ULL * 4096;
-  config.num_hosts = 16;
-  config.threads_per_host = 4;
-  config.num_partitions = partitions;
-  config.arch = Architecture::kUnified;
-  Simulation sim(config);
-  std::vector<TraceRecord> records;
-  records.reserve(ops);
-  Rng rng(7);
-  for (uint64_t i = 0; i < ops; ++i) {
-    TraceRecord r;
-    r.op = rng.NextBool(0.3) ? TraceOp::kWrite : TraceOp::kRead;
-    r.host = static_cast<uint16_t>(rng.NextBounded(16));
-    r.thread = static_cast<uint16_t>(rng.NextBounded(4));
-    r.file_id = 1;
-    // Disjoint per-host 16K-block ranges: 4x RAM (miss-heavy) and private
-    // (every cached block's host is its directory sole holder).
-    r.block = static_cast<uint64_t>(r.host) * 16384 + rng.NextBounded(16384);
-    records.push_back(r);
-  }
-  VectorTraceSource source(std::move(records));
-  const auto start = Clock::now();
-  const Metrics m = sim.Run(source);
-  const double seconds = SecondsSince(start);
-  if (partitions > 1) {
-    FLASHSIM_CHECK(m.certified_flash_batched > 0);
-    FLASHSIM_CHECK(m.certified_write_batched > 0);
-  }
-  char name[40];
-  std::snprintf(name, sizeof(name), "sim_partitioned_misses_p%d", partitions);
-  return BenchRow{name, m.measured_read_blocks + m.measured_write_blocks, seconds};
-}
-
 // Single-stream hot-read rows: 1 host x 1 thread reading a RAM-resident
 // 2048-block set. With one application thread the queue holds only the
 // distant syncer tick between op completions, so every post-warmup read
@@ -562,10 +478,6 @@ int main(int argc, char** argv) {
     telemetry.sample_stride_ns = 10 * kMillisecond;
     AddRow(&table, BenchHotReadSimulation("sim_fastpath_telem", true, ops * 4, telemetry));
   }
-  AddRow(&table, BenchPartitionedSimulation(1, ops));
-  AddRow(&table, BenchPartitionedSimulation(4, ops));
-  AddRow(&table, BenchPartitionedMisses(1, ops));
-  AddRow(&table, BenchPartitionedMisses(4, ops));
   for (const BenchRow& row : BenchTraceIngestAll(ingest_records)) {
     AddRow(&table, row);
   }

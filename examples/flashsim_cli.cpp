@@ -15,18 +15,9 @@
 //     --ram-gib=N --flash-gib=N --ws-gib=N --filer-tib=N
 //     --hosts=N --threads=N --write-pct=N --scale=N --seed=N
 //     --filers=N --shard-strategy=hash|modulo   sharded storage backend
-//     --partitions=N|auto     partitioned engine: N host groups on N worker
-//                             threads, byte-identical to the serial engine
-//                             (auto = one per core, clamped to the hosts;
-//                             the resolved count is reported in the
-//                             configuration line and the --json output)
 //     --prefetch-pct=N        filer fast-read rate
 //     --flash-read-us=N --flash-write-us=N
 //     --flash-noise=SIGMA     mean-one lognormal flash latency noise
-//     --flash-rng=substream|legacy   noise draw keying (substream draws are
-//                             per-host and order-independent; legacy shares
-//                             one stream and disables flash/write batch
-//                             certification in the partitioned engine)
 //     --persistent            doubled flash writes (recoverable cache)
 //     --cold                  skip warmup (crashed cache)
 //     --ftl                   FTL-backed flash device (GC, erases, TRIM)
@@ -169,22 +160,6 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
   parser.AddInt("hosts", "number of hosts", &params.hosts);
   parser.AddInt("threads", "threads per host", &params.threads_per_host);
   parser.AddInt("filers", "filer shards in the storage backend", &params.num_filers);
-  parser.AddCustom("partitions", "N|auto",
-                   "partitioned-engine host groups (1 = serial engine; auto = "
-                   "one per core, clamped to the host count)",
-                   [&params](const std::string& value) {
-                     if (value == "auto") {
-                       params.num_partitions = kAutoPartitions;
-                       return true;
-                     }
-                     char* end = nullptr;
-                     const long parsed = std::strtol(value.c_str(), &end, 10);
-                     if (end == nullptr || *end != '\0' || value.empty()) {
-                       return false;
-                     }
-                     params.num_partitions = static_cast<int>(parsed);
-                     return true;
-                   });
   parser.AddCustom("flash-noise", "SIGMA",
                    "mean-one lognormal flash latency noise (0 = off)",
                    [&params](const std::string& value) {
@@ -192,19 +167,6 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                      params.timing.flash_noise_sigma = std::strtod(value.c_str(), &end);
                      return end != nullptr && *end == '\0' && !value.empty() &&
                             params.timing.flash_noise_sigma >= 0.0;
-                   });
-  parser.AddCustom("flash-rng", "substream|legacy",
-                   "flash noise draw keying: per-host counter substreams "
-                   "(order-independent) or one shared stream in dispatch order",
-                   [&params](const std::string& value) {
-                     if (value == "substream") {
-                       params.timing.flash_rng_mode = FlashRngMode::kSubstream;
-                     } else if (value == "legacy") {
-                       params.timing.flash_rng_mode = FlashRngMode::kLegacy;
-                     } else {
-                       return false;
-                     }
-                     return true;
                    });
   parser.AddCustom("shard-strategy", "hash|modulo", "block -> filer shard routing",
                    [&params](const std::string& value) {
@@ -359,7 +321,6 @@ int main(int argc, char** argv) {
   }
   Metrics metrics;
   std::shared_ptr<obs::Telemetry> telemetry;
-  SimConfig run_config;
   if (!options.trace_path.empty()) {
     std::string error;
     auto source = OpenTraceSource(options.trace_path, &error);
@@ -367,7 +328,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", error.c_str());
       return 1;
     }
-    run_config = BuildSimConfig(options.params);
+    const SimConfig run_config = BuildSimConfig(options.params);
     if (!quiet) {
       std::printf("configuration: %s (trace: %s)\n", run_config.Summary().c_str(),
                   options.trace_path.c_str());
@@ -383,7 +344,6 @@ int main(int argc, char** argv) {
     if (!quiet) {
       std::printf("configuration: %s\n", result.config.Summary().c_str());
     }
-    run_config = result.config;
     metrics = result.metrics;
     telemetry = result.telemetry;
   }
@@ -405,15 +365,7 @@ int main(int argc, char** argv) {
   }
 
   if (options.json) {
-    JsonValue doc = MetricsToJson(metrics);
-    // Engine shape, so a --partitions=auto run is self-describing: the
-    // machine-resolved partition count rides along with the metrics.
-    // MetricsFromJson ignores unknown keys, so snapshots stay restorable.
-    JsonValue engine = JsonValue::Object();
-    engine.Set("num_partitions", static_cast<int64_t>(run_config.num_partitions));
-    engine.Set("partitions_auto", run_config.partitions_auto);
-    doc.Set("engine", std::move(engine));
-    std::printf("%s\n", doc.Dump(2).c_str());
+    std::printf("%s\n", MetricsToJson(metrics).Dump(2).c_str());
     return 0;
   }
   if (quiet) {

@@ -44,20 +44,19 @@ enum class HitLevel : uint8_t {
 
 const char* HitLevelName(HitLevel level);
 
-// Certified-class verdict for one access (DESIGN.md §12). The partitioned
-// engine defers an access into a parallel batch only when executing it
-// touches host-local state alone; ClassifyAccess names which host-local
-// branch of Read/Write the access would take, or kUncertifiable when the
-// access may touch shared state (filer, background writer, directory
-// residency callbacks) or charge an unpredictable path.
+// Certified-class verdict for one access (DESIGN.md §13). The serial fast
+// path inlines an access past the event heap only when executing it
+// touches host-local state alone and schedules nothing; ClassifyAccess
+// names which host-local branch of Read/Write the access would take, or
+// kUncertifiable when the access may touch shared state (filer, background
+// writer, directory residency callbacks) or charge an unpredictable path.
 enum class AccessVerdict : uint8_t {
   kUncertifiable = 0,
   // Read satisfied from RAM: touch + counter + RAM device charge only.
   kPureRamHit = 1,
   // Read satisfied from flash: touch + counter + flash device charge, plus
   // (subset stacks) a RAM install that provably triggers no writeback and
-  // no residency callback. The flash device timeline is host-local and the
-  // coordinator flushes batches in rank order, so the charge commutes.
+  // no residency callback.
   kFlashHit = 2,
   // Write that lands on a resident copy whose writeback policy marks dirty
   // in place (no write-through): touch + device write + MarkDirty only.
@@ -65,15 +64,6 @@ enum class AccessVerdict : uint8_t {
   // issuing host as the block's sole holder before certifying (the stack
   // cannot see cross-host state).
   kPrivateWrite = 3,
-};
-
-// Side effects of executing a kFlashHit read, reported by ClassifyAccess so
-// the engine can keep per-host batch bookkeeping (a RAM install consumes a
-// free slot; an evicting install retires the peeked victim).
-struct AccessEffects {
-  bool ram_install = false;  // the read installs a RAM copy of the block
-  bool ram_evict = false;    // ...and evicts the block below to make room
-  BlockKey victim_key = 0;   // valid only when ram_evict
 };
 
 // Receives block residency transitions for the consistency directory.
@@ -170,13 +160,10 @@ class CacheStack {
   // Classifies the access `op` on `key` right now into the certified-class
   // verdict above, without mutating anything. The verdict must be exact: a
   // non-kUncertifiable verdict is a promise that executing the access right
-  // now takes precisely the host-local branch the verdict names. For
-  // kFlashHit, `effects` (when non-null) reports the install/evict plan so
-  // the engine can validate later candidates against pending batch entries.
-  // Writes are classified per single block; the engine never certifies
-  // multi-block writes.
-  virtual AccessVerdict ClassifyAccess(TraceOp op, BlockKey key,
-                                       AccessEffects* effects = nullptr) const = 0;
+  // now takes precisely the host-local branch the verdict names. Writes are
+  // classified per single block; the engine never certifies multi-block
+  // writes.
+  virtual AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const = 0;
 
   // Whether a Read of `key` right now would be a pure RAM hit: satisfied
   // entirely from this host's RAM tier, touching only host-local state

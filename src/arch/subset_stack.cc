@@ -24,8 +24,7 @@ bool SubsetStackBase::MayInstallInFlash(BlockKey key) {
   return false;
 }
 
-AccessVerdict SubsetStackBase::ClassifyAccess(TraceOp op, BlockKey key,
-                                              AccessEffects* effects) const {
+AccessVerdict SubsetStackBase::ClassifyAccess(TraceOp op, BlockKey key) const {
   if (op == TraceOp::kWrite) {
     // Certified branch of Write: a RAM-resident hit whose writeback policy
     // marks dirty in place — Touch + ram write + MarkDirty, no
@@ -54,9 +53,6 @@ AccessVerdict SubsetStackBase::ClassifyAccess(TraceOp op, BlockKey key,
   // filter the HasFlash install never notifies; with one, it notifies only
   // for RAM-only residents (the key is flash-resident here, so only the
   // victim can trip it).
-  if (effects != nullptr) {
-    effects->ram_install = true;
-  }
   if (ram_.size() < ram_.capacity()) {
     return AccessVerdict::kFlashHit;  // free slot: install without eviction
   }
@@ -64,13 +60,8 @@ AccessVerdict SubsetStackBase::ClassifyAccess(TraceOp op, BlockKey key,
   if (victim == kInvalidSlot || ram_.dirty(victim)) {
     return AccessVerdict::kUncertifiable;
   }
-  const BlockKey victim_key = ram_.key_of(victim);
-  if (admission_.has_value() && flash_.Lookup(victim_key) == kInvalidSlot) {
+  if (admission_.has_value() && flash_.Lookup(ram_.key_of(victim)) == kInvalidSlot) {
     return AccessVerdict::kUncertifiable;  // dropping it fires NotifyDropped
-  }
-  if (effects != nullptr) {
-    effects->ram_evict = true;
-    effects->victim_key = victim_key;
   }
   return AccessVerdict::kFlashHit;
 }

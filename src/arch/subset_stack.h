@@ -44,15 +44,14 @@ class SubsetStackBase : public CacheStack {
     const uint32_t flash_slot = flash_.Lookup(key);
     return flash_slot != kInvalidSlot && flash_.dirty(flash_slot);
   }
-  // Certified-class verdicts (DESIGN.md §12). A RAM-resident block reads
+  // Certified-class verdicts (DESIGN.md §13). A RAM-resident block reads
   // via Touch + RamDevice::Read only (kPureRamHit). A flash-resident block
   // reads via flash touch + flash charge + a RAM install; the install is
   // certified only when it provably triggers no writeback (clean or absent
   // victim) and no residency callback (victim flash-resident under an
   // admission filter). A write certifies only on the Touch + ram write +
   // MarkDirty branch.
-  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key,
-                               AccessEffects* effects = nullptr) const override;
+  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const override;
   // One LookupFast probe replaces Read's certify-then-probe pair; the body
   // is Read's RAM-hit branch verbatim, so state and time match exactly.
   std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key) override {

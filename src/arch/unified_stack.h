@@ -37,16 +37,13 @@ class UnifiedStack : public CacheStack {
     const uint32_t slot = cache_.Lookup(key);
     return slot != kInvalidSlot && cache_.dirty(slot);
   }
-  // Certified-class verdicts (DESIGN.md §12). Any resident hit is
+  // Certified-class verdicts (DESIGN.md §13). Any resident hit is
   // host-local on the unified chain — blocks never migrate, so a hit is
   // Touch + counter + the landing medium's device charge, with no install,
   // eviction, or residency callback. Writes certify on the resident +
   // MarkDirty-policy branch for either medium (a flash-medium write charges
-  // the host's own flash timeline; the coordinator flushes batches in rank
-  // order, so the charge commutes).
-  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key,
-                               AccessEffects* effects = nullptr) const override {
-    (void)effects;  // unified hits never install or evict
+  // only the host's own flash timeline).
+  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const override {
     const uint32_t slot = cache_.Lookup(key);
     if (slot == kInvalidSlot) {
       return AccessVerdict::kUncertifiable;

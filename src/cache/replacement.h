@@ -85,8 +85,8 @@ class EvictionPolicy {
   // or policy state; kInvalidSlot when the prediction is impossible (CLOCK
   // rotates the chain while selecting). Contract: whenever PeekVictim
   // returns a slot, an immediately following SelectVictim must return that
-  // slot. The partitioned engine uses this to certify evicting flash-hit
-  // installs (DESIGN.md §12); a kInvalidSlot answer only narrows the
+  // slot. The serial fast path uses this to certify evicting flash-hit
+  // installs (DESIGN.md §13); a kInvalidSlot answer only narrows the
   // certified class, never correctness.
   virtual uint32_t PeekVictim() const { return kInvalidSlot; }
 

@@ -18,7 +18,6 @@ uint64_t Directory::AllocSlot() {
 
 void Directory::NoteCached(int host, BlockKey key) {
   FLASHSIM_DCHECK(host >= 0 && host < num_hosts_);
-  ++generation_;
   if (words_ == 1) {
     holders_[key] |= (1ULL << host);
     return;
@@ -32,7 +31,6 @@ void Directory::NoteCached(int host, BlockKey key) {
 
 void Directory::NoteDropped(int host, BlockKey key) {
   FLASHSIM_DCHECK(host >= 0 && host < num_hosts_);
-  ++generation_;
   uint64_t* entry = holders_.Find(key);
   if (entry == nullptr) {
     return;

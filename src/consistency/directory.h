@@ -84,19 +84,12 @@ class Directory {
   StaleSet OnBlockWrite(int host, BlockKey key, bool measured);
 
   bool IsCachedBy(int host, BlockKey key) const;
-  // Whether `host` is the block's one and only holder. The partitioned
-  // engine's private-write fast path (DESIGN.md §12): a sole-holder write
+  // Whether `host` is the block's one and only holder. The serial fast
+  // path's private-write class (DESIGN.md §13): a sole-holder write
   // provably invalidates nothing, so PerfectProtocol::OnWrite reduces to
-  // this directory's commutative counters and the write can certify into a
-  // parallel batch without coordinator involvement.
+  // this directory's counters and the write schedules no event.
   bool SoleHolder(int host, BlockKey key) const;
 
-  // Mutation generation: bumped on every NoteCached/NoteDropped. Certified
-  // batch members never change residency, so a batch's writes snapshot the
-  // generation at certification and the engine DCHECKs it unchanged at the
-  // post-pass — the partition-local check that no cross-partition holder
-  // appeared between certification and execution.
-  uint64_t generation() const { return generation_; }
   // Visits every holder of `key` in ascending host order — deterministic in
   // both inline and slot mode, which the message-generating coherence
   // protocols (coherence.h) depend on for reproducible message schedules.
@@ -148,7 +141,6 @@ class Directory {
   uint64_t measured_writes_ = 0;
   uint64_t invalidating_writes_ = 0;
   uint64_t invalidations_ = 0;
-  uint64_t generation_ = 0;
 };
 
 }  // namespace flashsim

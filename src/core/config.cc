@@ -3,7 +3,6 @@
 #include <cstdio>
 
 #include "src/consistency/directory.h"
-#include "src/sim/partition.h"
 #include "src/util/assert.h"
 
 namespace flashsim {
@@ -27,10 +26,6 @@ void SimConfig::Validate() const {
   // The shard router maps block hashes onto at most kMaxShards filers;
   // larger counts are not representable under the shard map.
   FLASHSIM_CHECK(num_filers >= 1 && num_filers <= ShardRouter::kMaxShards);
-  // A partition with no hosts would idle a worker and break the contiguous
-  // host→partition placement, so P may not exceed the host count.
-  FLASHSIM_CHECK(num_partitions >= 1 && num_partitions <= kMaxPartitions);
-  FLASHSIM_CHECK(num_partitions <= num_hosts);
   // The naive stack's RAM→flash writeback requires RAM ⊆ flash, which a
   // DRAM→flash admission filter deliberately breaks.
   FLASHSIM_CHECK(arch != Architecture::kNaive || admission == AdmissionPolicy::kAll);
@@ -58,13 +53,6 @@ std::string SimConfig::Summary() const {
   if (num_filers > 1) {
     std::snprintf(buf, sizeof(buf), " filers=%d(%s)", num_filers,
                   ShardStrategyName(shard_strategy));
-    out += buf;
-  }
-  if (num_partitions > 1 || partitions_auto) {
-    // Self-describing runs: report the resolved count even when the user
-    // asked for `auto` (the sentinel itself never reaches a SimConfig).
-    std::snprintf(buf, sizeof(buf), " partitions=%d%s", num_partitions,
-                  partitions_auto ? "(auto)" : "");
     out += buf;
   }
   if (replacement != ReplacementPolicy::kLru) {

@@ -47,32 +47,9 @@ struct SimConfig {
   int num_filers = 1;
   ShardStrategy shard_strategy = ShardStrategy::kHash;
 
-  // Partitioned engine shape (src/sim/partition.h). 1 runs the legacy
-  // single-queue serial engine; P > 1 splits hosts into P contiguous
-  // partition groups, each with its own event queue and RNG substream,
-  // advanced by worker threads under the coordinator's merge loop
-  // (DESIGN.md §12). Byte-identical to num_partitions=1 at any P.
-  int num_partitions = 1;
-  // Test knob: route num_partitions==1 through the partitioned engine
-  // (coordinator merge loop over one queue) instead of the legacy serial
-  // loop, to prove the two paths coincide.
-  bool force_partitioned = false;
-
-  // Set by the CLI/experiment layer when num_partitions came from the
-  // `auto` sentinel (ResolveAutoPartitions), so Summary and result sinks
-  // can report the machine-resolved count as such. Purely descriptive.
-  bool partitions_auto = false;
-
-  // Widened certified class (DESIGN.md §12): with this on (default) the
-  // partitioned coordinator defers certified flash hits and sole-holder
-  // MarkDirty writes into parallel batches alongside pure RAM hits, and the
-  // serial engine inlines the same classes past the event heap. Results
-  // are byte-identical either way; off exists for A/B benchmarking
-  // (pre-widening behavior) and debugging.
-  bool wide_certification = true;
-
   // Serial read fast path (DESIGN.md §13): when a thread's completion is
-  // provably the next event and its next record is a pure-RAM-hit read,
+  // provably the next event and its next record provably schedules nothing
+  // (a pure RAM hit, a silent flash hit, or a sole-holder in-place write),
   // execute it inline instead of round-tripping the event heap. Results are
   // byte-identical either way (the schedule is provably unchanged); off
   // exists for A/B benchmarking and belt-and-suspenders debugging. The
@@ -90,9 +67,9 @@ struct SimConfig {
 
   // Arm the per-host shadow-LRU miss-ratio-curve collector (src/cache/mrc.h).
   // The collector must observe every application read in dispatch order, so
-  // arming it disables the serial read fast path and partitioned
-  // certification; simulation results are unchanged (the collector only
-  // watches the access stream, it never mutates cache state).
+  // arming it disables the serial read fast path; simulation results are
+  // unchanged (the collector only watches the access stream, it never
+  // mutates cache state).
   bool collect_mrc = false;
 
   TimingModel timing;
@@ -104,8 +81,8 @@ struct SimConfig {
   // put lookup/invalidation/lease traffic on the network and filer.
   // Non-perfect protocols charge their own messages, so they require
   // invalidation_traffic == kNone (Validate enforces it); they also disable
-  // the serial read fast path and partitioned certification — every read
-  // may carry protocol traffic, so no read is provably host-local.
+  // the serial read fast path — every read may carry protocol traffic, so
+  // no read is provably host-local.
   CoherenceModel coherence = CoherenceModel::kPerfect;
 
   // Seeds the filer's fast/slow read draws (trace generation seeds live in

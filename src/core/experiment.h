@@ -48,14 +48,6 @@ struct ExperimentParams {
   // the block->shard routing strategy.
   int num_filers = 1;
   ShardStrategy shard_strategy = ShardStrategy::kHash;
-  // Partitioned engine shape (1 = legacy serial engine, byte-identical to
-  // any P); force_partitioned is the test knob that routes P=1 through the
-  // partitioned coordinator.
-  int num_partitions = 1;
-  bool force_partitioned = false;
-  // A/B knob for the widened certified class (SimConfig::wide_certification):
-  // off restores the pure-RAM-hit-only batching. Results identical either way.
-  bool wide_certification = true;
   InvalidationTraffic invalidation_traffic = InvalidationTraffic::kNone;
   // Coherence protocol axis (DESIGN.md §15); perfect is the paper's model.
   CoherenceModel coherence = CoherenceModel::kPerfect;

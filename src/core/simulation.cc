@@ -95,17 +95,6 @@ class Simulation::CoherenceFabric : public CoherenceTransport {
 
 Simulation::Simulation(const SimConfig& config) : config_(config) {
   config_.Validate();
-  partitioned_ = config_.num_partitions > 1 || config_.force_partitioned;
-  if (partitioned_) {
-    for (int p = 0; p < config_.num_partitions; ++p) {
-      partitions_.push_back(std::make_unique<PartitionState>(PartitionSeed(config_.seed, p)));
-    }
-    partition_of_host_.reserve(static_cast<size_t>(config_.num_hosts));
-    for (int h = 0; h < config_.num_hosts; ++h) {
-      partition_of_host_.push_back(PartitionOf(h, config_.num_hosts, config_.num_partitions));
-    }
-    pool_ = std::make_unique<PartitionWorkerPool>(config_.num_partitions);
-  }
   // ShardSeed(seed, 0) reproduces the historical single-filer RNG stream,
   // so num_filers == 1 stays byte-identical to the pre-backend simulator.
   backend_ = MakeStorageBackend(config_.timing, config_.num_filers, config_.shard_strategy,
@@ -116,18 +105,13 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   directory_->Reserve((config_.ram_blocks() + config_.flash_blocks()) *
                       static_cast<uint64_t>(config_.num_hosts));
   for (int h = 0; h < config_.num_hosts; ++h) {
-    hosts_.push_back(std::make_unique<HostState>(config_, queue_for_host(h), *backend_,
-                                                 *directory_, h));
+    hosts_.push_back(std::make_unique<HostState>(config_, queue_, *backend_, *directory_, h));
   }
   if (config_.timing.flash_noise_sigma > 0.0) {
-    // Arm per-host flash latency noise. The legacy stream's seed sits in the
-    // same golden-ratio family as the per-host substream roots but at a
-    // host index no real host uses, so the two modes never share a stream.
-    flash_noise_rng_.Seed(FlashStreamSeed(config_.seed, -1));
+    // Arm per-host flash latency noise, each host on its own substream.
     for (int h = 0; h < config_.num_hosts; ++h) {
-      hosts_[static_cast<size_t>(h)]->flash_dev.EnableNoise(
-          config_.timing.flash_noise_sigma, config_.timing.flash_rng_mode,
-          FlashStreamSeed(config_.seed, h), &flash_noise_rng_);
+      hosts_[static_cast<size_t>(h)]->flash_dev.EnableNoise(config_.timing.flash_noise_sigma,
+                                                            FlashStreamSeed(config_.seed, h));
     }
   }
   fabric_ = std::make_unique<CoherenceFabric>(*this);
@@ -156,12 +140,12 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   // The serial fast path coexists with the auditor by not arming: the
   // auditor must observe every record through the full event path (its
   // per-record counter checks and stride bookkeeping are part of the
-  // schedule it audits), exactly like partitioned certification. The MRC
-  // collector likewise needs every read to flow through ExecuteOp.
-  // A modeled coherence protocol likewise disarms the path: any read may
-  // first pay protocol traffic, so no read is provably host-local.
-  serial_fast_path_ = config_.read_fast_path && !partitioned_ && auditor_ == nullptr &&
-                      !config_.collect_mrc && !coherence_active_;
+  // schedule it audits). The MRC collector likewise needs every read to
+  // flow through ExecuteOp. A modeled coherence protocol likewise disarms
+  // the path: any read may first pay protocol traffic, so no read is
+  // provably host-local.
+  serial_fast_path_ = config_.read_fast_path && auditor_ == nullptr && !config_.collect_mrc &&
+                      !coherence_active_;
   if (config_.collect_mrc) {
     for (int h = 0; h < config_.num_hosts; ++h) {
       mrc_.push_back(std::make_unique<MrcCollector>());
@@ -340,7 +324,7 @@ std::optional<SimTime> Simulation::TryFastExecute(CacheStack& stack, const Trace
     // write schedules nothing and leaves the directory untouched, so
     // inlining it preserves the event-visible schedule exactly like a pure
     // RAM hit. Multi-block writes stay on the event path.
-    if (!config_.wide_certification || record.block_count != 1) {
+    if (record.block_count != 1) {
       return std::nullopt;
     }
     const int host_id = record.host % config_.num_hosts;
@@ -363,9 +347,6 @@ std::optional<SimTime> Simulation::TryFastExecute(CacheStack& stack, const Trace
     const BlockKey key = MakeBlockKey(record.file_id, record.block);
     const std::optional<SimTime> hit = stack.TryReadFastPath(t, key);
     if (!hit.has_value()) {
-      if (!config_.wide_certification) {
-        return std::nullopt;
-      }
       // Widened class: a certified flash hit also schedules nothing — the
       // flash charge and the silent RAM install run inline at the same
       // simulated time the event path would have used.
@@ -452,8 +433,9 @@ void Simulation::StartThread(int thread_index, SimTime now) {
   // Serial read fast path (DESIGN.md §13): while this thread's completion
   // at `done` is provably the next dispatch — the heap is empty or its head
   // fires strictly later (at equal times the queued entry's older seq wins,
-  // so ties must take the event path) — and the thread's next record is a
-  // pure-RAM-hit read, run it inline. NoteInlineDispatch leaves the queue's
+  // so ties must take the event path) — and the thread's next record
+  // provably schedules nothing (TryFastExecute), run it inline.
+  // NoteInlineDispatch leaves the queue's
   // clock, event count, and seq counter exactly as the skipped
   // ScheduleEvent + DispatchHead round trip would, so the event-visible
   // schedule — and therefore every metric — is byte-identical.
@@ -470,7 +452,7 @@ void Simulation::StartThread(int thread_index, SimTime now) {
     const std::optional<SimTime> fast_done =
         TryFastExecute(*hosts_[host_id]->stack, *next, done, !next->warmup);
     if (!fast_done.has_value()) {
-      break;  // not a pure-RAM-hit read: fall back to the event path
+      break;  // not inlinable: fall back to the event path
     }
     record = *next;
     backlog_[static_cast<size_t>(thread_index)].pop_front();
@@ -479,8 +461,7 @@ void Simulation::StartThread(int thread_index, SimTime now) {
     done = *fast_done;
     FinishOp(thread_index, record, now, done);
   }
-  queue_for_host(thread_index / config_.threads_per_host)
-      .ScheduleEvent(done, this, kEvThreadStart, static_cast<uint64_t>(thread_index));
+  queue_.ScheduleEvent(done, this, kEvThreadStart, static_cast<uint64_t>(thread_index));
 }
 
 void Simulation::HandleEvent(SimTime now, uint32_t code, uint64_t arg) {
@@ -536,9 +517,8 @@ void Simulation::SyncerStep(int host, bool ram_tier, SimTime now) {
                                           : stack.FlushOneFlashBlock(now, dirtied_before);
   if (done.has_value()) {
     busy[static_cast<size_t>(host)] = true;
-    queue_for_host(host).ScheduleEvent(*done, this, kEvSyncerStep,
-                                       static_cast<uint64_t>(host) |
-                                           (ram_tier ? (1ULL << 32) : 0));
+    queue_.ScheduleEvent(*done, this, kEvSyncerStep,
+                         static_cast<uint64_t>(host) | (ram_tier ? (1ULL << 32) : 0));
   } else {
     busy[static_cast<size_t>(host)] = false;
   }
@@ -559,8 +539,7 @@ void Simulation::SyncerTick(bool ram_tier, SimTime now) {
     }
   }
   const WritebackPolicy policy = ram_tier ? config_.ram_policy : config_.flash_policy;
-  global_queue().ScheduleEvent(now + PolicyPeriodNs(policy), this, kEvSyncerTick,
-                               ram_tier ? 1 : 0);
+  queue_.ScheduleEvent(now + PolicyPeriodNs(policy), this, kEvSyncerTick, ram_tier ? 1 : 0);
 }
 
 void Simulation::SampleTelemetry(SimTime now) {
@@ -578,16 +557,10 @@ void Simulation::SampleTelemetry(SimTime now) {
     sample.dirty_resident += host->stack->DirtyBlocks();
     sample.writeback_in_flight += host->writer.pending();
   }
-  if (partitioned_) {
-    for (const auto& p : partitions_) {
-      sample.queue_depth += p->queue.size();
-    }
-  } else {
-    sample.queue_depth = queue_.size();
-  }
+  sample.queue_depth = queue_.size();
   telemetry_->RecordSample(sample);
   if (live_threads_ > 0) {
-    global_queue().ScheduleEvent(now + config_.telemetry.sample_stride_ns, this, kEvSample, 0);
+    queue_.ScheduleEvent(now + config_.telemetry.sample_stride_ns, this, kEvSample, 0);
   }
 }
 
@@ -599,496 +572,8 @@ void Simulation::ScheduleSyncers() {
     if (!IsSyncerDriven(policy)) {
       continue;
     }
-    global_queue().ScheduleEvent(PolicyPeriodNs(policy), this, kEvSyncerTick, ram_tier ? 1 : 0);
+    queue_.ScheduleEvent(PolicyPeriodNs(policy), this, kEvSyncerTick, ram_tier ? 1 : 0);
   }
-}
-
-namespace {
-// Batches smaller than this execute inline on the coordinator: the worker
-// barrier costs microseconds per flush, which only pays off once a batch
-// amortizes it across enough certified reads.
-constexpr size_t kMinParallelFlush = 8;
-}  // namespace
-
-void Simulation::RunPartitioned(TraceSource& source) {
-  // Pre-drain the trace into the per-thread backlogs so NextOpFor (and the
-  // coordinator's certification peek) becomes a pure local pop. The
-  // record→thread mapping below is the same one NextOpFor applies, and it
-  // depends only on the record, so draining up front distributes records
-  // identically to the legacy lazy pull.
-  {
-    TraceRecord next;
-    while (source.Next(&next)) {
-      const int host = next.host % config_.num_hosts;
-      const int thread = next.thread % config_.threads_per_host;
-      backlog_[static_cast<size_t>(ThreadIndex(host, thread))].push_back(next);
-    }
-    source_exhausted_ = true;
-  }
-  // Per-partition heap pre-sizing from the per-partition pending-event
-  // bound (the legacy bound, split by host ownership); partition 0 also
-  // carries the global events. Keeps every queue growth-free mid-trace at
-  // any P, so the index_rehashes regression counter stays 0.
-  const int num_partitions = static_cast<int>(partitions_.size());
-  std::vector<size_t> hosts_in(static_cast<size_t>(num_partitions), 0);
-  for (int h = 0; h < config_.num_hosts; ++h) {
-    ++hosts_in[static_cast<size_t>(partition_of_host_[static_cast<size_t>(h)])];
-  }
-  for (int p = 0; p < num_partitions; ++p) {
-    const size_t hosts_here = hosts_in[static_cast<size_t>(p)];
-    partitions_[static_cast<size_t>(p)]->queue.Reserve(
-        hosts_here * static_cast<size_t>(config_.threads_per_host) + 2 * hosts_here +
-        hosts_here * static_cast<size_t>(config_.timing.writeback_window) +
-        (p == 0 ? 4 : 0));
-  }
-  // Root events, through the coordinator source at rank 0 in exactly the
-  // legacy scheduling order: thread starts, syncer ticks, the first sample.
-  coord_src_ = SeqSource{};
-  for (auto& partition : partitions_) {
-    partition->queue.set_seq_source(&coord_src_);
-  }
-  for (int t = 0; t < NumThreads(); ++t) {
-    queue_for_host(t / config_.threads_per_host)
-        .ScheduleEvent(0, this, kEvThreadStart, static_cast<uint64_t>(t));
-  }
-  ScheduleSyncers();
-  if (telemetry_ != nullptr && telemetry_->sampler() != nullptr) {
-    global_queue().ScheduleEvent(config_.telemetry.sample_stride_ns, this, kEvSample, 0);
-  }
-
-  // Certification is off whenever a per-record observer shares state across
-  // hosts: the auditor (global counters and stride bookkeeping) and trace
-  // spans (one TraceWriter). Histograms are per-host and parallel-safe.
-  // A modeled coherence protocol also disables it: a read may send protocol
-  // messages through shared filer resources, so it is never host-local.
-  const bool certify = auditor_ == nullptr && !config_.collect_mrc && !coherence_active_ &&
-                       (telemetry_ == nullptr || telemetry_->trace() == nullptr);
-  // The widened classes (flash hits, private writes) additionally need
-  // order-decoupled flash draws: legacy shared-stream noise consumes one
-  // RNG stream in dispatch order, which batched execution would reorder.
-  const bool wide = certify && config_.wide_certification &&
-                    !(config_.timing.flash_noise_sigma > 0.0 &&
-                      config_.timing.flash_rng_mode == FlashRngMode::kLegacy);
-
-  cert_pending_ops_.assign(hosts_.size(), 0);
-  cert_pending_installs_.assign(hosts_.size(), 0);
-  cert_pending_keys_.assign(hosts_.size(), {});
-  cert_touched_hosts_.clear();
-  partition_busy_.assign(partitions_.size(), 0);
-  exec_pending_ = false;
-  exec_fn_ = [this](int p) {
-    if (p == 0) {
-      return;  // the coordinator runs partition 0's slice itself
-    }
-    SeqSource* src = &partitions_[static_cast<size_t>(p)]->worker_src;
-    for (DeferredRead& d : *exec_batch_) {
-      if (d.partition == p && !d.exit) {
-        ExecuteDeferred(d, src);
-      }
-    }
-  };
-
-  // Double-buffered batches: while one executes on the workers, the merge
-  // loop certifies ahead into the other.
-  std::vector<DeferredRead> batch_bufs[2];
-  batch_bufs[0].reserve(static_cast<size_t>(NumThreads()));
-  batch_bufs[1].reserve(static_cast<size_t>(NumThreads()));
-  std::vector<DeferredRead>* batch = &batch_bufs[0];
-  SimTime batch_bound = kSimTimeNever;
-  uint64_t next_rank = 1;
-
-  // The merge loop: repeatedly take the global (time, seq) minimum across
-  // the partition queue heads — the genealogical seqs make that order
-  // exactly the serial engine's dispatch order. Certified accesses (and
-  // thread exits) are deferred into the open batch; anything that can touch
-  // shared state (uncertified writes, filer misses, syncers, the background
-  // writers, samples) first retires every deferred batch, then executes on
-  // the coordinator with every queue's seq source at the event's rank.
-  // While a posted batch executes, its partitions' queues belong to the
-  // workers: the pick skips them, and only events strictly below
-  // exec_floor_ — provably earlier than anything a busy partition holds or
-  // will schedule — may be popped.
-  for (;;) {
-    int best = -1;
-    SimTime best_time = 0;
-    uint64_t best_seq = 0;
-    for (int p = 0; p < num_partitions; ++p) {
-      if (exec_pending_ && partition_busy_[static_cast<size_t>(p)] != 0) {
-        continue;
-      }
-      const EventQueue& q = partitions_[static_cast<size_t>(p)]->queue;
-      if (q.empty()) {
-        continue;
-      }
-      if (best == -1 || q.HeadTime() < best_time ||
-          (q.HeadTime() == best_time && q.HeadSeq() < best_seq)) {
-        best = p;
-        best_time = q.HeadTime();
-        best_seq = q.HeadSeq();
-      }
-    }
-    if (best == -1 || (exec_pending_ && best_time >= exec_floor_)) {
-      if (exec_pending_) {
-        WaitAndPost();
-        continue;  // re-pick: the workers' completions are visible now
-      }
-      if (!batch->empty()) {
-        StartExec(*batch, &batch_bound);
-        batch = batch == &batch_bufs[0] ? &batch_bufs[1] : &batch_bufs[0];
-        continue;
-      }
-      break;  // all queues drained, nothing deferred: the run is over
-    }
-    EventQueue& q = partitions_[static_cast<size_t>(best)]->queue;
-    // Deferred accesses complete no earlier than their class floor, so
-    // every event they schedule lands at or past batch_bound; heads before
-    // the bound are safe to pop, heads at or past it must wait for the
-    // flush to materialize the batch's children.
-    if (!batch->empty() && best_time >= batch_bound) {
-      if (exec_pending_) {
-        WaitAndPost();
-        continue;
-      }
-      StartExec(*batch, &batch_bound);
-      batch = batch == &batch_bufs[0] ? &batch_bufs[1] : &batch_bufs[0];
-      continue;
-    }
-    if (certify && q.HeadIsTyped(this, kEvThreadStart)) {
-      const int thread_index = static_cast<int>(q.HeadArg());
-      auto& backlog = backlog_[static_cast<size_t>(thread_index)];
-      const int host_id = thread_index / config_.threads_per_host;
-      const size_t h = static_cast<size_t>(host_id);
-      DeferredRead d;
-      d.now = best_time;
-      d.partition = best;
-      d.thread_index = thread_index;
-      d.exit = backlog.empty();
-      bool certified = false;
-      if (d.exit) {
-        certified = true;  // thread exit: only a live_threads_ decrement
-      } else {
-        const TraceRecord& record = backlog.front();
-        CacheStack& stack = *hosts_[h]->stack;
-        auto& pend_keys = cert_pending_keys_[h];
-        const auto key_pending = [&pend_keys](BlockKey key) {
-          return std::find(pend_keys.begin(), pend_keys.end(), key) != pend_keys.end();
-        };
-        bool installs_slot = false;
-        if (record.op == TraceOp::kRead && record.block_count >= 1) {
-          bool pure = true;
-          for (uint32_t i = 0; pure && i < record.block_count; ++i) {
-            const BlockKey key = MakeBlockKey(record.file_id, record.block + i);
-            pure = !key_pending(key) && stack.ReadIsPureRamHit(key);
-          }
-          if (pure) {
-            d.verdict = AccessVerdict::kPureRamHit;
-            certified = true;
-          } else if (wide && record.block_count == 1) {
-            const BlockKey key = MakeBlockKey(record.file_id, record.block);
-            AccessEffects effects;
-            if (!key_pending(key) &&
-                stack.ClassifyAccess(TraceOp::kRead, key, &effects) ==
-                    AccessVerdict::kFlashHit) {
-              if (effects.ram_evict) {
-                // The peeked victim holds only while no earlier batch
-                // member reorders or re-dirties this host's RAM chain.
-                certified = cert_pending_ops_[h] == 0 && !key_pending(effects.victim_key);
-              } else if (effects.ram_install) {
-                // Free-slot install: earlier pending installs each consume
-                // one of the slots the classification saw.
-                certified = cert_pending_installs_[h] <
-                            config_.ram_blocks() - stack.RamResident();
-                installs_slot = certified;
-              } else {
-                certified = true;  // no RAM tier: touch + flash charge only
-              }
-              if (certified) {
-                d.verdict = AccessVerdict::kFlashHit;
-                if (effects.ram_install) {
-                  pend_keys.push_back(key);
-                }
-                if (effects.ram_evict) {
-                  pend_keys.push_back(effects.victim_key);
-                }
-              }
-            }
-          }
-        } else if (wide && record.op == TraceOp::kWrite && record.block_count == 1) {
-          const BlockKey key = MakeBlockKey(record.file_id, record.block);
-          if (!key_pending(key) &&
-              stack.ClassifyAccess(TraceOp::kWrite, key) == AccessVerdict::kPrivateWrite &&
-              directory_->SoleHolder(host_id, key)) {
-            d.verdict = AccessVerdict::kPrivateWrite;
-            d.dir_generation = directory_->generation();
-            certified = true;
-          }
-        }
-        if (certified) {
-          d.record = record;
-          backlog.pop_front();
-          if (cert_pending_ops_[h]++ == 0) {
-            cert_touched_hosts_.push_back(host_id);
-          }
-          if (installs_slot) {
-            ++cert_pending_installs_[h];
-          }
-          batch_bound = std::min(batch_bound, DeferredBound(d));
-        }
-      }
-      if (certified) {
-        d.rank = next_rank++;
-        q.PopHeadDeferred();
-        batch->push_back(d);
-        continue;
-      }
-    }
-    // Dispatch needs exclusive access to every partition (a syncer step or
-    // an invalidating write may touch any host) and every earlier-ranked
-    // deferred access retired first.
-    if (exec_pending_) {
-      WaitAndPost();
-      continue;
-    }
-    if (!batch->empty()) {
-      StartExec(*batch, &batch_bound);
-      batch = batch == &batch_bufs[0] ? &batch_bufs[1] : &batch_bufs[0];
-      continue;  // re-pick: the flush scheduled the batch's children
-    }
-    coord_src_.rank = next_rank++;
-    coord_src_.kid = 0;
-    q.DispatchHead();
-  }
-  FLASHSIM_DCHECK(!exec_pending_);
-  exec_fn_ = nullptr;
-  for (auto& partition : partitions_) {
-    partition->queue.set_seq_source(nullptr);
-  }
-}
-
-void Simulation::ExecuteDeferred(DeferredRead& d, SeqSource* src) {
-  src->rank = d.rank;
-  src->kid = 0;
-  const int host_id = d.thread_index / config_.threads_per_host;
-  HostState& host = *hosts_[static_cast<size_t>(host_id)];
-  SimTime t = d.now;
-  switch (d.verdict) {
-    case AccessVerdict::kPureRamHit:
-      for (uint32_t i = 0; i < d.record.block_count; ++i) {
-        // Certification already proved every block a pure RAM hit, so the
-        // fused fast path must succeed — and its probe prefetches the LRU
-        // slot the following Touch dereferences.
-        const std::optional<SimTime> hit =
-            host.stack->TryReadFastPath(t, MakeBlockKey(d.record.file_id, d.record.block + i));
-        FLASHSIM_DCHECK(hit.has_value());
-        t = *hit;
-      }
-      break;
-    case AccessVerdict::kFlashHit: {
-      const std::optional<SimTime> hit =
-          host.stack->TryReadFlashFastPath(t, MakeBlockKey(d.record.file_id, d.record.block));
-      FLASHSIM_DCHECK(hit.has_value());
-      t = *hit;
-      break;
-    }
-    case AccessVerdict::kPrivateWrite:
-      // The certified MarkDirty branch: touch + device write + MarkDirty,
-      // all host-local. The directory side runs in the post-pass.
-      t = host.stack->Write(t, MakeBlockKey(d.record.file_id, d.record.block));
-      break;
-    case AccessVerdict::kUncertifiable:
-      FLASHSIM_CHECK(false);  // never deferred
-  }
-  d.done = t;
-  queue_for_host(host_id).ScheduleEvent(t, this, kEvThreadStart,
-                                        static_cast<uint64_t>(d.thread_index));
-}
-
-SimTime Simulation::DeferredBound(const DeferredRead& d) const {
-  if (d.exit) {
-    return kSimTimeNever;  // schedules nothing
-  }
-  const bool noisy = config_.timing.flash_noise_sigma > 0.0;
-  SimDuration floor = 0;
-  switch (d.verdict) {
-    case AccessVerdict::kPureRamHit:
-      floor = config_.timing.ram_access_ns;
-      break;
-    case AccessVerdict::kFlashHit:
-      floor = noisy ? 0
-                    : (config_.timing.use_ftl ? config_.timing.ftl_page_read_ns
-                                              : config_.timing.flash_read_ns);
-      break;
-    case AccessVerdict::kPrivateWrite: {
-      // RAM-medium writes complete after one RAM access; flash-medium
-      // (unified) after at least one program. Take the smaller — a bound
-      // may always be conservative.
-      const SimDuration flash_floor =
-          noisy ? 0
-                : (config_.timing.use_ftl ? config_.timing.ftl_page_program_ns
-                                          : config_.timing.flash_write_ns);
-      floor = std::min(config_.timing.ram_access_ns, flash_floor);
-      break;
-    }
-    case AccessVerdict::kUncertifiable:
-      FLASHSIM_CHECK(false);
-  }
-  return d.now + floor;
-}
-
-void Simulation::StartExec(std::vector<DeferredRead>& batch, SimTime* batch_bound) {
-  FLASHSIM_DCHECK(!exec_pending_);
-  if (batch.empty()) {
-    return;
-  }
-  // The open batch's certified predictions become reality now; the per-host
-  // bookkeeping that validated them resets with it.
-  for (const int h : cert_touched_hosts_) {
-    cert_pending_ops_[static_cast<size_t>(h)] = 0;
-    cert_pending_installs_[static_cast<size_t>(h)] = 0;
-    cert_pending_keys_[static_cast<size_t>(h)].clear();
-  }
-  cert_touched_hosts_.clear();
-  *batch_bound = kSimTimeNever;
-  // Small batches execute inline on the coordinator: the worker barrier
-  // costs more than it amortizes.
-  if (partitions_.size() == 1 || batch.size() < kMinParallelFlush) {
-    for (DeferredRead& d : batch) {
-      if (!d.exit) {
-        ExecuteDeferred(d, &coord_src_);
-      }
-    }
-    PostPass(batch);
-    return;
-  }
-  // Pipelined flush: post partitions [1, P) to the workers and run
-  // partition 0's slice here — the coordinator's own slice finishes before
-  // certify-ahead resumes, so partition 0 is never busy. Each entry's stack
-  // access mutates only its own host's caches and devices, and its
-  // completion event goes to its own partition queue, so entries of
-  // different partitions commute; within a partition the batch's rank order
-  // (its construction order) is preserved, keeping per-host cache and
-  // device-timeline order identical to serial. exec_floor_ is the least
-  // time any busy partition holds (its pre-exec head) or can schedule (its
-  // entries' class floors).
-  exec_floor_ = kSimTimeNever;
-  bool any_busy = false;
-  for (const DeferredRead& d : batch) {
-    if (d.exit || d.partition == 0) {
-      continue;
-    }
-    const size_t p = static_cast<size_t>(d.partition);
-    if (partition_busy_[p] == 0) {
-      partition_busy_[p] = 1;
-      any_busy = true;
-      const EventQueue& q = partitions_[p]->queue;
-      if (!q.empty()) {
-        exec_floor_ = std::min(exec_floor_, q.HeadTime());
-      }
-    }
-    exec_floor_ = std::min(exec_floor_, DeferredBound(d));
-  }
-  for (auto& partition : partitions_) {
-    partition->queue.set_seq_source(&partition->worker_src);
-  }
-  exec_batch_ = &batch;
-  if (any_busy) {
-    pool_->StartBatch(exec_fn_);
-    exec_pending_ = true;
-  }
-  SeqSource* src0 = &partitions_[0]->worker_src;
-  for (DeferredRead& d : batch) {
-    if (d.partition == 0 && !d.exit) {
-      ExecuteDeferred(d, src0);
-    }
-  }
-  if (!exec_pending_) {
-    // Every entry was partition 0's (or an exit): nothing was posted, so
-    // retire the batch immediately.
-    for (auto& partition : partitions_) {
-      partition->queue.set_seq_source(&coord_src_);
-    }
-    PostPass(batch);
-    exec_batch_ = nullptr;
-  }
-}
-
-void Simulation::WaitAndPost() {
-  FLASHSIM_DCHECK(exec_pending_);
-  pool_->WaitBatch();
-  exec_pending_ = false;
-  std::fill(partition_busy_.begin(), partition_busy_.end(), 0);
-  for (auto& partition : partitions_) {
-    partition->queue.set_seq_source(&coord_src_);
-  }
-  PostPass(*exec_batch_);
-  exec_batch_ = nullptr;
-}
-
-void Simulation::PostPass(std::vector<DeferredRead>& batch) {
-  // Post-pass, in rank order on the coordinator: every order-sensitive
-  // accumulation (the Welford mean is not associative, so Record order must
-  // be the serial order bit-for-bit), exactly mirroring StartThread — plus,
-  // for private writes, the directory side of ExecuteOp's write branch.
-  for (DeferredRead& d : batch) {
-    if (d.exit) {
-      --live_threads_;
-      continue;
-    }
-    if (d.done > last_op_completion_) {
-      last_op_completion_ = d.done;
-    }
-    const size_t host_id = static_cast<size_t>(d.thread_index / config_.threads_per_host);
-    const bool measured = !d.record.warmup;
-    if (d.verdict == AccessVerdict::kPrivateWrite) {
-      const BlockKey key = MakeBlockKey(d.record.file_id, d.record.block);
-      if (measured) {
-        ++metrics_.measured_write_blocks;
-      }
-      // Sole holder: the protocol finds no stale copies and charges
-      // nothing; the directory's write counters advance exactly as serial.
-      const SimTime settled =
-          coherence_->OnWrite(static_cast<int>(host_id), key, d.done, measured);
-      FLASHSIM_DCHECK(settled == d.done);
-      (void)settled;
-      // Frozen-holder invariant: no batch member fired a residency
-      // callback, so the sole-holder proof from certification still holds.
-      FLASHSIM_DCHECK(directory_->generation() == d.dir_generation);
-      if (measured) {
-        const int64_t latency = d.done - d.now;
-        metrics_.write_latency.Record(latency);
-        if (!op_hist_write_.empty()) {
-          op_hist_write_[host_id]->Record(latency);
-        }
-      } else {
-        metrics_.warmup_blocks += d.record.block_count;
-      }
-      ++metrics_.certified_write_batched;
-    } else {
-      if (measured) {
-        const int64_t latency = d.done - d.now;
-        metrics_.read_latency.Record(latency);
-        if (!op_hist_read_.empty()) {
-          op_hist_read_[host_id]->Record(latency);
-        }
-        if (read_series_ != nullptr) {
-          read_series_->Record(d.now, static_cast<double>(latency));
-        }
-        const HitLevel level =
-            d.verdict == AccessVerdict::kFlashHit ? HitLevel::kFlash : HitLevel::kRam;
-        metrics_.read_level_blocks[static_cast<size_t>(level)] += d.record.block_count;
-        metrics_.measured_read_blocks += d.record.block_count;
-      } else {
-        metrics_.warmup_blocks += d.record.block_count;
-      }
-      if (d.verdict == AccessVerdict::kFlashHit) {
-        ++metrics_.certified_flash_batched;
-      } else {
-        ++metrics_.certified_ram_batched;
-      }
-    }
-    ++metrics_.trace_records;
-  }
-  batch.clear();
 }
 
 Metrics Simulation::Run(TraceSource& source) {
@@ -1096,35 +581,31 @@ Metrics Simulation::Run(TraceSource& source) {
   ran_ = true;
   source_ = &source;
   live_threads_ = NumThreads();
-  if (partitioned_) {
-    RunPartitioned(source);
-  } else {
-    // Pre-size the event heap for the run's pending-event bound: one
-    // completion per live thread, one tick per tier, one step per host and
-    // tier, one pending telemetry sample, and one completion per
-    // background-writer window slot.
-    queue_.Reserve(static_cast<size_t>(NumThreads()) + 3 + 2 * hosts_.size() +
-                   hosts_.size() * static_cast<size_t>(config_.timing.writeback_window));
-    // Pre-size the per-thread backlogs from the trace's size hint. The
-    // backlog only holds read-ahead for threads whose ops arrive out of
-    // order, so cap the reservation; the ring still grows if a trace turns
-    // out badly skewed.
-    if (const uint64_t hint = source.SizeHint(); hint > 0) {
-      const uint64_t per_thread = std::min<uint64_t>(
-          hint / static_cast<uint64_t>(NumThreads()) + 1, 16384);
-      for (auto& backlog : backlog_) {
-        backlog.Reserve(static_cast<size_t>(per_thread));
-      }
+  // Pre-size the event heap for the run's pending-event bound: one
+  // completion per live thread, one tick per tier, one step per host and
+  // tier, one pending telemetry sample, and one completion per
+  // background-writer window slot.
+  queue_.Reserve(static_cast<size_t>(NumThreads()) + 3 + 2 * hosts_.size() +
+                 hosts_.size() * static_cast<size_t>(config_.timing.writeback_window));
+  // Pre-size the per-thread backlogs from the trace's size hint. The
+  // backlog only holds read-ahead for threads whose ops arrive out of
+  // order, so cap the reservation; the ring still grows if a trace turns
+  // out badly skewed.
+  if (const uint64_t hint = source.SizeHint(); hint > 0) {
+    const uint64_t per_thread =
+        std::min<uint64_t>(hint / static_cast<uint64_t>(NumThreads()) + 1, 16384);
+    for (auto& backlog : backlog_) {
+      backlog.Reserve(static_cast<size_t>(per_thread));
     }
-    for (int t = 0; t < NumThreads(); ++t) {
-      queue_.ScheduleEvent(0, this, kEvThreadStart, static_cast<uint64_t>(t));
-    }
-    ScheduleSyncers();
-    if (telemetry_ != nullptr && telemetry_->sampler() != nullptr) {
-      queue_.ScheduleEvent(config_.telemetry.sample_stride_ns, this, kEvSample, 0);
-    }
-    queue_.RunToCompletion();
   }
+  for (int t = 0; t < NumThreads(); ++t) {
+    queue_.ScheduleEvent(0, this, kEvThreadStart, static_cast<uint64_t>(t));
+  }
+  ScheduleSyncers();
+  if (telemetry_ != nullptr && telemetry_->sampler() != nullptr) {
+    queue_.ScheduleEvent(config_.telemetry.sample_stride_ns, this, kEvSample, 0);
+  }
+  queue_.RunToCompletion();
   if (auditor_ != nullptr) {
     // Final audit: at quiescence the writer pipelines have drained, so the
     // conservation identities must hold exactly.

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "src/util/distributions.h"
+#include "src/util/rng.h"
 
 namespace flashsim {
 
@@ -10,13 +11,8 @@ SimDuration FlashDevice::ApplyNoise(SimDuration service) {
   if (noise_sigma_ <= 0.0) {
     return service;
   }
-  double z;
-  if (rng_mode_ == FlashRngMode::kSubstream) {
-    Rng draw(FlashDrawSeed(stream_seed_, draw_counter_++));
-    z = SampleStandardNormal(draw);
-  } else {
-    z = SampleStandardNormal(*shared_rng_);
-  }
+  Rng draw(FlashDrawSeed(stream_seed_, draw_counter_++));
+  const double z = SampleStandardNormal(draw);
   // Mean-one lognormal: variance without shifting the average (ssd_profile
   // uses the same shape for the §6.2 validation model).
   const double factor = std::exp(noise_sigma_ * z - 0.5 * noise_sigma_ * noise_sigma_);

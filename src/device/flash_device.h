@@ -26,7 +26,6 @@
 #include "src/trace/record.h"
 #include "src/util/assert.h"
 #include "src/util/flat_hash.h"
-#include "src/util/rng.h"
 
 namespace flashsim {
 
@@ -49,23 +48,15 @@ class FlashDevice {
   // is overwritten with it.
   void EnableFtl(uint64_t logical_pages, FtlParams ftl_params, const FtlDeviceTimings& timings);
 
-  // Arms mean-one lognormal noise (sigma > 0) on every service time. In
-  // kSubstream mode each draw is keyed by (stream_seed, this device's op
-  // counter) — a pure function of the host's own history, independent of
-  // cross-host dispatch order. In kLegacy mode draws consume `shared_rng`
-  // (one per-run stream, not owned, must outlive the device) in dispatch
-  // order, which order-couples every host; the partitioned engine disables
-  // flash/write certification while legacy noise is armed.
-  void EnableNoise(double sigma, FlashRngMode mode, uint64_t stream_seed, Rng* shared_rng) {
+  // Arms mean-one lognormal noise (sigma > 0) on every service time. Each
+  // draw is keyed by (stream_seed, this device's op counter) — a pure
+  // function of the host's own history, independent of cross-host dispatch
+  // order.
+  void EnableNoise(double sigma, uint64_t stream_seed) {
     FLASHSIM_CHECK(sigma > 0.0);
-    FLASHSIM_CHECK(mode == FlashRngMode::kSubstream || shared_rng != nullptr);
     noise_sigma_ = sigma;
-    rng_mode_ = mode;
     stream_seed_ = stream_seed;
-    shared_rng_ = shared_rng;
   }
-  bool noise_enabled() const { return noise_sigma_ > 0.0; }
-  FlashRngMode rng_mode() const { return rng_mode_; }
 
   // Reads one cached block; returns completion time.
   SimTime Read(SimTime now, BlockKey key = 0);
@@ -111,10 +102,8 @@ class FlashDevice {
 
   // Noise state (inert until EnableNoise).
   double noise_sigma_ = 0.0;
-  FlashRngMode rng_mode_ = FlashRngMode::kSubstream;
   uint64_t stream_seed_ = 0;
   uint64_t draw_counter_ = 0;
-  Rng* shared_rng_ = nullptr;
 
   // FTL mode state.
   std::unique_ptr<Ftl> ftl_;

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 
-#include "src/device/timing.h"
 #include "src/sim/sim_time.h"
 #include "src/util/rng.h"
 
@@ -38,14 +37,9 @@ struct SsdProfileParams {
 
 class SsdProfile {
  public:
-  // kLegacy (the historical behavior, default) draws noise from one
-  // sequential stream seeded by rng_seed; kSubstream keys every draw by
-  // (rng_seed, draw counter) via FlashDrawSeed, so a profile's Nth draw is
-  // a pure function of (seed, N) regardless of interleaving with other
-  // profiles.
-  SsdProfile(const SsdProfileParams& params, uint64_t rng_seed,
-             FlashRngMode rng_mode = FlashRngMode::kLegacy)
-      : params_(params), rng_(rng_seed), stream_seed_(rng_seed), rng_mode_(rng_mode) {}
+  // Noise draws come from one sequential stream seeded by rng_seed.
+  SsdProfile(const SsdProfileParams& params, uint64_t rng_seed)
+      : params_(params), rng_(rng_seed) {}
 
   // Returns per-I/O latency; advances internal device state.
   SimDuration ReadLatency();
@@ -67,10 +61,7 @@ class SsdProfile {
   double LognormalNoise(double sigma);
 
   SsdProfileParams params_;
-  Rng rng_;                  // kLegacy: sequential stream
-  uint64_t stream_seed_;     // kSubstream: per-draw key base
-  uint64_t draw_counter_ = 0;
-  FlashRngMode rng_mode_;
+  Rng rng_;
   uint64_t filled_blocks_ = 0;
   uint64_t total_reads_ = 0;
   uint64_t total_writes_ = 0;

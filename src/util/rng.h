@@ -28,13 +28,12 @@ inline uint64_t Mix64(uint64_t x) {
   return SplitMix64(s);
 }
 
-// Deterministic flash-noise substream seeds (DESIGN.md §12), in the
-// ShardSeed/PartitionSeed golden-ratio family with their own domain tag
-// (0xf1a5, "FLAS"): one stream per (base_seed, host), and within a stream
-// one independent draw key per per-host operation counter. A flash latency
-// draw keyed this way is a pure function of the host's own history, so it
-// can execute out of global dispatch order (the partitioned engine's
-// certified flash hits) without perturbing any other host's draws.
+// Deterministic flash-noise substream seeds, in the ShardSeed golden-ratio
+// family with their own domain tag (0xf1a5, "FLAS"): one stream per
+// (base_seed, host), and within a stream one independent draw key per
+// per-host operation counter. A flash latency draw keyed this way is a pure
+// function of the host's own history, so no other host's draws — nor the
+// order in which hosts' operations dispatch — can perturb it.
 inline uint64_t FlashStreamSeed(uint64_t base_seed, int host) {
   return Mix64((base_seed ^ 0xf1a5ULL) +
                0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(host));

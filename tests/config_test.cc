@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "src/consistency/directory.h"
-#include "src/sim/partition.h"
 
 namespace flashsim {
 namespace {
@@ -77,55 +76,6 @@ TEST(SimConfigDeathTest, ValidateRejectsBadShardCounts) {
   }
 }
 
-TEST(SimConfigDeathTest, ValidateRejectsBadPartitionCounts) {
-  {
-    SimConfig config;
-    config.num_partitions = 0;
-    EXPECT_DEATH(config.Validate(), "CHECK failed");
-  }
-  {
-    // More partitions than hosts would leave a partition empty.
-    SimConfig config;
-    config.num_hosts = 4;
-    config.num_partitions = 5;
-    EXPECT_DEATH(config.Validate(), "CHECK failed");
-  }
-  {
-    SimConfig config;
-    config.num_hosts = Directory::kMaxHosts;
-    config.num_partitions = kMaxPartitions + 1;
-    EXPECT_DEATH(config.Validate(), "CHECK failed");
-  }
-}
-
-TEST(SimConfigDeathTest, ValidateRejectsUnresolvedAutoPartitionSentinel) {
-  // --partitions=auto must be resolved (BuildSimConfig) before the config
-  // reaches Validate; the raw sentinel is never a legal partition count.
-  SimConfig config;
-  config.num_partitions = kAutoPartitions;
-  EXPECT_DEATH(config.Validate(), "CHECK failed");
-}
-
-TEST(SimConfig, ResolveAutoPartitionsClampsToHostsAndEngineCap) {
-  // Whatever the machine reports, the result is a legal partition count:
-  // at least 1, never more than the host count or the engine cap.
-  for (const int hosts : {1, 2, 3, kMaxPartitions, Directory::kMaxHosts}) {
-    const int resolved = ResolveAutoPartitions(hosts);
-    EXPECT_GE(resolved, 1) << hosts;
-    EXPECT_LE(resolved, hosts) << hosts;
-    EXPECT_LE(resolved, kMaxPartitions) << hosts;
-  }
-}
-
-TEST(SimConfig, ValidateAcceptsPartitionCountRange) {
-  for (int partitions : {1, 2, kMaxPartitions}) {
-    SimConfig config;
-    config.num_hosts = kMaxPartitions;
-    config.num_partitions = partitions;
-    config.Validate();  // must not abort
-  }
-}
-
 TEST(SimConfig, ValidateAcceptsShardCountRange) {
   for (int filers : {1, 2, ShardRouter::kMaxShards}) {
     SimConfig config;
@@ -145,14 +95,6 @@ TEST(SimConfig, SummaryDescribesConfiguration) {
   EXPECT_EQ(summary.find("persistent"), std::string::npos);
   config.timing.persistent_flash = true;
   EXPECT_NE(config.Summary().find("persistent"), std::string::npos);
-}
-
-TEST(SimConfig, SummaryNamesPartitionCountWhenPartitioned) {
-  SimConfig config;
-  EXPECT_EQ(config.Summary().find("partitions="), std::string::npos);
-  config.num_hosts = 8;
-  config.num_partitions = 4;
-  EXPECT_NE(config.Summary().find("partitions=4"), std::string::npos);
 }
 
 TEST(ArchitectureNames, RoundTrip) {

@@ -15,8 +15,7 @@
 namespace flashsim {
 namespace {
 
-// Field-exhaustive bit-level metrics comparison (same discipline as
-// partition_test.cc's serial-vs-partitioned contract).
+// Field-exhaustive bit-level metrics comparison.
 void ExpectMetricsIdentical(const Metrics& a, const Metrics& b, const std::string& label) {
   SCOPED_TRACE(label);
   auto expect_latency_equal = [](const LatencyRecorder& x, const LatencyRecorder& y,
@@ -146,6 +145,28 @@ TEST(FastPath, ByteIdenticalAcrossReplacementPolicies) {
   }
 }
 
+// Miss-heavy single stream (working set 4x RAM, 30% writes): most inlined
+// records are flash hits and sole-holder private writes, not RAM hits. Each
+// inlined RAM-hit record adds at least one ram_hits, and the one thread
+// exits once, so more inline dispatches than that proves the other two
+// classes fired — and the metrics must still match the event path bit for
+// bit.
+TEST(FastPath, ByteIdenticalOnMissHeavyStream) {
+  for (const Architecture arch : kAllArchitectures) {
+    SimConfig config = BaseConfig(1, 1);
+    config.arch = arch;
+    const auto records = Workload(1, 1, 20000, 4096, 0.3, 13);
+    SimConfig off = config;
+    off.read_fast_path = false;
+    const RunResult with = RunWorkload(config, records);
+    const RunResult without = RunWorkload(off, records);
+    const std::string label = std::string(ArchitectureName(arch)) + " miss-heavy-1x1";
+    ExpectMetricsIdentical(with.metrics, without.metrics, label);
+    EXPECT_EQ(with.events, without.events) << label;
+    EXPECT_GT(with.fast_path_events, with.metrics.stack_totals.ram_hits + 1) << label;
+  }
+}
+
 // Same contract under the flash admission filter (admission only gates
 // miss-path inserts; RAM hits — the fast path's territory — are untouched,
 // but the full-metrics comparison proves that end to end).
@@ -180,15 +201,6 @@ TEST(FastPath, AuditorDisablesFastPath) {
   const RunResult unaudited = RunWorkload(clean, Workload(1, 1, 5000, 512, 0.2, 3));
   ExpectMetricsIdentical(audited.metrics, unaudited.metrics, "audited vs fast path");
   EXPECT_GT(unaudited.fast_path_events, 0u);
-}
-
-// The partitioned engine routes reads through its own certified-batch
-// machinery; the serial inline dispatch must stay cold there.
-TEST(FastPath, PartitionedEngineBypassesSerialFastPath) {
-  SimConfig config = BaseConfig(4, 2);
-  config.num_partitions = 2;
-  const RunResult result = RunWorkload(config, Workload(4, 2, 10000, 512, 0.2, 7));
-  EXPECT_EQ(result.fast_path_events, 0u);
 }
 
 // TryReadFastPath is a fused certify-and-execute: for every key it succeeds

@@ -1,21 +1,15 @@
-// Flash-noise RNG substreams (DESIGN.md §12): a flash latency draw in
-// kSubstream mode is keyed by (per-host stream seed, that device's own op
-// counter) — a pure function of the host's own history — so certified flash
-// hits may execute out of global dispatch order without perturbing any
-// other host's draws. Three contracts:
+// Flash-noise RNG substreams: a flash latency draw is keyed by (per-host
+// stream seed, that device's own op counter) — a pure function of the
+// host's own history. Two contracts:
 //
 //   1. Per-device draw sequences are independent of cross-device
-//      interleaving (and legacy shared-stream draws are not — the very
-//      coupling that forces the engine's legacy-noise certification gate).
-//   2. flash_rng_mode=legacy with noise off is a provable no-op: every
-//      committed golden digest reproduces bit-for-bit with the mode pinned.
-//   3. With substream noise armed, results are bit-stable across
-//      partitions ∈ {1, 2, 4} × sweep jobs ∈ {1, 4}.
+//      interleaving.
+//   2. With noise armed, results are bit-stable across sweep jobs ∈ {1, 4}.
+//      (The fig02 8-host noisy sweep is also pinned to a committed digest
+//      in golden_digest_test.)
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <fstream>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -24,7 +18,6 @@
 #include "src/backend/storage_backend.h"
 #include "src/device/flash_device.h"
 #include "src/device/timing.h"
-#include "src/sim/partition.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -32,15 +25,14 @@ namespace {
 
 TEST(FlashStreamSeed, GoldenRatioSplitContract) {
   // One stream per (base_seed, host), disjoint across hosts and seeds, and
-  // the 0xf1a5 domain tag keeps flash streams disjoint from the shard and
-  // partition seed families at equal indices.
+  // the 0xf1a5 domain tag keeps flash streams disjoint from the shard seed
+  // family at equal indices.
   std::set<uint64_t> seen;
   for (uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
     for (int h = 0; h < 64; ++h) {
       EXPECT_TRUE(seen.insert(FlashStreamSeed(seed, h)).second)
           << "collision at seed=" << seed << " host=" << h;
       EXPECT_NE(FlashStreamSeed(seed, h), ShardSeed(seed, h));
-      EXPECT_NE(FlashStreamSeed(seed, h), PartitionSeed(seed, h));
     }
   }
   // Draw keys within one stream are distinct as far as any run reaches.
@@ -71,15 +63,15 @@ TEST(FlashSubstream, DrawSequenceIndependentOfInterleaving) {
 
   // Device A alone.
   FlashDevice alone(timing);
-  alone.EnableNoise(kSigma, FlashRngMode::kSubstream, seed_a, nullptr);
+  alone.EnableNoise(kSigma, seed_a);
   const std::vector<SimDuration> reference = ServiceSequence(alone, 64);
 
   // Device A interleaved op-for-op with device B: A's draws are keyed by
   // A's own counter, so its sequence must not move.
   FlashDevice a(timing);
   FlashDevice b(timing);
-  a.EnableNoise(kSigma, FlashRngMode::kSubstream, seed_a, nullptr);
-  b.EnableNoise(kSigma, FlashRngMode::kSubstream, seed_b, nullptr);
+  a.EnableNoise(kSigma, seed_a);
+  b.EnableNoise(kSigma, seed_b);
   std::vector<SimDuration> interleaved;
   for (int i = 0; i < 64; ++i) {
     const SimTime now = static_cast<SimTime>(i) * kMillisecond;
@@ -93,32 +85,9 @@ TEST(FlashSubstream, DrawSequenceIndependentOfInterleaving) {
 
   // Distinct streams actually differ (the noise is real).
   FlashDevice other(timing);
-  other.EnableNoise(kSigma, FlashRngMode::kSubstream, seed_b, nullptr);
+  other.EnableNoise(kSigma, seed_b);
   EXPECT_NE(reference, ServiceSequence(other, 64));
-
-  // Contrast: legacy mode draws from one shared stream in dispatch order,
-  // so interleaving B's ops shifts A's draws — exactly why the partitioned
-  // engine refuses to certify flash hits under legacy noise.
-  Rng shared_ref(99);
-  FlashDevice legacy_alone(timing);
-  legacy_alone.EnableNoise(kSigma, FlashRngMode::kLegacy, 0, &shared_ref);
-  const std::vector<SimDuration> legacy_reference = ServiceSequence(legacy_alone, 64);
-  Rng shared(99);
-  FlashDevice la(timing);
-  FlashDevice lb(timing);
-  la.EnableNoise(kSigma, FlashRngMode::kLegacy, 0, &shared);
-  lb.EnableNoise(kSigma, FlashRngMode::kLegacy, 0, &shared);
-  std::vector<SimDuration> legacy_interleaved;
-  for (int i = 0; i < 64; ++i) {
-    const SimTime now = static_cast<SimTime>(i) * kMillisecond;
-    legacy_interleaved.push_back(la.Read(now) - now);
-    lb.Read(now);
-  }
-  EXPECT_NE(legacy_reference, legacy_interleaved);
 }
-
-// --- Golden reproduction (mirrors tests/golden_digest_test.cc's sweeps;
-// any drift here fails against the same committed digests).
 
 uint64_t Fnv1a(const std::string& text, uint64_t hash) {
   for (unsigned char c : text) {
@@ -142,43 +111,25 @@ uint64_t DigestSweep(const Sweep& sweep, int jobs,
   return hash;
 }
 
-std::map<std::string, uint64_t> LoadGoldenDigests() {
-  const std::string path = std::string(FLASHSIM_SOURCE_DIR) + "/tests/golden/digests.txt";
-  std::ifstream in(path);
-  EXPECT_TRUE(in.good()) << "missing " << path;
-  std::map<std::string, uint64_t> digests;
-  std::string name;
-  std::string hex;
-  while (in >> name >> hex) {
-    digests[name] = std::stoull(hex, nullptr, 16);
-  }
-  return digests;
-}
-
-Sweep Fig02Sweep() {
-  ExperimentParams base;
-  base.scale = 2048;
-  base.working_set_gib = 80.0;
-  Sweep sweep(base);
-  sweep.AddAxis("arch", ArchitectureAxis())
-      .AddAxis("ram_policy", RamPolicyAxis(AllWritebackPolicies()))
-      .AddAxis("flash_policy", FlashPolicyAxis(AllWritebackPolicies()));
-  return sweep;
-}
-
-std::vector<std::string> Fig02Row(const SweepPoint& point, const ExperimentResult& result) {
+std::vector<std::string> Fig08Row(const SweepPoint& point, const ExperimentResult& result) {
   const Metrics& m = result.metrics;
-  return {point.label(0), point.label(1), point.label(2), Table::Cell(m.mean_read_us(), 2),
-          Table::Cell(m.mean_write_us(), 2), Table::Cell(100.0 * m.flash_hit_rate(), 1),
-          Table::Cell(m.stack_totals.sync_ram_evictions +
-                      m.stack_totals.sync_flash_evictions)};
+  return {point.label(0), point.label(1), Table::Cell(m.mean_read_us(), 2),
+          Table::Cell(m.mean_write_us(), 2), Table::Cell(m.stack_totals.sync_ram_evictions),
+          Table::Cell(100.0 * m.invalidation_rate(), 1)};
 }
 
-Sweep Fig08Sweep() {
+// The fig08-style write-ratio axis over an 8-host fleet with noise armed:
+// the write-heavy points run sole-holder writes through the serial fast
+// path, so the digest also pins noisy draws against inlined MarkDirty
+// execution.
+TEST(FlashSubstream, NoisyFig08DigestStableAcrossJobs) {
   ExperimentParams base;
   base.scale = 512;
+  base.hosts = 8;
+  base.threads_per_host = 4;
+  base.timing.flash_noise_sigma = 0.25;
   std::vector<Sweep::AxisValue> write_axis;
-  for (int write_pct = 0; write_pct <= 100; write_pct += 10) {
+  for (int write_pct = 0; write_pct <= 100; write_pct += 50) {
     write_axis.push_back({Table::Cell(static_cast<int64_t>(write_pct)),
                           [write_pct](ExperimentParams& p) {
                             p.write_fraction = write_pct / 100.0;
@@ -187,197 +138,8 @@ Sweep Fig08Sweep() {
   Sweep sweep(base);
   sweep.AddAxis("write_pct", std::move(write_axis))
       .AddAxis("ws_gib", WorkingSetAxis({60.0, 80.0}));
-  return sweep;
-}
-
-std::vector<std::string> Fig08Row(const SweepPoint& point, const ExperimentResult& result) {
-  const Metrics& m = result.metrics;
-  return {point.label(0), point.label(1), Table::Cell(m.mean_read_us(), 2),
-          Table::Cell(m.mean_write_us(), 2), Table::Cell(m.stack_totals.sync_ram_evictions),
-          Table::Cell(100.0 * m.invalidation_rate(), 1)};
-}
-
-Sweep Fig02HostsSweep(ReplacementPolicy replacement = ReplacementPolicy::kLru) {
-  ExperimentParams base;
-  base.scale = 2048;
-  base.working_set_gib = 80.0;
-  base.hosts = 8;
-  base.threads_per_host = 4;
-  base.replacement = replacement;
-  Sweep sweep(base);
-  sweep.AddAxis("arch", ArchitectureAxis());
-  return sweep;
-}
-
-std::vector<std::string> Fig02HostsRow(const SweepPoint& point,
-                                       const ExperimentResult& result) {
-  const Metrics& m = result.metrics;
-  return {point.label(0), Table::Cell(m.mean_read_us(), 2), Table::Cell(m.mean_write_us(), 2),
-          Table::Cell(100.0 * m.ram_hit_rate(), 1), Table::Cell(100.0 * m.flash_hit_rate(), 1),
-          Table::Cell(m.stack_totals.sync_ram_evictions + m.stack_totals.sync_flash_evictions),
-          Table::Cell(static_cast<int64_t>(m.invalidations))};
-}
-
-Sweep WriteSharingDirectorySweep() {
-  ExperimentParams base;
-  base.scale = 512;
-  base.working_set_gib = 80.0;
-  base.hosts = 8;
-  base.threads_per_host = 4;
-  base.coherence = CoherenceModel::kDirectory;
-  std::vector<Sweep::AxisValue> write_axis;
-  for (int write_pct = 0; write_pct <= 60; write_pct += 20) {
-    write_axis.push_back({Table::Cell(static_cast<int64_t>(write_pct)),
-                          [write_pct](ExperimentParams& p) {
-                            p.write_fraction = write_pct / 100.0;
-                          }});
-  }
-  Sweep sweep(base);
-  sweep.AddAxis("write_pct", std::move(write_axis)).AddAxis("arch", ArchitectureAxis());
-  return sweep;
-}
-
-std::vector<std::string> WriteSharingRow(const SweepPoint& point,
-                                         const ExperimentResult& result) {
-  const Metrics& m = result.metrics;
-  const CoherenceCounters& c = m.coherence;
-  return {point.label(0),
-          point.label(1),
-          Table::Cell(m.mean_read_us(), 2),
-          Table::Cell(m.mean_write_us(), 2),
-          Table::Cell(100.0 * m.flash_hit_rate(), 1),
-          Table::Cell(100.0 * m.invalidation_rate(), 1),
-          Table::Cell(c.lookups),
-          Table::Cell(c.invalidation_messages),
-          Table::Cell(c.acks),
-          Table::Cell(c.dirty_fetches),
-          Table::Cell(c.stalled_reads),
-          Table::Cell(c.stalled_writes)};
-}
-
-// Pins an explicit flash_rng_mode on every sweep point.
-std::vector<Sweep::AxisValue> FlashRngAxis(FlashRngMode mode) {
-  return {{mode == FlashRngMode::kLegacy ? "legacy" : "substream",
-           [mode](ExperimentParams& p) { p.timing.flash_rng_mode = mode; }}};
-}
-
-// With flash_noise_sigma at its 0.0 default no draw ever happens, so
-// pinning flash_rng_mode=legacy must reproduce every committed golden
-// digest bit-for-bit — the whole noise feature is provably inert until
-// armed, in either mode.
-TEST(FlashSubstream, LegacyModeReproducesCommittedGoldens) {
-  const std::map<std::string, uint64_t> golden = LoadGoldenDigests();
-  struct Case {
-    const char* name;
-    Sweep sweep;
-    std::function<std::vector<std::string>(const SweepPoint&, const ExperimentResult&)> row;
-  };
-  std::vector<Case> cases;
-  cases.push_back({"fig02_scale2048", Fig02Sweep(), Fig02Row});
-  cases.push_back({"fig08_scale512", Fig08Sweep(), Fig08Row});
-  cases.push_back({"fig02_scale2048_hosts8", Fig02HostsSweep(), Fig02HostsRow});
-  cases.push_back(
-      {"fig02_scale2048_hosts8_slru", Fig02HostsSweep(ReplacementPolicy::kSlru), Fig02HostsRow});
-  cases.push_back({"fig08_scale512_hosts8_dir", WriteSharingDirectorySweep(), WriteSharingRow});
-  for (Case& c : cases) {
-    c.sweep.AddAxis("flash_rng", FlashRngAxis(FlashRngMode::kLegacy));
-    auto it = golden.find(c.name);
-    ASSERT_NE(it, golden.end()) << c.name << " missing from tests/golden/digests.txt";
-    EXPECT_EQ(DigestSweep(c.sweep, 4, c.row), it->second)
-        << c.name << ": flash_rng_mode=legacy with noise off perturbed the digest";
-  }
-}
-
-// Substream noise armed for real (sigma > 0): the digest must be identical
-// across partitions ∈ {1 (forced through the partitioned coordinator), 2,
-// 4} × sweep jobs ∈ {1, 4}. Draws keyed by per-host counters make this
-// hold even though batch execution reorders flash ops across hosts.
-TEST(FlashSubstream, NoisyDigestStableAcrossPartitionsAndJobs) {
-  constexpr double kSigma = 0.25;
-  auto sweep_at = [&](int partitions) {
-    ExperimentParams base;
-    base.scale = 2048;
-    base.working_set_gib = 80.0;
-    base.hosts = 8;
-    base.threads_per_host = 4;
-    base.timing.flash_noise_sigma = kSigma;
-    base.timing.flash_rng_mode = FlashRngMode::kSubstream;
-    base.num_partitions = partitions;
-    base.force_partitioned = partitions == 1;
-    Sweep sweep(base);
-    sweep.AddAxis("arch", ArchitectureAxis());
-    return sweep;
-  };
-  ExperimentParams serial_base;
-  serial_base.scale = 2048;
-  serial_base.working_set_gib = 80.0;
-  serial_base.hosts = 8;
-  serial_base.threads_per_host = 4;
-  serial_base.timing.flash_noise_sigma = kSigma;
-  serial_base.timing.flash_rng_mode = FlashRngMode::kSubstream;
-  Sweep serial_sweep(serial_base);
-  serial_sweep.AddAxis("arch", ArchitectureAxis());
-  const uint64_t reference = DigestSweep(serial_sweep, 1, Fig02HostsRow);
-  for (const int partitions : {1, 2, 4}) {
-    for (const int jobs : {1, 4}) {
-      EXPECT_EQ(DigestSweep(sweep_at(partitions), jobs, Fig02HostsRow), reference)
-          << "substream noise diverged at partitions=" << partitions << " jobs=" << jobs;
-    }
-  }
-}
-
-// The fig08-style stability digest: the committed fig08_scale512 sweep is
-// single-host (unpartitionable), so this is its write-ratio axis over the
-// 8-host fleet with substream noise armed — the write-heavy points retire
-// through private-write certification, so the digest also pins noisy draws
-// against batched MarkDirty execution.
-TEST(FlashSubstream, NoisyFig08DigestStableAcrossPartitionsAndJobs) {
-  constexpr double kSigma = 0.25;
-  auto base_at = [&](int partitions) {
-    ExperimentParams base;
-    base.scale = 512;
-    base.hosts = 8;
-    base.threads_per_host = 4;
-    base.timing.flash_noise_sigma = kSigma;
-    base.timing.flash_rng_mode = FlashRngMode::kSubstream;
-    base.num_partitions = partitions;
-    base.force_partitioned = partitions == 1;
-    return base;
-  };
-  auto sweep_at = [&](int partitions) {
-    std::vector<Sweep::AxisValue> write_axis;
-    for (int write_pct = 0; write_pct <= 100; write_pct += 50) {
-      write_axis.push_back({Table::Cell(static_cast<int64_t>(write_pct)),
-                            [write_pct](ExperimentParams& p) {
-                              p.write_fraction = write_pct / 100.0;
-                            }});
-    }
-    Sweep sweep(base_at(partitions));
-    sweep.AddAxis("write_pct", std::move(write_axis))
-        .AddAxis("ws_gib", WorkingSetAxis({60.0, 80.0}));
-    return sweep;
-  };
-  ExperimentParams serial_base = base_at(1);
-  serial_base.num_partitions = 1;
-  serial_base.force_partitioned = false;
-  std::vector<Sweep::AxisValue> serial_write_axis;
-  for (int write_pct = 0; write_pct <= 100; write_pct += 50) {
-    serial_write_axis.push_back({Table::Cell(static_cast<int64_t>(write_pct)),
-                                 [write_pct](ExperimentParams& p) {
-                                   p.write_fraction = write_pct / 100.0;
-                                 }});
-  }
-  Sweep serial_sweep(serial_base);
-  serial_sweep.AddAxis("write_pct", std::move(serial_write_axis))
-      .AddAxis("ws_gib", WorkingSetAxis({60.0, 80.0}));
-  const uint64_t reference = DigestSweep(serial_sweep, 1, Fig08Row);
-  for (const int partitions : {1, 2, 4}) {
-    for (const int jobs : {1, 4}) {
-      EXPECT_EQ(DigestSweep(sweep_at(partitions), jobs, Fig08Row), reference)
-          << "fig08 substream noise diverged at partitions=" << partitions
-          << " jobs=" << jobs;
-    }
-  }
+  EXPECT_EQ(DigestSweep(sweep, 4, Fig08Row), DigestSweep(sweep, 1, Fig08Row))
+      << "fig08 noisy digest diverged at jobs=4";
 }
 
 }  // namespace

@@ -95,22 +95,17 @@ std::vector<std::string> Fig08Row(const SweepPoint& point, const ExperimentResul
           Table::Cell(100.0 * m.invalidation_rate(), 1)};
 }
 
-// An 8-host fig02 architecture sweep: the smallest configuration where the
-// partitioned engine can run at 2 and 4 partitions (P may not exceed the
-// host count, and the headline fig02 grid is single-host).
-Sweep Fig02HostsSweep(int partitions, bool force_partitioned,
-                      ReplacementPolicy replacement = ReplacementPolicy::kLru) {
+// An 8-host fig02 architecture sweep: the headline fig02 grid is
+// single-host, so this is the digest that covers the multi-host directory.
+Sweep Fig02HostsSweep(ReplacementPolicy replacement = ReplacementPolicy::kLru,
+                      double flash_noise_sigma = 0.0) {
   ExperimentParams base;
   base.scale = 2048;
   base.working_set_gib = 80.0;
   base.hosts = 8;
   base.threads_per_host = 4;
-  base.num_partitions = partitions;
-  // force_partitioned at partitions == 1 exercises the partitioned
-  // coordinator over one queue rather than silently falling back to the
-  // legacy serial engine.
-  base.force_partitioned = force_partitioned;
   base.replacement = replacement;
+  base.timing.flash_noise_sigma = flash_noise_sigma;
   Sweep sweep(base);
   sweep.AddAxis("arch", ArchitectureAxis());
   return sweep;
@@ -129,13 +124,12 @@ std::vector<std::string> Fig02HostsRow(const SweepPoint& point,
 // live on the network path: 8 hosts over a shared working set, write
 // fraction swept across the contention range, per-protocol counters in the
 // digest rows so any change to the message schedule is caught.
-Sweep WriteSharingDirectorySweep(int partitions) {
+Sweep WriteSharingDirectorySweep() {
   ExperimentParams base;
   base.scale = 512;
   base.working_set_gib = 80.0;
   base.hosts = 8;
   base.threads_per_host = 4;
-  base.num_partitions = partitions;
   base.coherence = CoherenceModel::kDirectory;
   std::vector<Sweep::AxisValue> write_axis;
   for (int write_pct = 0; write_pct <= 60; write_pct += 20) {
@@ -190,14 +184,17 @@ std::vector<SweepCase> GoldenCases() {
   std::vector<SweepCase> cases;
   cases.push_back({"fig02_scale2048", Fig02Sweep(), Fig02Row});
   cases.push_back({"fig08_scale512", Fig08Sweep(), Fig08Row});
-  // Canonical digest for the multi-host case comes from the legacy serial
-  // engine; the partitioned engine must reproduce it bit-for-bit below.
-  cases.push_back({"fig02_scale2048_hosts8", Fig02HostsSweep(1, false), Fig02HostsRow});
+  cases.push_back({"fig02_scale2048_hosts8", Fig02HostsSweep(), Fig02HostsRow});
   // One non-LRU member of the replacement-policy zoo gets the same pinned
   // determinism contract: the plugin layer must be as reproducible as the
   // exact-LRU policy it generalizes.
-  cases.push_back({"fig02_scale2048_hosts8_slru",
-                   Fig02HostsSweep(1, false, ReplacementPolicy::kSlru), Fig02HostsRow});
+  cases.push_back(
+      {"fig02_scale2048_hosts8_slru", Fig02HostsSweep(ReplacementPolicy::kSlru), Fig02HostsRow});
+  // Flash latency noise armed: every draw is keyed by (host stream, that
+  // device's op counter), so the noisy path is pinned to a committed value
+  // like any other, not just compared with itself.
+  cases.push_back({"fig02_scale2048_hosts8_noise", Fig02HostsSweep(ReplacementPolicy::kLru, 0.25),
+                   Fig02HostsRow});
   return cases;
 }
 
@@ -236,46 +233,6 @@ TEST(GoldenDigest, ExplicitSingleFilerIsByteIdentical) {
   }
 }
 
-// Byte-identity contract for the partitioned engine (DESIGN.md §12):
-// num_partitions ∈ {1 (forced through the partitioned coordinator), 2, 4}
-// must reproduce the committed serial-engine digest bit-for-bit, under both
-// a serial sweep and 4 sweep workers — partitioning composes with --jobs.
-TEST(GoldenDigest, PartitionedEngineIsByteIdentical) {
-  const std::map<std::string, uint64_t> golden = LoadGoldenDigests();
-  auto it = golden.find("fig02_scale2048_hosts8");
-  ASSERT_NE(it, golden.end()) << "fig02_scale2048_hosts8 missing from tests/golden/digests.txt";
-  for (const int partitions : {1, 2, 4}) {
-    const Sweep sweep = Fig02HostsSweep(partitions, /*force_partitioned=*/partitions == 1);
-    for (const int jobs : {1, 4}) {
-      EXPECT_EQ(DigestSweep(sweep, jobs, Fig02HostsRow), it->second)
-          << "partitions=" << partitions << " jobs=" << jobs
-          << " diverged from the serial-engine golden digest";
-    }
-  }
-}
-
-// Byte-identity contract for the replacement-policy plugin layer: the
-// partitioned engine must reproduce the pinned SLRU digest bit-for-bit at
-// partitions ∈ {1 (forced), 4} × sweep jobs ∈ {1, 4}, exactly as the LRU
-// default does above. (policy=lru itself needs no new digest — the three
-// legacy digests were recorded before the plugin refactor, so every test
-// above already pins LRU-as-plugin to the pre-refactor bytes.)
-TEST(GoldenDigest, SlruPartitionedEngineIsByteIdentical) {
-  const std::map<std::string, uint64_t> golden = LoadGoldenDigests();
-  auto it = golden.find("fig02_scale2048_hosts8_slru");
-  ASSERT_NE(it, golden.end())
-      << "fig02_scale2048_hosts8_slru missing from tests/golden/digests.txt";
-  for (const int partitions : {1, 4}) {
-    const Sweep sweep = Fig02HostsSweep(partitions, /*force_partitioned=*/partitions == 1,
-                                        ReplacementPolicy::kSlru);
-    for (const int jobs : {1, 4}) {
-      EXPECT_EQ(DigestSweep(sweep, jobs, Fig02HostsRow), it->second)
-          << "slru partitions=" << partitions << " jobs=" << jobs
-          << " diverged from the pinned serial digest";
-    }
-  }
-}
-
 // The coherence axis must default away: pinning coherence=perfect
 // *explicitly* on every golden sweep must reproduce every committed digest
 // byte-identically — the protocol plumbing (BeforeRead/OnWrite hooks on the
@@ -295,20 +252,17 @@ TEST(GoldenDigest, CoherencePerfectIsByteIdentical) {
 }
 
 // Golden pin for the coherence tentpole: the 8-host write-sharing sweep
-// under coherence=directory, bit-for-bit stable across partitions ∈ {1
-// (forced through the partitioned coordinator), 4} × sweep jobs ∈ {1, 4}.
+// under coherence=directory, bit-for-bit stable across sweep jobs ∈ {1, 4}.
 TEST(GoldenDigest, WriteSharingDirectoryDigestPinned) {
   const std::map<std::string, uint64_t> golden = LoadGoldenDigests();
   auto it = golden.find("fig08_scale512_hosts8_dir");
   ASSERT_NE(it, golden.end())
       << "fig08_scale512_hosts8_dir missing from tests/golden/digests.txt";
-  for (const int partitions : {1, 4}) {
-    const Sweep sweep = WriteSharingDirectorySweep(partitions);
-    for (const int jobs : {1, 4}) {
-      EXPECT_EQ(DigestSweep(sweep, jobs, WriteSharingRow), it->second)
-          << "coherence=directory partitions=" << partitions << " jobs=" << jobs
-          << " diverged from the pinned write-sharing digest";
-    }
+  const Sweep sweep = WriteSharingDirectorySweep();
+  for (const int jobs : {1, 4}) {
+    EXPECT_EQ(DigestSweep(sweep, jobs, WriteSharingRow), it->second)
+        << "coherence=directory jobs=" << jobs
+        << " diverged from the pinned write-sharing digest";
   }
 }
 
@@ -320,7 +274,7 @@ TEST(GoldenDigest, DISABLED_PrintDigests) {
   }
   std::printf("fig08_scale512_hosts8_dir %016llx\n",
               static_cast<unsigned long long>(
-                  DigestSweep(WriteSharingDirectorySweep(1), 1, WriteSharingRow)));
+                  DigestSweep(WriteSharingDirectorySweep(), 1, WriteSharingRow)));
 }
 
 }  // namespace

@@ -156,49 +156,6 @@ TEST(Sinks, MetricsRoundTripThroughJson) {
   EXPECT_DOUBLE_EQ(restored->ftl_write_amplification, metrics.ftl_write_amplification);
 }
 
-TEST(Sinks, CertifiedBatchCountersRoundTripThroughJson) {
-  // A partitioned run populates the batch-occupancy counters; they must
-  // survive the serialize -> parse -> restore cycle with their nonzero
-  // values, and legacy snapshots without the keys must restore to 0.
-  ExperimentParams params = SmallParams();
-  params.hosts = 4;
-  params.threads_per_host = 2;
-  params.num_partitions = 4;
-  const Metrics metrics = RunExperiment(params).metrics;
-  ASSERT_GT(metrics.certified_ram_batched + metrics.certified_flash_batched +
-                metrics.certified_write_batched,
-            0u)
-      << "partitioned run certified nothing — the round-trip would be vacuous";
-
-  const std::string text = MetricsToJson(metrics).Dump(2);
-  const std::optional<JsonValue> reparsed = JsonValue::Parse(text);
-  ASSERT_TRUE(reparsed.has_value());
-  const std::optional<Metrics> restored = MetricsFromJson(*reparsed);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(MetricsToJson(*restored).Dump(2), text);
-  EXPECT_EQ(restored->certified_ram_batched, metrics.certified_ram_batched);
-  EXPECT_EQ(restored->certified_flash_batched, metrics.certified_flash_batched);
-  EXPECT_EQ(restored->certified_write_batched, metrics.certified_write_batched);
-
-  // Pre-widening snapshot (no certified_* keys) restores to the serial
-  // engine's zeros: parse a document with the keys textually removed.
-  std::string legacy_text = text;
-  for (const char* key : {"certified_ram_batched", "certified_flash_batched",
-                          "certified_write_batched"}) {
-    const size_t start = legacy_text.find(std::string("\"") + key);
-    ASSERT_NE(start, std::string::npos);
-    const size_t end = legacy_text.find('\n', start);
-    legacy_text.erase(start, end - start + 1);
-  }
-  const std::optional<JsonValue> legacy_json = JsonValue::Parse(legacy_text);
-  ASSERT_TRUE(legacy_json.has_value());
-  const std::optional<Metrics> legacy = MetricsFromJson(*legacy_json);
-  ASSERT_TRUE(legacy.has_value());
-  EXPECT_EQ(legacy->certified_ram_batched, 0u);
-  EXPECT_EQ(legacy->certified_flash_batched, 0u);
-  EXPECT_EQ(legacy->certified_write_batched, 0u);
-}
-
 TEST(Sinks, ShardedMetricsRoundTripThroughJson) {
   // A sharded run additionally populates the per-shard filer snapshots and
   // the stack totals' shard routing vectors; all of it must survive the
