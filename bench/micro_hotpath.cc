@@ -345,23 +345,6 @@ BenchRow BenchLruTouch(uint64_t touches) {
   return BenchRow{"lru_touch", touches, SecondsSince(start)};
 }
 
-// lru_touch through LookupFast, whose index probe prefetches the slot the
-// Touch is about to dereference. Its delta against lru_touch is the
-// prefetch's worth on this machine's memory system.
-BenchRow BenchLruTouchFast(uint64_t touches) {
-  LruBlockCache cache("bench", 65536);
-  std::optional<EvictedBlock> evicted;
-  for (uint64_t k = 0; k < 65536; ++k) {
-    cache.Insert(k, false, &evicted);
-  }
-  Rng rng(2);
-  const auto start = Clock::now();
-  for (uint64_t i = 0; i < touches; ++i) {
-    cache.Touch(cache.LookupFast(rng.NextBounded(65536)));
-  }
-  return BenchRow{"lru_touch_fast", touches, SecondsSince(start)};
-}
-
 BenchRow BenchResourceAcquire(uint64_t acquires) {
   SimClock clock;
   Resource resource("bench", &clock);
@@ -483,7 +466,6 @@ int main(int argc, char** argv) {
   }
   AddRow(&table, BenchFlatHashFind(micro_items));
   AddRow(&table, BenchLruTouch(micro_items));
-  AddRow(&table, BenchLruTouchFast(micro_items));
   AddRow(&table, BenchResourceAcquire(micro_items));
 
   PrintTable(table, options);

@@ -32,6 +32,7 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/experiment.h"
 #include "src/core/simulation.h"
@@ -293,6 +294,16 @@ int main(int argc, char** argv) {
   FlagParser parser;
   RegisterFlags(parser, &options);
   parser.ParseOrExit(argc, argv);
+  // Every flag combination is checked before anything is built: a bad one
+  // is a usage error (exit 2), never an abort.
+  const std::vector<std::string> problems =
+      ParamsViolations(options.params, /*synthetic_trace=*/options.trace_path.empty());
+  for (const std::string& problem : problems) {
+    std::fprintf(stderr, "flashsim_cli: %s\n", problem.c_str());
+  }
+  if (!problems.empty()) {
+    return 2;
+  }
 
   std::unique_ptr<TimeSeriesRecorder> series;
   if (options.series_ms > 0) {

@@ -165,33 +165,24 @@ class CacheStack {
   // writes.
   virtual AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const = 0;
 
-  // Whether a Read of `key` right now would be a pure RAM hit: satisfied
-  // entirely from this host's RAM tier, touching only host-local state
-  // (recency chain, counters, RAM device timeline) — no eviction, install,
-  // directory callback, or filer traffic. Note a pure RAM hit never
-  // changes residency, so certification of one read cannot invalidate the
-  // certification of another at the same instant.
-  bool ReadIsPureRamHit(BlockKey key) const {
-    return ClassifyAccess(TraceOp::kRead, key) == AccessVerdict::kPureRamHit;
-  }
+  // Fused fast-path read (DESIGN.md §13): certifies AND executes from at
+  // most one index probe per tier. If ClassifyAccess would report
+  // kPureRamHit or kFlashHit for a Read of `key` at `now`, performs exactly
+  // that branch of Read — touch, hit counter, device charge, and (subset
+  // stacks, flash hits) the certified silent RAM install — sets *level, and
+  // returns the completion time; otherwise mutates nothing and returns
+  // nullopt (the caller falls back to the full Read on the event path).
+  // Success is equivalent, state and time, to Read reporting *level.
+  virtual std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key, HitLevel* level) = 0;
 
-  // Fused fast-path read (DESIGN.md §13): one hash probe that certifies AND
-  // executes. If a Read of `key` at `now` would be a pure RAM hit, performs
-  // exactly that Read — intrusive touch, ram_hits counter, RAM device
-  // charge — and returns its completion time; otherwise mutates nothing and
-  // returns nullopt (the caller falls back to the full Read on the event
-  // path). For any key, TryReadFastPath succeeding is equivalent, state and
-  // time, to Read reporting HitLevel::kRam; it never succeeds otherwise.
-  virtual std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key) = 0;
-
-  // Flash-tier sibling of TryReadFastPath: if ClassifyAccess would report
-  // kFlashHit for a Read of `key` at `now`, performs exactly Read's
-  // flash-hit branch — flash touch, flash_hits counter, flash device
-  // charge, and (subset stacks) the certified no-writeback RAM install —
-  // and returns its completion time; otherwise mutates nothing and returns
-  // nullopt. Success is equivalent, state and time, to Read reporting
-  // HitLevel::kFlash from a certified state.
-  virtual std::optional<SimTime> TryReadFlashFastPath(SimTime now, BlockKey key) = 0;
+  // Multi-block sibling for RAM hits: if blocks [block, block + count) of
+  // `file_id` are all RAM-resident, reads them in order exactly as Read
+  // would (touch, ram_hits, RAM charge per block, each starting when the
+  // previous completes) and returns the last completion; otherwise mutates
+  // nothing and returns nullopt. Each block is probed once: a pure RAM hit
+  // never changes residency, so the slots certified up front stay valid.
+  virtual std::optional<SimTime> TryReadRamHits(SimTime now, uint32_t file_id, uint64_t block,
+                                                uint32_t count) = 0;
 
   // Syncer interface. A periodic writeback policy is a syncer *thread*
   // (§3.5) with one writeback in flight at a time; when it falls behind the
@@ -250,10 +241,6 @@ class CacheStack {
   virtual void test_only_break_replacement() {}
   virtual void test_only_break_admission() {}
 
-  // Load-triggered rehashes across this stack's cache indexes; the caches
-  // reserve for full capacity, so nonzero means pre-sizing regressed.
-  virtual uint64_t IndexRehashes() const = 0;
-
   void set_residency_listener(ResidencyListener* listener) { listener_ = listener; }
 
   const StackConfig& config() const { return config_; }
@@ -291,6 +278,8 @@ class CacheStack {
   BackgroundWriter* writer_;
   ResidencyListener* listener_ = nullptr;
   StackCounters counters_;
+  // Reused by TryReadRamHits: the slots it certified before touching any.
+  std::vector<uint32_t> run_slots_;
 };
 
 }  // namespace flashsim

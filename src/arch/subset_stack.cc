@@ -44,74 +44,101 @@ AccessVerdict SubsetStackBase::ClassifyAccess(TraceOp op, BlockKey key) const {
   if (!HasFlash() || flash_.Lookup(key) == kInvalidSlot) {
     return AccessVerdict::kUncertifiable;
   }
-  // Flash hit. With no RAM tier the read is touch + flash charge only.
-  if (!HasRam()) {
-    return AccessVerdict::kFlashHit;
-  }
-  // The InstallInRam that follows must provably take its silent path: no
-  // dirty-victim writeback, and no residency callback. Without an admission
-  // filter the HasFlash install never notifies; with one, it notifies only
-  // for RAM-only residents (the key is flash-resident here, so only the
-  // victim can trip it).
+  // Flash hit. With no RAM tier the read is touch + flash charge only;
+  // otherwise the InstallInRam that follows must take its silent path.
+  return !HasRam() || RamInstallIsSilent() ? AccessVerdict::kFlashHit
+                                           : AccessVerdict::kUncertifiable;
+}
+
+bool SubsetStackBase::RamInstallIsSilent() const {
   if (ram_.size() < ram_.capacity()) {
-    return AccessVerdict::kFlashHit;  // free slot: install without eviction
+    return true;  // free slot: install without eviction
   }
   const uint32_t victim = ram_.eviction_policy().PeekVictim();
   if (victim == kInvalidSlot || ram_.dirty(victim)) {
-    return AccessVerdict::kUncertifiable;
+    return false;
   }
-  if (admission_.has_value() && flash_.Lookup(ram_.key_of(victim)) == kInvalidSlot) {
-    return AccessVerdict::kUncertifiable;  // dropping it fires NotifyDropped
-  }
-  return AccessVerdict::kFlashHit;
+  // Without an admission filter the install never notifies; with one, it
+  // notifies only when it drops a RAM-only resident.
+  return !admission_.has_value() || flash_.Lookup(ram_.key_of(victim)) != kInvalidSlot;
 }
 
-std::optional<SimTime> SubsetStackBase::TryReadFlashFastPath(SimTime now, BlockKey key) {
-  if (ClassifyAccess(TraceOp::kRead, key) != AccessVerdict::kFlashHit) {
-    return std::nullopt;
-  }
-  const uint32_t fslot = flash_.Lookup(key);
+SimTime SubsetStackBase::ReadRamHit(SimTime now, uint32_t slot) {
+  ram_.Touch(slot);
+  ++counters_.ram_hits;
+  return ram_dev_->Read(now);
+}
+
+SimTime SubsetStackBase::ReadFlashHit(SimTime now, BlockKey key, uint32_t fslot) {
   flash_.Touch(fslot);
   ++counters_.flash_hits;
-  SimTime t = flash_dev_->Read(now, key);
-  if (HasRam()) {
-    t = InstallInRam(t, key, nullptr);
-  }
-  return t;
+  const SimTime t = flash_dev_->Read(now, key);
+  return HasRam() ? InstallInRam(t, key, nullptr) : t;
 }
 
-SimTime SubsetStackBase::Read(SimTime now, BlockKey key, HitLevel* level) {
-  SimTime t = now;
+std::optional<SimTime> SubsetStackBase::TryReadFastPath(SimTime now, BlockKey key,
+                                                        HitLevel* level) {
   if (HasRam()) {
     const uint32_t slot = ram_.Lookup(key);
     if (slot != kInvalidSlot) {
-      ram_.Touch(slot);
-      ++counters_.ram_hits;
       *level = HitLevel::kRam;
-      return ram_dev_->Read(t);
+      return ReadRamHit(now, slot);
+    }
+  }
+  if (!HasFlash()) {
+    return std::nullopt;
+  }
+  const uint32_t fslot = flash_.Lookup(key);
+  if (fslot == kInvalidSlot || (HasRam() && !RamInstallIsSilent())) {
+    return std::nullopt;
+  }
+  *level = HitLevel::kFlash;
+  return ReadFlashHit(now, key, fslot);
+}
+
+std::optional<SimTime> SubsetStackBase::TryReadRamHits(SimTime now, uint32_t file_id,
+                                                       uint64_t block, uint32_t count) {
+  if (!HasRam()) {
+    return std::nullopt;
+  }
+  run_slots_.clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint32_t slot = ram_.Lookup(MakeBlockKey(file_id, block + i));
+    if (slot == kInvalidSlot) {
+      return std::nullopt;
+    }
+    run_slots_.push_back(slot);
+  }
+  for (const uint32_t slot : run_slots_) {
+    now = ReadRamHit(now, slot);
+  }
+  return now;
+}
+
+SimTime SubsetStackBase::Read(SimTime now, BlockKey key, HitLevel* level) {
+  if (HasRam()) {
+    const uint32_t slot = ram_.Lookup(key);
+    if (slot != kInvalidSlot) {
+      *level = HitLevel::kRam;
+      return ReadRamHit(now, slot);
     }
   }
   if (HasFlash()) {
     const uint32_t fslot = flash_.Lookup(key);
     if (fslot != kInvalidSlot) {
-      flash_.Touch(fslot);
-      ++counters_.flash_hits;
-      t = flash_dev_->Read(t, key);
-      if (HasRam()) {
-        t = InstallInRam(t, key, nullptr);
-      }
       *level = HitLevel::kFlash;
-      return t;
+      return ReadFlashHit(now, key, fslot);
     }
   }
   // Miss: fetch from the filer.
   bool fast = true;
-  t = remote_->Read(t, key, &fast);
+  SimTime t = remote_->Read(now, key, &fast);
   ++counters_.filer_reads;
   NoteShardRead(key);
   if (HasFlash() && MayInstallInFlash(key)) {
+    // The flash probe above missed and nothing since installed the block.
     uint32_t fslot = kInvalidSlot;
-    t = EnsureFlashSlot(t, key, &fslot);
+    t = InstallInFlash(t, key, &fslot);
     // Install the data into the flash asynchronously: the application gets
     // the data as soon as it arrives; the flash write is hidden (§7.1) but
     // occupies the device.
@@ -167,14 +194,18 @@ SimTime SubsetStackBase::Write(SimTime now, BlockKey key) {
 
 SimTime SubsetStackBase::EnsureFlashSlot(SimTime t, BlockKey key, uint32_t* slot_out) {
   FLASHSIM_DCHECK(HasFlash());
-  uint32_t slot = flash_.Lookup(key);
+  const uint32_t slot = flash_.Lookup(key);
   if (slot != kInvalidSlot) {
     flash_.Touch(slot);
     *slot_out = slot;
     return t;
   }
+  return InstallInFlash(t, key, slot_out);
+}
+
+SimTime SubsetStackBase::InstallInFlash(SimTime t, BlockKey key, uint32_t* slot_out) {
   std::optional<EvictedBlock> evicted;
-  slot = flash_.Insert(key, /*dirty=*/false, &evicted);
+  const uint32_t slot = flash_.Insert(key, /*dirty=*/false, &evicted);
   if (evicted.has_value()) {
     // Subset maintenance: the evicted block leaves RAM too. If either copy
     // was dirty, its newest data must reach the filer before the buffer is

@@ -52,32 +52,16 @@ class SubsetStackBase : public CacheStack {
   // admission filter). A write certifies only on the Touch + ram write +
   // MarkDirty branch.
   AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const override;
-  // One LookupFast probe replaces Read's certify-then-probe pair; the body
-  // is Read's RAM-hit branch verbatim, so state and time match exactly.
-  std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key) override {
-    if (!HasRam()) {
-      return std::nullopt;
-    }
-    const uint32_t slot = ram_.LookupFast(key);
-    if (slot == kInvalidSlot) {
-      return std::nullopt;
-    }
-    ram_.Touch(slot);
-    ++counters_.ram_hits;
-    return ram_dev_->Read(now);
-  }
-  // Certify-then-execute twin for the flash tier: the body is Read's
-  // flash-hit branch verbatim (InstallInRam included), so state and time
-  // match the event round trip exactly whenever ClassifyAccess reports
-  // kFlashHit.
-  std::optional<SimTime> TryReadFlashFastPath(SimTime now, BlockKey key) override;
+  // One RAM probe, then on a miss one flash probe; the hit branches are
+  // Read's own (ReadRamHit / ReadFlashHit), so state and time match the
+  // event round trip exactly.
+  std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key, HitLevel* level) override;
+  std::optional<SimTime> TryReadRamHits(SimTime now, uint32_t file_id, uint64_t block,
+                                        uint32_t count) override;
   uint64_t RamResident() const override { return ram_.size(); }
   uint64_t FlashResident() const override { return flash_.size(); }
   uint64_t DirtyBlocks() const override { return ram_.dirty_count() + flash_.dirty_count(); }
   void CheckInvariants() const override;
-  uint64_t IndexRehashes() const override {
-    return ram_.index_rehashes() + flash_.index_rehashes();
-  }
 
   const LruBlockCache& ram_cache() const { return ram_; }
   const LruBlockCache& flash_cache() const { return flash_; }
@@ -111,6 +95,18 @@ class SubsetStackBase : public CacheStack {
   // otherwise the filter decides (and a veto is counted).
   bool MayInstallInFlash(BlockKey key);
 
+  // Read's hit branches: touch, hit counter, device charge; a flash hit
+  // then installs the block in RAM (when there is a RAM tier).
+  SimTime ReadRamHit(SimTime now, uint32_t slot);
+  SimTime ReadFlashHit(SimTime now, BlockKey key, uint32_t fslot);
+
+  // Whether InstallInRam right now would take its silent path: no dirty
+  // victim to write back and no residency callback (a free slot, or a clean
+  // victim that PeekVictim predicts exactly and, under an admission filter,
+  // that is also flash-resident). The install's own key must be
+  // flash-resident. Requires HasRam().
+  bool RamInstallIsSilent() const;
+
   // Ensures `key` occupies a flash slot (allocating, evicting the flash LRU
   // block if full). Evicted dirty data — or an evicted block whose RAM copy
   // was dirty — is synchronously written to the filer, charged to `t`
@@ -118,6 +114,8 @@ class SubsetStackBase : public CacheStack {
   // Maintains the RAM-subset invariant by dropping the evicted block's RAM
   // copy. Requires HasFlash().
   SimTime EnsureFlashSlot(SimTime t, BlockKey key, uint32_t* slot_out);
+  // EnsureFlashSlot's install half, for a key known not to be in flash.
+  SimTime InstallInFlash(SimTime t, BlockKey key, uint32_t* slot_out);
 
   // Inserts `key` into RAM (must be absent) and charges the RAM copy cost.
   // A dirty evicted block is synchronously written to the tier below RAM.

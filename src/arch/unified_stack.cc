@@ -49,22 +49,31 @@ SimTime UnifiedStack::InsertBlock(SimTime t, BlockKey key, uint32_t* slot_out) {
   return t;
 }
 
-SimTime UnifiedStack::Read(SimTime now, BlockKey key, HitLevel* level) {
-  SimTime t = now;
-  uint32_t slot = cache_.Lookup(key);
-  if (slot != kInvalidSlot) {
-    cache_.Touch(slot);
-    if (cache_.medium_of(slot) == Medium::kRam) {
-      ++counters_.ram_hits;
-      *level = HitLevel::kRam;
-      return ram_dev_->Read(t);
+std::optional<SimTime> UnifiedStack::TryReadRamHits(SimTime now, uint32_t file_id,
+                                                    uint64_t block, uint32_t count) {
+  run_slots_.clear();
+  for (uint32_t i = 0; i < count; ++i) {
+    const uint32_t slot = cache_.Lookup(MakeBlockKey(file_id, block + i));
+    if (slot == kInvalidSlot || cache_.medium_of(slot) != Medium::kRam) {
+      return std::nullopt;
     }
-    ++counters_.flash_hits;
-    *level = HitLevel::kFlash;
-    return flash_dev_->Read(t, key);
+    run_slots_.push_back(slot);
   }
+  for (const uint32_t slot : run_slots_) {
+    cache_.Touch(slot);
+    ++counters_.ram_hits;
+    now = ram_dev_->Read(now);
+  }
+  return now;
+}
+
+SimTime UnifiedStack::Read(SimTime now, BlockKey key, HitLevel* level) {
+  if (const std::optional<SimTime> hit = TryReadFastPath(now, key, level)) {
+    return *hit;
+  }
+  uint32_t slot = kInvalidSlot;
   bool fast = true;
-  t = remote_->Read(t, key, &fast);
+  SimTime t = remote_->Read(now, key, &fast);
   ++counters_.filer_reads;
   NoteShardRead(key);
   if (AdmitInsert(key)) {

@@ -58,36 +58,30 @@ class UnifiedStack : public CacheStack {
     return cache_.medium_of(slot) == Medium::kRam ? AccessVerdict::kPureRamHit
                                                   : AccessVerdict::kFlashHit;
   }
-  // One LookupFast probe that certifies and executes. A flash-medium hit
-  // mutates nothing (Read would Touch it, so the caller must fall back and
-  // re-run the full Read); a RAM-medium hit replays Read's RAM branch —
-  // Touch, ram_hits, RAM device charge — exactly.
-  std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key) override {
-    const uint32_t slot = cache_.LookupFast(key);
-    if (slot == kInvalidSlot || cache_.medium_of(slot) != Medium::kRam) {
+  // One probe that certifies and executes: every resident hit is Read's
+  // hit branch — Touch, the medium's hit counter and device charge — which
+  // Read itself runs through this function.
+  std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key, HitLevel* level) override {
+    const uint32_t slot = cache_.Lookup(key);
+    if (slot == kInvalidSlot) {
       return std::nullopt;
     }
     cache_.Touch(slot);
-    ++counters_.ram_hits;
-    return ram_dev_->Read(now);
-  }
-  // Fused flash-medium twin: replays Read's flash branch — Touch,
-  // flash_hits, flash device charge — exactly; mutates nothing on a miss or
-  // a RAM-medium hit.
-  std::optional<SimTime> TryReadFlashFastPath(SimTime now, BlockKey key) override {
-    const uint32_t slot = cache_.LookupFast(key);
-    if (slot == kInvalidSlot || cache_.medium_of(slot) != Medium::kFlash) {
-      return std::nullopt;
+    if (cache_.medium_of(slot) == Medium::kRam) {
+      ++counters_.ram_hits;
+      *level = HitLevel::kRam;
+      return ram_dev_->Read(now);
     }
-    cache_.Touch(slot);
     ++counters_.flash_hits;
+    *level = HitLevel::kFlash;
     return flash_dev_->Read(now, key);
   }
+  std::optional<SimTime> TryReadRamHits(SimTime now, uint32_t file_id, uint64_t block,
+                                        uint32_t count) override;
   uint64_t RamResident() const override;
   uint64_t FlashResident() const override;
   uint64_t DirtyBlocks() const override { return cache_.dirty_count(); }
   void CheckInvariants() const override { cache_.CheckInvariants(); }
-  uint64_t IndexRehashes() const override { return cache_.index_rehashes(); }
 
   const LruBlockCache& cache() const { return cache_; }
 

@@ -31,30 +31,69 @@ std::optional<ReplacementPolicy> ParseReplacementPolicy(const std::string& name)
 
 LruBlockCache::LruBlockCache(std::string name, uint64_t ram_slots, uint64_t flash_slots,
                              ReplacementPolicy replacement)
-    : name_(std::move(name)), ram_slots_(ram_slots), replacement_(replacement) {
-  const uint64_t total = ram_slots + flash_slots;
-  FLASHSIM_CHECK(total <= kInvalidSlot - 1);
-  slots_.resize(total);
-  index_.Reserve(static_cast<size_t>(total));
+    : name_(std::move(name)),
+      ram_slots_(ram_slots),
+      capacity_(ram_slots + flash_slots),
+      replacement_(replacement) {
+  FLASHSIM_CHECK(capacity_ <= kMaxCapacity);
+  const size_t n = static_cast<size_t>(capacity_);
+  hot_ = std::make_unique_for_overwrite<HotSlot[]>(n);
+  flags_ = std::make_unique<uint8_t[]>(n);
+  cold_ = std::make_unique_for_overwrite<ColdSlot[]>(n);
+  // At most half full, so probe runs stay short; capacity is fixed, so the
+  // table never grows.
+  size_t entries = 8;
+  while (entries < 2 * n) {
+    entries <<= 1;
+  }
+  index_.assign(entries, IndexEntry{0, kInvalidSlot});
+  index_mask_ = entries - 1;
   policy_ = MakeEvictionPolicy(replacement, this);
 }
 
 LruBlockCache::~LruBlockCache() = default;
 
-uint32_t LruBlockCache::Lookup(BlockKey key) const {
-  const uint32_t* slot = index_.Find(key);
-  return slot == nullptr ? kInvalidSlot : *slot;
+size_t LruBlockCache::PosOfSlot(uint32_t slot) const {
+  size_t i = Tag(hot_[slot].key) & index_mask_;
+  while (index_[i].slot != slot) {
+    i = (i + 1) & index_mask_;
+  }
+  return i;
+}
+
+void LruBlockCache::IndexInsert(BlockKey key, uint32_t slot) {
+  const uint32_t tag = Tag(key);
+  size_t i = tag & index_mask_;
+  while (index_[i].slot != kInvalidSlot) {
+    i = (i + 1) & index_mask_;
+  }
+  index_[i] = IndexEntry{tag, slot};
+}
+
+void LruBlockCache::IndexEraseAt(size_t pos) {
+  size_t hole = pos;
+  for (size_t j = (pos + 1) & index_mask_; index_[j].slot != kInvalidSlot;
+       j = (j + 1) & index_mask_) {
+    const size_t home = index_[j].tag & index_mask_;
+    // The entry at j may move into the hole only if the hole lies on its
+    // probe path (between its home and j, cyclically).
+    if (((j - home) & index_mask_) >= ((j - hole) & index_mask_)) {
+      index_[hole] = index_[j];
+      hole = j;
+    }
+  }
+  index_[hole].slot = kInvalidSlot;
 }
 
 void LruBlockCache::LruUnlink(uint32_t slot) {
-  Slot& s = slots_[slot];
+  HotSlot& s = hot_[slot];
   if (s.prev != kInvalidSlot) {
-    slots_[s.prev].next = s.next;
+    hot_[s.prev].next = s.next;
   } else {
     lru_head_ = s.next;
   }
   if (s.next != kInvalidSlot) {
-    slots_[s.next].prev = s.prev;
+    hot_[s.next].prev = s.prev;
   } else {
     lru_tail_ = s.prev;
   }
@@ -63,11 +102,11 @@ void LruBlockCache::LruUnlink(uint32_t slot) {
 }
 
 void LruBlockCache::LruPushFront(uint32_t slot) {
-  Slot& s = slots_[slot];
+  HotSlot& s = hot_[slot];
   s.prev = kInvalidSlot;
   s.next = lru_head_;
   if (lru_head_ != kInvalidSlot) {
-    slots_[lru_head_].prev = slot;
+    hot_[lru_head_].prev = slot;
   }
   lru_head_ = slot;
   if (lru_tail_ == kInvalidSlot) {
@@ -76,29 +115,27 @@ void LruBlockCache::LruPushFront(uint32_t slot) {
 }
 
 void LruBlockCache::DirtyUnlink(uint32_t slot) {
-  Slot& s = slots_[slot];
+  ColdSlot& s = cold_[slot];
   const size_t m = static_cast<size_t>(medium_of(slot));
   if (s.dirty_prev != kInvalidSlot) {
-    slots_[s.dirty_prev].dirty_next = s.dirty_next;
+    cold_[s.dirty_prev].dirty_next = s.dirty_next;
   } else {
     dirty_head_[m] = s.dirty_next;
   }
   if (s.dirty_next != kInvalidSlot) {
-    slots_[s.dirty_next].dirty_prev = s.dirty_prev;
+    cold_[s.dirty_next].dirty_prev = s.dirty_prev;
   } else {
     dirty_tail_[m] = s.dirty_prev;
   }
-  s.dirty_prev = kInvalidSlot;
-  s.dirty_next = kInvalidSlot;
 }
 
 void LruBlockCache::DirtyPushBack(uint32_t slot) {
-  Slot& s = slots_[slot];
+  ColdSlot& s = cold_[slot];
   const size_t m = static_cast<size_t>(medium_of(slot));
   s.dirty_next = kInvalidSlot;
   s.dirty_prev = dirty_tail_[m];
   if (dirty_tail_[m] != kInvalidSlot) {
-    slots_[dirty_tail_[m]].dirty_next = slot;
+    cold_[dirty_tail_[m]].dirty_next = slot;
   }
   dirty_tail_[m] = slot;
   if (dirty_head_[m] == kInvalidSlot) {
@@ -107,7 +144,7 @@ void LruBlockCache::DirtyPushBack(uint32_t slot) {
 }
 
 void LruBlockCache::Touch(uint32_t slot) {
-  FLASHSIM_DCHECK(slot < slots_.size() && slots_[slot].in_use);
+  FLASHSIM_DCHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
   if (replacement_ == ReplacementPolicy::kLru) {
     // Devirtualized exact-LRU hit: Touch sits on the certified read fast
     // path (DESIGN.md §13), so the default policy skips the plugin
@@ -123,11 +160,11 @@ void LruBlockCache::Touch(uint32_t slot) {
 }
 
 void LruBlockCache::ChainPushBack(uint32_t slot) {
-  Slot& s = slots_[slot];
+  HotSlot& s = hot_[slot];
   s.next = kInvalidSlot;
   s.prev = lru_tail_;
   if (lru_tail_ != kInvalidSlot) {
-    slots_[lru_tail_].next = slot;
+    hot_[lru_tail_].next = slot;
   } else {
     lru_head_ = slot;
   }
@@ -136,12 +173,12 @@ void LruBlockCache::ChainPushBack(uint32_t slot) {
 
 void LruBlockCache::ChainInsertBefore(uint32_t slot, uint32_t before) {
   FLASHSIM_DCHECK(before != kInvalidSlot);
-  Slot& s = slots_[slot];
-  Slot& b = slots_[before];
+  HotSlot& s = hot_[slot];
+  HotSlot& b = hot_[before];
   s.next = before;
   s.prev = b.prev;
   if (b.prev != kInvalidSlot) {
-    slots_[b.prev].next = slot;
+    hot_[b.prev].next = slot;
   } else {
     lru_head_ = slot;
   }
@@ -153,7 +190,7 @@ uint32_t LruBlockCache::Insert(BlockKey key, bool dirty, std::optional<EvictedBl
   if (evicted != nullptr) {
     evicted->reset();
   }
-  if (slots_.empty()) {
+  if (capacity_ == 0) {
     return kInvalidSlot;
   }
   FLASHSIM_DCHECK(Lookup(key) == kInvalidSlot);
@@ -163,40 +200,31 @@ uint32_t LruBlockCache::Insert(BlockKey key, bool dirty, std::optional<EvictedBl
     // Reuse a slot freed by Remove (invalidations).
     slot = free_slots_.back();
     free_slots_.pop_back();
-  } else if (next_unused_ < slots_.size()) {
+  } else if (next_unused_ < capacity_) {
     slot = next_unused_++;
   } else {
     // Full: evict per the replacement policy and reuse the buffer.
     slot = policy_->SelectVictim();
-    Slot& victim = slots_[slot];
+    const bool victim_dirty = this->dirty(slot);
     ++evictions_;
-    if (victim.dirty) {
+    if (victim_dirty) {
       ++dirty_evictions_;
     }
     if (evicted != nullptr) {
-      *evicted = EvictedBlock{victim.key, medium_of(slot), victim.dirty};
+      *evicted = EvictedBlock{hot_[slot].key, medium_of(slot), victim_dirty};
     }
-    if (victim.dirty) {
-      DirtyUnlink(slot);
-      victim.dirty = false;
-      --dirty_count_;
-      --dirty_count_by_medium_[static_cast<size_t>(medium_of(slot))];
-    }
+    MarkClean(slot);
     policy_->OnRemove(slot);  // while still linked: policies may read neighbors
-    index_.Erase(victim.key);
+    IndexEraseAt(PosOfSlot(slot));
     LruUnlink(slot);
-    victim.in_use = false;
     --size_;
   }
 
-  Slot& s = slots_[slot];
-  s.key = key;
-  s.in_use = true;
-  s.dirty = false;
-  s.referenced = false;
+  hot_[slot].key = key;
+  flags_[slot] = kInUseFlag;
   ++size_;
   ++inserts_;
-  index_.Insert(key, slot);
+  IndexInsert(key, slot);
   LruPushFront(slot);
   policy_->OnInsert(slot);
   if (dirty) {
@@ -206,49 +234,42 @@ uint32_t LruBlockCache::Insert(BlockKey key, bool dirty, std::optional<EvictedBl
 }
 
 bool LruBlockCache::Remove(BlockKey key, EvictedBlock* removed) {
-  const uint32_t slot = Lookup(key);
-  if (slot == kInvalidSlot) {
+  const size_t pos = FindPos(key);
+  if (pos == kNoPos) {
     return false;
   }
-  Slot& s = slots_[slot];
+  const uint32_t slot = index_[pos].slot;
   if (removed != nullptr) {
-    *removed = EvictedBlock{s.key, medium_of(slot), s.dirty};
+    *removed = EvictedBlock{key, medium_of(slot), dirty(slot)};
   }
-  if (s.dirty) {
-    DirtyUnlink(slot);
-    s.dirty = false;
-    --dirty_count_;
-    --dirty_count_by_medium_[static_cast<size_t>(medium_of(slot))];
-  }
+  MarkClean(slot);
   policy_->OnRemove(slot);  // while still linked: policies may read neighbors
-  index_.Erase(key);
+  IndexEraseAt(pos);
   LruUnlink(slot);
-  s.in_use = false;
+  flags_[slot] = 0;
   --size_;
   free_slots_.push_back(slot);
   return true;
 }
 
 void LruBlockCache::MarkDirty(uint32_t slot, SimTime now) {
-  FLASHSIM_DCHECK(slot < slots_.size() && slots_[slot].in_use);
-  Slot& s = slots_[slot];
-  if (s.dirty) {
+  FLASHSIM_DCHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
+  if (dirty(slot)) {
     return;
   }
-  s.dirty = true;
-  s.dirtied_at = now;
+  flags_[slot] |= kDirtyFlag;
+  cold_[slot].dirtied_at = now;
   ++dirty_count_;
   ++dirty_count_by_medium_[static_cast<size_t>(medium_of(slot))];
   DirtyPushBack(slot);
 }
 
 void LruBlockCache::MarkClean(uint32_t slot) {
-  FLASHSIM_DCHECK(slot < slots_.size() && slots_[slot].in_use);
-  Slot& s = slots_[slot];
-  if (!s.dirty) {
+  FLASHSIM_DCHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
+  if (!dirty(slot)) {
     return;
   }
-  s.dirty = false;
+  flags_[slot] &= static_cast<uint8_t>(~kDirtyFlag);
   --dirty_count_;
   --dirty_count_by_medium_[static_cast<size_t>(medium_of(slot))];
   DirtyUnlink(slot);
@@ -257,28 +278,37 @@ void LruBlockCache::MarkClean(uint32_t slot) {
 void LruBlockCache::CheckInvariants() const {
   uint64_t counted = 0;
   uint32_t prev = kInvalidSlot;
-  for (uint32_t slot = lru_head_; slot != kInvalidSlot; slot = slots_[slot].next) {
-    FLASHSIM_CHECK(slots_[slot].in_use);
-    FLASHSIM_CHECK(slots_[slot].prev == prev);
-    const uint32_t* indexed = index_.Find(slots_[slot].key);
-    FLASHSIM_CHECK(indexed != nullptr && *indexed == slot);
+  for (uint32_t slot = lru_head_; slot != kInvalidSlot; slot = hot_[slot].next) {
+    FLASHSIM_CHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
+    FLASHSIM_CHECK(hot_[slot].prev == prev);
+    FLASHSIM_CHECK(Lookup(hot_[slot].key) == slot);
     prev = slot;
     ++counted;
     FLASHSIM_CHECK(counted <= size_);
   }
   FLASHSIM_CHECK(counted == size_);
   FLASHSIM_CHECK(lru_tail_ == prev);
-  FLASHSIM_CHECK(index_.size() == size_);
+  // Every index entry names a distinct resident slot under its key's tag
+  // (distinctness follows from the count: each resident slot was found).
+  uint64_t indexed = 0;
+  for (const IndexEntry& entry : index_) {
+    if (entry.slot == kInvalidSlot) {
+      continue;
+    }
+    FLASHSIM_CHECK(entry.slot < capacity_ && (flags_[entry.slot] & kInUseFlag) != 0);
+    FLASHSIM_CHECK(entry.tag == Tag(hot_[entry.slot].key));
+    ++indexed;
+  }
+  FLASHSIM_CHECK(indexed == size_);
 
   uint64_t dirty_counted = 0;
   for (size_t m = 0; m < 2; ++m) {
     uint64_t medium_counted = 0;
     uint32_t dprev = kInvalidSlot;
-    for (uint32_t slot = dirty_head_[m]; slot != kInvalidSlot;
-         slot = slots_[slot].dirty_next) {
-      FLASHSIM_CHECK(slots_[slot].in_use && slots_[slot].dirty);
+    for (uint32_t slot = dirty_head_[m]; slot != kInvalidSlot; slot = cold_[slot].dirty_next) {
+      FLASHSIM_CHECK((flags_[slot] & kInUseFlag) != 0 && dirty(slot));
       FLASHSIM_CHECK(static_cast<size_t>(medium_of(slot)) == m);
-      FLASHSIM_CHECK(slots_[slot].dirty_prev == dprev);
+      FLASHSIM_CHECK(cold_[slot].dirty_prev == dprev);
       dprev = slot;
       ++medium_counted;
       FLASHSIM_CHECK(medium_counted <= dirty_count_by_medium_[m]);

@@ -7,6 +7,14 @@
 //
 // Dirty blocks are additionally threaded on an intrusive dirty list so
 // periodic syncers flush in O(dirty), not O(capacity).
+//
+// Metadata layout (DESIGN.md §8). Per slot: a 16-byte hot record (key and
+// chain links: everything a lookup, hit, or eviction reads), one flag byte,
+// and a 16-byte cold record (dirty-list links and dirtied-at time) that is
+// allocated without initialisation and read only while the slot is dirty,
+// so a tier that never dirties never faults its pages in. The block index
+// is a fixed-size linear-probing table of 8-byte {hash tag, slot} entries
+// at most half full; capacity is fixed, so it never rehashes.
 #ifndef FLASHSIM_SRC_CACHE_LRU_CACHE_H_
 #define FLASHSIM_SRC_CACHE_LRU_CACHE_H_
 
@@ -20,7 +28,7 @@
 #include "src/sim/sim_time.h"
 #include "src/trace/record.h"
 #include "src/util/assert.h"
-#include "src/util/flat_hash.h"
+#include "src/util/rng.h"
 
 namespace flashsim {
 
@@ -66,6 +74,10 @@ class EvictionPolicy;
 
 class LruBlockCache {
  public:
+  // Largest capacity (ram_slots + flash_slots) a cache accepts: the index
+  // table, two entries per slot, must stay addressable by a 32-bit tag.
+  static constexpr uint64_t kMaxCapacity = uint64_t{1} << 31;
+
   // Total capacity = ram_slots + flash_slots; either may be zero.
   LruBlockCache(std::string name, uint64_t ram_slots, uint64_t flash_slots = 0,
                 ReplacementPolicy replacement = ReplacementPolicy::kLru);
@@ -78,20 +90,17 @@ class LruBlockCache {
   LruBlockCache(LruBlockCache&&) = delete;
   LruBlockCache& operator=(LruBlockCache&&) = delete;
 
-  uint64_t capacity() const { return slots_.size(); }
+  uint64_t capacity() const { return capacity_; }
   uint64_t size() const { return size_; }
   uint64_t dirty_count() const { return dirty_count_; }
   const std::string& name() const { return name_; }
 
   // Returns the slot holding key, or kInvalidSlot. Does not touch LRU order.
-  uint32_t Lookup(BlockKey key) const;
-
-  // Same result as Lookup, but prefetches the slot record the index points
-  // at (FlatHashMap::FindPrefetch) so an immediately following Touch does
-  // not stall on the slot's cache line. Used by the read fast path.
-  uint32_t LookupFast(BlockKey key) const {
-    const uint32_t* slot = index_.FindPrefetch(key, slots_.data());
-    return slot != nullptr ? *slot : kInvalidSlot;
+  // A tag match is confirmed against the slot's hot record, which a hit's
+  // Touch reads next anyway.
+  uint32_t Lookup(BlockKey key) const {
+    const size_t pos = FindPos(key);
+    return pos == kNoPos ? kInvalidSlot : index_[pos].slot;
   }
 
   // Records a hit: dispatches to the registered policy's OnHit (LRU moves
@@ -123,11 +132,15 @@ class LruBlockCache {
   void MarkDirty(uint32_t slot, SimTime now = 0);
   void MarkClean(uint32_t slot);
 
-  // When the block in `slot` was last marked dirty (meaningful while dirty).
-  SimTime dirtied_at(uint32_t slot) const { return slots_[slot].dirtied_at; }
+  // When the block in `slot` was last marked dirty. Only meaningful while
+  // the slot is dirty: the cold record is never initialised otherwise.
+  SimTime dirtied_at(uint32_t slot) const {
+    FLASHSIM_DCHECK(dirty(slot));
+    return cold_[slot].dirtied_at;
+  }
 
-  bool dirty(uint32_t slot) const { return slots_[slot].dirty; }
-  BlockKey key_of(uint32_t slot) const { return slots_[slot].key; }
+  bool dirty(uint32_t slot) const { return (flags_[slot] & kDirtyFlag) != 0; }
+  BlockKey key_of(uint32_t slot) const { return hot_[slot].key; }
   Medium medium_of(uint32_t slot) const {
     return slot < ram_slots_ ? Medium::kRam : Medium::kFlash;
   }
@@ -140,10 +153,13 @@ class LruBlockCache {
   // --- Chain surface for EvictionPolicy implementations (DESIGN.md §14) ---
   // Policies reorder the chain exclusively through these; the index, dirty
   // lists, and counters are off-limits to them.
-  uint32_t ChainNext(uint32_t slot) const { return slots_[slot].next; }
-  uint32_t ChainPrev(uint32_t slot) const { return slots_[slot].prev; }
-  bool referenced(uint32_t slot) const { return slots_[slot].referenced; }
-  void set_referenced(uint32_t slot, bool on) { slots_[slot].referenced = on; }
+  uint32_t ChainNext(uint32_t slot) const { return hot_[slot].next; }
+  uint32_t ChainPrev(uint32_t slot) const { return hot_[slot].prev; }
+  bool referenced(uint32_t slot) const { return (flags_[slot] & kReferencedFlag) != 0; }
+  void set_referenced(uint32_t slot, bool on) {
+    flags_[slot] = static_cast<uint8_t>(on ? flags_[slot] | kReferencedFlag
+                                           : flags_[slot] & ~kReferencedFlag);
+  }
   void ChainUnlink(uint32_t slot) { LruUnlink(slot); }
   void ChainPushFront(uint32_t slot) { LruPushFront(slot); }
   void ChainPushBack(uint32_t slot);
@@ -167,9 +183,8 @@ class LruBlockCache {
   template <typename Fn>
   void ForEachDirty(Fn&& fn) const {
     for (size_t m = 0; m < 2; ++m) {
-      for (uint32_t slot = dirty_head_[m]; slot != kInvalidSlot;
-           slot = slots_[slot].dirty_next) {
-        fn(slots_[slot].key, medium_of(slot));
+      for (uint32_t slot = dirty_head_[m]; slot != kInvalidSlot; slot = cold_[slot].dirty_next) {
+        fn(hot_[slot].key, medium_of(slot));
       }
     }
   }
@@ -177,8 +192,8 @@ class LruBlockCache {
   // Calls fn(key, medium, dirty) for every resident block in MRU->LRU order.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    for (uint32_t slot = lru_head_; slot != kInvalidSlot; slot = slots_[slot].next) {
-      fn(slots_[slot].key, medium_of(slot), slots_[slot].dirty);
+    for (uint32_t slot = lru_head_; slot != kInvalidSlot; slot = hot_[slot].next) {
+      fn(hot_[slot].key, medium_of(slot), dirty(slot));
     }
   }
 
@@ -189,22 +204,57 @@ class LruBlockCache {
   uint64_t evictions() const { return evictions_; }
   uint64_t dirty_evictions() const { return dirty_evictions_; }
   uint64_t inserts() const { return inserts_; }
-  // Load-triggered rehashes of the block index; the constructor reserves
-  // for full capacity, so any nonzero value is a pre-sizing regression.
-  uint64_t index_rehashes() const { return index_.growth_rehashes(); }
 
  private:
-  struct Slot {
-    BlockKey key = 0;
-    uint32_t prev = kInvalidSlot;
-    uint32_t next = kInvalidSlot;
-    uint32_t dirty_prev = kInvalidSlot;
-    uint32_t dirty_next = kInvalidSlot;
-    bool in_use = false;
-    bool dirty = false;
-    bool referenced = false;  // CLOCK reference bit
-    SimTime dirtied_at = 0;
+  // Everything a lookup, hit, or eviction reads; four to a cache line.
+  struct HotSlot {
+    BlockKey key;
+    uint32_t prev;
+    uint32_t next;
   };
+  static_assert(sizeof(HotSlot) == 16, "the hot slot record must stay 16 bytes");
+
+  // Read and written only while the slot is dirty.
+  struct ColdSlot {
+    uint32_t dirty_prev;
+    uint32_t dirty_next;
+    SimTime dirtied_at;
+  };
+
+  // One index entry: the low 32 bits of the key's hash (which also fix the
+  // entry's home position) and the slot holding the key.
+  struct IndexEntry {
+    uint32_t tag;
+    uint32_t slot;  // kInvalidSlot marks an empty entry
+  };
+
+  static constexpr uint8_t kInUseFlag = 1;
+  static constexpr uint8_t kDirtyFlag = 2;
+  static constexpr uint8_t kReferencedFlag = 4;  // CLOCK reference bit
+  static constexpr size_t kNoPos = SIZE_MAX;
+
+  static uint32_t Tag(BlockKey key) { return static_cast<uint32_t>(Mix64(key)); }
+
+  // Index position of `key`, or kNoPos.
+  size_t FindPos(BlockKey key) const {
+    const uint32_t tag = Tag(key);
+    for (size_t i = tag & index_mask_;; i = (i + 1) & index_mask_) {
+      const IndexEntry entry = index_[i];
+      if (entry.slot == kInvalidSlot) {
+        return kNoPos;
+      }
+      if (entry.tag == tag && hot_[entry.slot].key == key) {
+        return i;
+      }
+    }
+  }
+  // Index position of resident `slot`, found by slot id from its key's
+  // home position: no key comparisons.
+  size_t PosOfSlot(uint32_t slot) const;
+  void IndexInsert(BlockKey key, uint32_t slot);
+  // Backward-shift deletion: pulls displaced followers into the hole, so no
+  // tombstones accumulate. Reads only tags, never keys.
+  void IndexEraseAt(size_t pos);
 
   void LruUnlink(uint32_t slot);
   void LruPushFront(uint32_t slot);
@@ -213,10 +263,15 @@ class LruBlockCache {
 
   std::string name_;
   uint64_t ram_slots_ = 0;
+  uint64_t capacity_ = 0;
   ReplacementPolicy replacement_ = ReplacementPolicy::kLru;
   std::unique_ptr<EvictionPolicy> policy_;
-  std::vector<Slot> slots_;
-  FlatHashMap<uint32_t> index_;
+  // Per-slot state; a slot's records are written when it is first used.
+  std::unique_ptr<HotSlot[]> hot_;
+  std::unique_ptr<uint8_t[]> flags_;
+  std::unique_ptr<ColdSlot[]> cold_;
+  std::vector<IndexEntry> index_;
+  size_t index_mask_ = 0;
   uint32_t lru_head_ = kInvalidSlot;  // MRU end
   uint32_t lru_tail_ = kInvalidSlot;  // LRU end
   // Dirty lists, one per medium (index = Medium value).

@@ -19,26 +19,59 @@ const char* InvalidationTrafficName(InvalidationTraffic model) {
   return "?";
 }
 
-void SimConfig::Validate() const {
-  FLASHSIM_CHECK(block_bytes > 0);
-  FLASHSIM_CHECK(num_hosts >= 1 && num_hosts <= Directory::kMaxHosts);
-  FLASHSIM_CHECK(threads_per_host >= 1);
-  // The shard router maps block hashes onto at most kMaxShards filers;
-  // larger counts are not representable under the shard map.
-  FLASHSIM_CHECK(num_filers >= 1 && num_filers <= ShardRouter::kMaxShards);
+std::vector<std::string> SimConfig::Violations() const {
+  std::vector<std::string> out;
+  const auto rule = [&out](bool holds, const std::string& message) {
+    if (!holds) {
+      out.push_back(message);
+    }
+  };
+  rule(block_bytes > 0, "block size must be positive");
+  rule(num_hosts >= 1 && num_hosts <= Directory::kMaxHosts,
+       "hosts must be in [1, " + std::to_string(Directory::kMaxHosts) + "], got " +
+           std::to_string(num_hosts));
+  // Trace records carry a 16-bit thread id.
+  rule(threads_per_host >= 1 && threads_per_host <= UINT16_MAX,
+       "threads per host must be in [1, 65535], got " + std::to_string(threads_per_host));
+  // The shard router maps block hashes onto at most kMaxShards filers.
+  rule(num_filers >= 1 && num_filers <= ShardRouter::kMaxShards,
+       "filers must be in [1, " + std::to_string(ShardRouter::kMaxShards) + "], got " +
+           std::to_string(num_filers));
+  if (block_bytes > 0) {
+    // The unified stack keeps both tiers on one chain, the tightest case.
+    rule(ram_blocks() + flash_blocks() <= LruBlockCache::kMaxCapacity,
+         "RAM + flash per host must be at most 2^31 blocks, got " +
+             std::to_string(ram_blocks() + flash_blocks()));
+  }
   // The naive stack's RAM→flash writeback requires RAM ⊆ flash, which a
   // DRAM→flash admission filter deliberately breaks.
-  FLASHSIM_CHECK(arch != Architecture::kNaive || admission == AdmissionPolicy::kAll);
-  FLASHSIM_CHECK(timing.ram_access_ns >= 0);
-  FLASHSIM_CHECK(timing.flash_read_ns >= 0 && timing.flash_write_ns >= 0);
-  FLASHSIM_CHECK(timing.filer_fast_read_rate >= 0.0 && timing.filer_fast_read_rate <= 1.0);
-  FLASHSIM_CHECK(timing.filer_concurrency >= 1);
+  rule(arch != Architecture::kNaive || admission == AdmissionPolicy::kAll,
+       "the naive architecture requires admission=all (a flash admission filter breaks "
+       "RAM ⊆ flash)");
+  rule(timing.ram_access_ns >= 0, "RAM access time must not be negative");
+  rule(timing.flash_read_ns >= 0 && timing.flash_write_ns >= 0,
+       "flash read and write times must not be negative");
+  rule(timing.filer_fast_read_rate >= 0.0 && timing.filer_fast_read_rate <= 1.0,
+       "filer fast-read rate must be in [0, 1]");
+  rule(timing.filer_concurrency >= 1, "filer concurrency must be at least 1");
   // Modeled protocols charge their own control traffic; the legacy
   // --invalidation packet model on top would double-charge every write.
-  FLASHSIM_CHECK(coherence == CoherenceModel::kPerfect ||
-                 invalidation_traffic == InvalidationTraffic::kNone);
-  FLASHSIM_CHECK(timing.coherence_ctrl_ns >= 0);
-  FLASHSIM_CHECK(coherence != CoherenceModel::kLease || timing.lease_ns > 0);
+  rule(coherence == CoherenceModel::kPerfect ||
+           invalidation_traffic == InvalidationTraffic::kNone,
+       std::string("coherence=") + CoherenceModelName(coherence) +
+           " charges its own messages and requires invalidation=none");
+  rule(timing.coherence_ctrl_ns >= 0, "coherence control-message time must not be negative");
+  rule(coherence != CoherenceModel::kLease || timing.lease_ns > 0,
+       "coherence=lease requires a positive lease time");
+  return out;
+}
+
+void SimConfig::Validate() const {
+  const std::vector<std::string> violations = Violations();
+  for (const std::string& violation : violations) {
+    std::fprintf(stderr, "invalid configuration: %s\n", violation.c_str());
+  }
+  FLASHSIM_CHECK(violations.empty());
 }
 
 std::string SimConfig::Summary() const {

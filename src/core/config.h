@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "src/arch/stack_factory.h"
 #include "src/backend/shard_router.h"
@@ -104,7 +105,11 @@ struct SimConfig {
   uint64_t ram_blocks() const { return ram_bytes / block_bytes; }
   uint64_t flash_blocks() const { return flash_bytes / block_bytes; }
 
-  // Aborts on nonsensical configurations (zero block size, too many hosts).
+  // Every rule this configuration breaks, one sentence each; empty when the
+  // simulator accepts it. Front ends print these and exit 2.
+  std::vector<std::string> Violations() const;
+
+  // Aborts (with each violation on stderr) unless Violations() is empty.
   void Validate() const;
 
   // One-line description for bench headers and logs.

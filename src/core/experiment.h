@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/core/config.h"
 #include "src/core/metrics.h"
@@ -85,6 +86,13 @@ struct ExperimentResult {
 // Derives the scaled SimConfig / trace spec without running (test access).
 SimConfig BuildSimConfig(const ExperimentParams& params);
 SyntheticTraceSpec BuildTraceSpec(const ExperimentParams& params);
+
+// Every reason `params` cannot run, one sentence each: scale and sizes,
+// the synthetic trace's rules when `synthetic_trace` (RunExperiment
+// generates the trace), and the scaled SimConfig's Violations(). Empty when
+// BuildSimConfig — and, if synthetic, RunExperiment — accept the params.
+// Front ends print these and exit 2 before building anything.
+std::vector<std::string> ParamsViolations(const ExperimentParams& params, bool synthetic_trace);
 
 // Builds everything and runs the simulation to completion.
 //

@@ -64,9 +64,10 @@ struct Metrics {
   CoherenceModel coherence_model = CoherenceModel::kPerfect;
   CoherenceCounters coherence;
 
-  // Load-triggered hash rehashes observed across the run's cache/directory
-  // indexes. The simulation pre-sizes every index from SimConfig, so this
-  // should stay 0; a nonzero value flags a pre-sizing regression.
+  // Load-triggered hash rehashes observed across the run's directory and
+  // FTL maps (cache indexes are fixed-size and cannot rehash). The
+  // simulation pre-sizes every map from SimConfig, so this should stay 0; a
+  // nonzero value flags a pre-sizing regression.
   uint64_t index_rehashes = 0;
 
   // End-of-run snapshots.

@@ -48,7 +48,11 @@ struct Simulation::HostState {
       flash_dev.EnableFtl(stack_config.flash_blocks, ftl_params, ftl_timings);
     }
     stack = MakeCacheStack(config.arch, stack_config, ram_dev, flash_dev, *remote, writer);
-    stack->set_residency_listener(&bridge);
+    // A lone host's holder set can never name another host (DESIGN.md §15),
+    // so one-host runs leave the directory empty.
+    if (config.num_hosts > 1) {
+      stack->set_residency_listener(&bridge);
+    }
   }
 
   RamDevice ram_dev;
@@ -100,10 +104,13 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   backend_ = MakeStorageBackend(config_.timing, config_.num_filers, config_.shard_strategy,
                                 config_.seed);
   directory_ = std::make_unique<Directory>(config_.num_hosts);
-  // Pre-size the directory's holders index for the most blocks that can be
-  // cached anywhere at once, so it never rehashes mid-trace.
-  directory_->Reserve((config_.ram_blocks() + config_.flash_blocks()) *
-                      static_cast<uint64_t>(config_.num_hosts));
+  if (config_.num_hosts > 1) {
+    // Pre-size the directory's holders index for the most blocks that can
+    // be cached anywhere at once, so it never rehashes mid-trace. One-host
+    // runs never feed it (HostState).
+    directory_->Reserve((config_.ram_blocks() + config_.flash_blocks()) *
+                        static_cast<uint64_t>(config_.num_hosts));
+  }
   for (int h = 0; h < config_.num_hosts; ++h) {
     hosts_.push_back(std::make_unique<HostState>(config_, queue_, *backend_, *directory_, h));
   }
@@ -329,8 +336,10 @@ std::optional<SimTime> Simulation::TryFastExecute(CacheStack& stack, const Trace
     }
     const int host_id = record.host % config_.num_hosts;
     const BlockKey key = MakeBlockKey(record.file_id, record.block);
+    // The verdict means the block is resident here, so a lone host is its
+    // sole holder without asking the (empty) directory.
     if (stack.ClassifyAccess(TraceOp::kWrite, key) != AccessVerdict::kPrivateWrite ||
-        !directory_->SoleHolder(host_id, key)) {
+        (config_.num_hosts > 1 && !directory_->SoleHolder(host_id, key))) {
       return std::nullopt;
     }
     const SimTime t = stack.Write(now, key);
@@ -341,48 +350,21 @@ std::optional<SimTime> Simulation::TryFastExecute(CacheStack& stack, const Trace
     // returns t unchanged; the directory's write counters still advance.
     return coherence_->OnWrite(host_id, key, t, measured);
   }
-  SimTime t = now;
-  if (record.block_count == 1) {
-    // The common case fuses certification and execution into one probe.
-    const BlockKey key = MakeBlockKey(record.file_id, record.block);
-    const std::optional<SimTime> hit = stack.TryReadFastPath(t, key);
-    if (!hit.has_value()) {
-      // Widened class: a certified flash hit also schedules nothing — the
-      // flash charge and the silent RAM install run inline at the same
-      // simulated time the event path would have used.
-      const std::optional<SimTime> flash = stack.TryReadFlashFastPath(t, key);
-      if (!flash.has_value()) {
-        return std::nullopt;
-      }
-      if (measured) {
-        ++metrics_.read_level_blocks[static_cast<size_t>(HitLevel::kFlash)];
-        ++metrics_.measured_read_blocks;
-      }
-      return *flash;
-    }
-    t = *hit;
-  } else {
-    // Multi-block: certify every block before executing any (a pure RAM hit
-    // never changes residency, so executing earlier blocks cannot
-    // invalidate later blocks' certification).
-    for (uint32_t i = 0; i < record.block_count; ++i) {
-      if (!stack.ReadIsPureRamHit(MakeBlockKey(record.file_id, record.block + i))) {
-        return std::nullopt;
-      }
-    }
-    for (uint32_t i = 0; i < record.block_count; ++i) {
-      const std::optional<SimTime> hit =
-          stack.TryReadFastPath(t, MakeBlockKey(record.file_id, record.block + i));
-      FLASHSIM_DCHECK(hit.has_value());
-      t = *hit;
-    }
-  }
+  // A single-block read inlines as a RAM hit or as a flash hit whose RAM
+  // install is silent (both schedule nothing: the device charges run inline
+  // at the same simulated time the event path would have used); a
+  // multi-block read only when every block is a RAM hit.
+  HitLevel level = HitLevel::kRam;
+  const std::optional<SimTime> done =
+      record.block_count == 1
+          ? stack.TryReadFastPath(now, MakeBlockKey(record.file_id, record.block), &level)
+          : stack.TryReadRamHits(now, record.file_id, record.block, record.block_count);
   // The per-block accounting ExecuteOp's read branch would have done.
-  if (measured) {
-    metrics_.read_level_blocks[static_cast<size_t>(HitLevel::kRam)] += record.block_count;
+  if (done.has_value() && measured) {
+    metrics_.read_level_blocks[static_cast<size_t>(level)] += record.block_count;
     metrics_.measured_read_blocks += record.block_count;
   }
-  return t;
+  return done;
 }
 
 void Simulation::FinishOp(int thread_index, const TraceRecord& record, SimTime now,
@@ -494,8 +476,10 @@ void Simulation::AuditAfterRecord(int host) {
 void Simulation::AuditStructures() {
   std::vector<InvariantAuditor::HostRefs> refs;
   refs.reserve(hosts_.size());
+  // One-host runs keep no directory state to check residency against.
+  const Directory* directory = config_.num_hosts > 1 ? directory_.get() : nullptr;
   for (size_t h = 0; h < hosts_.size(); ++h) {
-    auditor_->AuditStructure(static_cast<int>(h), *hosts_[h]->stack, directory_.get());
+    auditor_->AuditStructure(static_cast<int>(h), *hosts_[h]->stack, directory);
     refs.push_back({hosts_[h]->stack.get(), &hosts_[h]->writer});
   }
   auditor_->AuditGlobal(refs, *backend_);
@@ -645,11 +629,13 @@ Metrics Simulation::Run(TraceSource& source) {
   // perfect + --invalidation, zero under perfect without it).
   metrics_.invalidation_messages = metrics_.coherence.invalidation_messages;
   metrics_.coherence_model = config_.coherence;
+  // Cache indexes are fixed-size tables that cannot rehash; the directory
+  // and FTL maps can.
   metrics_.index_rehashes = directory_->index_rehashes();
   uint64_t ftl_host_writes = 0;
   uint64_t ftl_programs = 0;
   for (auto& host : hosts_) {
-    metrics_.index_rehashes += host->stack->IndexRehashes() + host->flash_dev.index_rehashes();
+    metrics_.index_rehashes += host->flash_dev.index_rehashes();
     if (host->flash_dev.ftl_enabled()) {
       metrics_.ftl_enabled = true;
       ftl_host_writes += host->flash_dev.ftl()->host_writes();

@@ -1,10 +1,11 @@
 // Open-addressing hash map from uint64_t keys to small mapped types.
 //
-// The cache index is the hottest data structure in the simulator (every
-// block access probes up to three of them). std::unordered_map's chained
-// nodes cost a pointer chase per probe; this flat linear-probing table with
-// tombstone-free backward-shift deletion is ~4x faster in the access loop
-// and keeps memory proportional to live entries.
+// Backs the consistency directory, the FTL's page maps, and the lease
+// tables. std::unordered_map's chained nodes cost a pointer chase per
+// probe; this flat linear-probing table with tombstone-free backward-shift
+// deletion is ~4x faster in the access loop and keeps memory proportional
+// to live entries. (The cache's own block index is a fixed-size table of
+// 8-byte entries inside LruBlockCache, DESIGN.md §8.)
 #ifndef FLASHSIM_SRC_UTIL_FLAT_HASH_H_
 #define FLASHSIM_SRC_UTIL_FLAT_HASH_H_
 
@@ -51,31 +52,6 @@ class FlatHashMap {
 
   const V* Find(uint64_t key) const {
     return const_cast<FlatHashMap*>(this)->Find(key);
-  }
-
-  // Fast-path probe: the same linear probe as Find, but the moment the key
-  // matches it issues a software prefetch for aux_base[value] — the record
-  // the mapped value indexes (e.g. the LRU slot a cache index points at).
-  // The caller's dependent load then overlaps its remaining work instead of
-  // stalling on a cold cache line. Identical result to Find.
-  template <typename Aux>
-  const V* FindPrefetch(uint64_t key, const Aux* aux_base) const {
-    size_t i = Hash(key) & mask_;
-    for (;;) {
-      const Slot& s = slots_[i];
-      if (!s.used) {
-        return nullptr;
-      }
-      if (s.key == key) {
-#if defined(__GNUC__) || defined(__clang__)
-        __builtin_prefetch(aux_base + s.value, /*rw=*/1, /*locality=*/3);
-#else
-        (void)aux_base;
-#endif
-        return &s.value;
-      }
-      i = (i + 1) & mask_;
-    }
   }
 
   bool Contains(uint64_t key) const { return Find(key) != nullptr; }

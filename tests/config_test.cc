@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "src/consistency/directory.h"
+#include "src/core/experiment.h"
 
 namespace flashsim {
 namespace {
@@ -81,6 +86,121 @@ TEST(SimConfig, ValidateAcceptsShardCountRange) {
     SimConfig config;
     config.num_filers = filers;
     config.Validate();  // must not abort
+  }
+}
+
+// Each rule, broken alone, yields exactly one violation naming it; the
+// defaults break none.
+TEST(SimConfig, ViolationsNameEachBrokenRule) {
+  EXPECT_TRUE(SimConfig().Violations().empty());
+  struct Case {
+    const char* expected;  // substring of the one violation
+    std::function<void(SimConfig&)> breaks;
+  };
+  const std::vector<Case> cases = {
+      {"block size must be positive", [](SimConfig& c) { c.block_bytes = 0; }},
+      {"hosts must be in [1, 4096], got 0", [](SimConfig& c) { c.num_hosts = 0; }},
+      {"hosts must be in [1, 4096], got 5000", [](SimConfig& c) { c.num_hosts = 5000; }},
+      {"threads per host must be in [1, 65535], got 0",
+       [](SimConfig& c) { c.threads_per_host = 0; }},
+      {"threads per host must be in [1, 65535], got 65536",
+       [](SimConfig& c) { c.threads_per_host = 65536; }},
+      {"filers must be in [1, 64], got 65",
+       [](SimConfig& c) { c.num_filers = ShardRouter::kMaxShards + 1; }},
+      {"RAM + flash per host must be at most 2^31 blocks",
+       [](SimConfig& c) { c.flash_bytes = (LruBlockCache::kMaxCapacity + 1) * c.block_bytes; }},
+      {"naive architecture requires admission=all",
+       [](SimConfig& c) { c.admission = AdmissionPolicy::kFlashield; }},
+      {"RAM access time must not be negative", [](SimConfig& c) { c.timing.ram_access_ns = -1; }},
+      {"flash read and write times must not be negative",
+       [](SimConfig& c) { c.timing.flash_write_ns = -1; }},
+      {"filer fast-read rate must be in [0, 1]",
+       [](SimConfig& c) { c.timing.filer_fast_read_rate = 1.5; }},
+      {"filer concurrency must be at least 1",
+       [](SimConfig& c) { c.timing.filer_concurrency = 0; }},
+      {"coherence=lease charges its own messages and requires invalidation=none",
+       [](SimConfig& c) {
+         c.coherence = CoherenceModel::kLease;
+         c.invalidation_traffic = InvalidationTraffic::kBlocking;
+       }},
+      {"coherence control-message time must not be negative",
+       [](SimConfig& c) { c.timing.coherence_ctrl_ns = -1; }},
+      {"coherence=lease requires a positive lease time",
+       [](SimConfig& c) {
+         c.coherence = CoherenceModel::kLease;
+         c.timing.lease_ns = 0;
+       }},
+  };
+  for (const Case& c : cases) {
+    SimConfig config;
+    c.breaks(config);
+    const std::vector<std::string> violations = config.Violations();
+    ASSERT_EQ(violations.size(), 1u) << c.expected;
+    EXPECT_NE(violations[0].find(c.expected), std::string::npos)
+        << "got: " << violations[0] << "\nwant: " << c.expected;
+  }
+}
+
+TEST(SimConfig, ViolationsReportEveryBrokenRule) {
+  SimConfig config;
+  config.num_hosts = 0;
+  config.threads_per_host = 0;
+  config.admission = AdmissionPolicy::kFlashield;
+  EXPECT_EQ(config.Violations().size(), 3u);
+}
+
+// The inputs that used to abort flashsim_cli are reported instead, before
+// anything is built.
+TEST(ParamsViolations, ReportsBadFlagCombinations) {
+  const auto only = [](const ExperimentParams& params, const std::string& expected) {
+    const std::vector<std::string> violations = ParamsViolations(params, true);
+    ASSERT_EQ(violations.size(), 1u) << expected;
+    EXPECT_NE(violations[0].find(expected), std::string::npos) << violations[0];
+  };
+  EXPECT_TRUE(ParamsViolations(ExperimentParams(), true).empty());
+  {
+    ExperimentParams params;
+    params.admission = AdmissionPolicy::kFlashield;
+    only(params, "naive architecture requires admission=all");
+  }
+  {
+    ExperimentParams params;
+    params.coherence = CoherenceModel::kLease;
+    params.invalidation_traffic = InvalidationTraffic::kBlocking;
+    only(params, "requires invalidation=none");
+  }
+  {
+    ExperimentParams params;
+    params.hosts = 5000;
+    only(params, "hosts must be in [1, 4096], got 5000");
+  }
+  {
+    ExperimentParams params;
+    params.threads_per_host = 0;
+    only(params, "threads per host must be in [1, 65535], got 0");
+  }
+  {
+    ExperimentParams params;
+    params.ram_gib = -1;
+    only(params, "RAM size must be in [0, 1e9] GiB, got -1");
+  }
+  {
+    ExperimentParams params;
+    params.scale = 0;
+    only(params, "scale must be at least 1");
+  }
+  {
+    ExperimentParams params;
+    params.write_fraction = 1.5;
+    only(params, "write fraction must be in [0, 1], got 1.5");
+  }
+  {
+    ExperimentParams params;
+    params.working_set_gib = 4096.0;
+    params.filer_tib = 1.0;
+    only(params, "must be smaller than the file server");
+    // A replayed trace file never samples the file server.
+    EXPECT_TRUE(ParamsViolations(params, false).empty());
   }
 }
 

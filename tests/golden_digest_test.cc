@@ -161,6 +161,43 @@ std::vector<std::string> WriteSharingRow(const SweepPoint& point,
           Table::Cell(c.stalled_writes)};
 }
 
+// One host under each modeled coherence protocol: a single host's holder
+// set can never name another host, so these runs must not depend on the
+// directory's residency bookkeeping at all. Counters are in the rows so a
+// change to the message schedule is caught.
+Sweep OneHostCoherenceSweep() {
+  ExperimentParams base;
+  base.scale = 2048;
+  base.working_set_gib = 80.0;
+  base.hosts = 1;
+  base.threads_per_host = 4;
+  Sweep sweep(base);
+  sweep.AddAxis("arch", ArchitectureAxis())
+      .AddAxis("coherence", CoherenceAxis({CoherenceModel::kDirectory, CoherenceModel::kLease}));
+  return sweep;
+}
+
+std::vector<std::string> OneHostCoherenceRow(const SweepPoint& point,
+                                             const ExperimentResult& result) {
+  const Metrics& m = result.metrics;
+  const CoherenceCounters& c = m.coherence;
+  return {point.label(0),
+          point.label(1),
+          Table::Cell(m.mean_read_us(), 2),
+          Table::Cell(m.mean_write_us(), 2),
+          Table::Cell(100.0 * m.ram_hit_rate(), 1),
+          Table::Cell(100.0 * m.flash_hit_rate(), 1),
+          Table::Cell(m.stack_totals.sync_ram_evictions + m.stack_totals.sync_flash_evictions),
+          Table::Cell(c.lookups),
+          Table::Cell(c.invalidation_messages),
+          Table::Cell(c.lease_grants),
+          Table::Cell(c.lease_renewals),
+          Table::Cell(c.dirty_fetches),
+          Table::Cell(c.stalled_reads),
+          Table::Cell(c.stalled_read_ns),
+          Table::Cell(c.stalled_writes)};
+}
+
 std::map<std::string, uint64_t> LoadGoldenDigests() {
   const std::string path = std::string(FLASHSIM_SOURCE_DIR) + "/tests/golden/digests.txt";
   std::ifstream in(path);
@@ -266,6 +303,20 @@ TEST(GoldenDigest, WriteSharingDirectoryDigestPinned) {
   }
 }
 
+// One-host runs under directory and lease coherence, serial and on 4
+// workers: the pin that lets such runs keep no directory state.
+TEST(GoldenDigest, OneHostCoherenceDigestPinned) {
+  const std::map<std::string, uint64_t> golden = LoadGoldenDigests();
+  auto it = golden.find("fig02_scale2048_hosts1_coh");
+  ASSERT_NE(it, golden.end())
+      << "fig02_scale2048_hosts1_coh missing from tests/golden/digests.txt";
+  const Sweep sweep = OneHostCoherenceSweep();
+  for (const int jobs : {1, 4}) {
+    EXPECT_EQ(DigestSweep(sweep, jobs, OneHostCoherenceRow), it->second)
+        << "one-host coherence jobs=" << jobs << " diverged from the pinned digest";
+  }
+}
+
 // Regeneration helper, skipped in normal runs.
 TEST(GoldenDigest, DISABLED_PrintDigests) {
   for (const SweepCase& c : GoldenCases()) {
@@ -275,6 +326,9 @@ TEST(GoldenDigest, DISABLED_PrintDigests) {
   std::printf("fig08_scale512_hosts8_dir %016llx\n",
               static_cast<unsigned long long>(
                   DigestSweep(WriteSharingDirectorySweep(), 1, WriteSharingRow)));
+  std::printf("fig02_scale2048_hosts1_coh %016llx\n",
+              static_cast<unsigned long long>(
+                  DigestSweep(OneHostCoherenceSweep(), 1, OneHostCoherenceRow)));
 }
 
 }  // namespace
