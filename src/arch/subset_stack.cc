@@ -72,7 +72,7 @@ SimTime SubsetStackBase::ReadRamHit(SimTime now, uint32_t slot) {
 SimTime SubsetStackBase::ReadFlashHit(SimTime now, BlockKey key, uint32_t fslot) {
   flash_.Touch(fslot);
   ++counters_.flash_hits;
-  const SimTime t = flash_dev_->Read(now, key);
+  const SimTime t = flash_dev_->Read(now);
   return HasRam() ? InstallInRam(t, key, nullptr) : t;
 }
 

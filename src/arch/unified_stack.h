@@ -74,7 +74,7 @@ class UnifiedStack : public CacheStack {
     }
     ++counters_.flash_hits;
     *level = HitLevel::kFlash;
-    return flash_dev_->Read(now, key);
+    return flash_dev_->Read(now);
   }
   std::optional<SimTime> TryReadRamHits(SimTime now, uint32_t file_id, uint64_t block,
                                         uint32_t count) override;

@@ -1,5 +1,7 @@
 #include "src/check/oracle.h"
 
+#include <cmath>
+
 #include "src/arch/subset_stack.h"
 #include "src/arch/unified_stack.h"
 #include "src/util/assert.h"
@@ -875,6 +877,129 @@ std::optional<SimTime> OracleCoherence::LeaseExpiry(int host, BlockKey key) cons
     return std::nullopt;
   }
   return it->second;
+}
+
+// ----------------------------------------------------------------------------
+// OracleFtl
+
+OracleFtl::OracleFtl(const FtlParams& params) : params_(params) {
+  const double raw_pages =
+      static_cast<double>(params_.logical_pages) * (1.0 + params_.overprovision);
+  const uint64_t num_blocks =
+      static_cast<uint64_t>(std::ceil(raw_pages / static_cast<double>(params_.pages_per_block))) +
+      params_.gc_low_watermark + 2;
+  blocks_.resize(num_blocks);
+  for (uint64_t b = num_blocks; b > 0; --b) {
+    free_blocks_.push_back(static_cast<uint32_t>(b - 1));
+  }
+}
+
+FtlCost OracleFtl::Write(uint64_t lpn) {
+  FLASHSIM_CHECK(lpn < params_.logical_pages);
+  last_victims_.clear();
+  FtlCost cost;
+  ++host_writes_;
+  Trim(lpn);  // the old version is dead before the new one is placed
+  const uint64_t ppn = ProgramPage(&cost);
+  l2p_[lpn] = ppn;
+  p2l_[ppn] = lpn;
+  ++cost.page_programs;
+  ++total_programs_;
+  return cost;
+}
+
+void OracleFtl::Trim(uint64_t lpn) {
+  FLASHSIM_CHECK(lpn < params_.logical_pages);
+  const auto it = l2p_.find(lpn);
+  if (it != l2p_.end()) {
+    p2l_.erase(it->second);
+    l2p_.erase(it);
+  }
+}
+
+double OracleFtl::write_amplification() const {
+  return host_writes_ == 0
+             ? 1.0
+             : static_cast<double>(total_programs_) / static_cast<double>(host_writes_);
+}
+
+uint32_t OracleFtl::ValidPages(uint32_t block) const {
+  const uint64_t first = static_cast<uint64_t>(block) * params_.pages_per_block;
+  uint32_t valid = 0;
+  for (auto it = p2l_.lower_bound(first);
+       it != p2l_.end() && it->first < first + params_.pages_per_block; ++it) {
+    ++valid;
+  }
+  return valid;
+}
+
+uint32_t OracleFtl::ScanForVictim() const {
+  uint32_t best = UINT32_MAX;
+  double best_score = 0.0;
+  for (uint32_t b = 0; b < blocks_.size(); ++b) {
+    if (active_ == b || blocks_[b].programmed != params_.pages_per_block) {
+      continue;  // free, half-written, or still taking writes
+    }
+    const uint32_t valid = ValidPages(b);
+    if (valid == params_.pages_per_block) {
+      continue;  // erasing it would reclaim nothing
+    }
+    const double invalid = static_cast<double>(params_.pages_per_block - valid);
+    const double score = invalid - params_.wear_weight * static_cast<double>(blocks_[b].erases);
+    if (best == UINT32_MAX || score > best_score) {
+      best = b;
+      best_score = score;
+    }
+  }
+  return best;
+}
+
+uint64_t OracleFtl::ProgramPage(FtlCost* cost) {
+  const auto active_full = [this] {
+    return !active_.has_value() || blocks_[*active_].programmed == params_.pages_per_block;
+  };
+  if (active_full()) {
+    while (!collecting_ && free_blocks_.size() <= params_.gc_low_watermark) {
+      Collect(cost);
+    }
+    // Relocations may already have opened a fresh block.
+    if (active_full()) {
+      FLASHSIM_CHECK(!free_blocks_.empty());
+      active_ = free_blocks_.back();
+      free_blocks_.pop_back();
+    }
+  }
+  return static_cast<uint64_t>(*active_) * params_.pages_per_block +
+         blocks_[*active_].programmed++;
+}
+
+void OracleFtl::Collect(FtlCost* cost) {
+  const uint32_t victim = ScanForVictim();
+  FLASHSIM_CHECK(victim != UINT32_MAX);
+  last_victims_.push_back(victim);
+  collecting_ = true;
+  // Relocate the victim's valid pages in slot order: read each, program it
+  // into the active block.
+  const uint64_t first = static_cast<uint64_t>(victim) * params_.pages_per_block;
+  for (auto it = p2l_.lower_bound(first);
+       it != p2l_.end() && it->first < first + params_.pages_per_block;
+       it = p2l_.lower_bound(first)) {
+    const uint64_t lpn = it->second;
+    p2l_.erase(it);
+    ++cost->page_reads;
+    const uint64_t ppn = ProgramPage(cost);
+    l2p_[lpn] = ppn;
+    p2l_[ppn] = lpn;
+    ++cost->page_programs;
+    ++total_programs_;
+    ++relocated_pages_;
+  }
+  blocks_[victim].programmed = 0;
+  ++blocks_[victim].erases;
+  ++total_erases_;
+  ++cost->block_erases;
+  free_blocks_.push_back(victim);
+  collecting_ = false;
 }
 
 std::unique_ptr<OracleStack> MakeOracleStack(Architecture arch, const StackConfig& config) {

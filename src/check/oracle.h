@@ -31,6 +31,7 @@
 #include "src/arch/cache_stack.h"
 #include "src/arch/stack_factory.h"
 #include "src/consistency/coherence.h"
+#include "src/ftl/ftl.h"
 #include "src/trace/record.h"
 
 namespace flashsim {
@@ -261,6 +262,62 @@ class OracleCoherence {
   OracleResidencyView* view_;
   CoherenceCounters totals_;
   std::vector<std::map<BlockKey, SimTime>> leases_;  // absolute expiry
+};
+
+// Longhand reference model of the page-mapped FTL (src/ftl/ftl.h). It keeps
+// std::map page tables, counts a block's valid pages by walking the reverse
+// map, and picks every GC victim with the full scan of all erase blocks
+// that the real FTL's victim index replaced: among sealed, inactive blocks
+// with at least one invalid page, the highest
+// `invalid - wear_weight * erase_count`, ties to the lowest block index.
+// Placement follows Ftl's rules — the same block count, blocks opened from
+// the back of a descending free list, GC while free blocks are at the low
+// watermark, relocations in slot order into the active block — so every
+// write's FtlCost, every victim and every erase count compare one for one
+// (tests/ftl_oracle_test.cc).
+class OracleFtl {
+ public:
+  explicit OracleFtl(const FtlParams& params);
+
+  FtlCost Write(uint64_t lpn);
+  void Trim(uint64_t lpn);
+
+  // Blocks the last Write erased, in GC order.
+  const std::vector<uint32_t>& last_victims() const { return last_victims_; }
+
+  uint64_t physical_blocks() const { return blocks_.size(); }
+  uint64_t erase_count(uint32_t block) const { return blocks_[block].erases; }
+  uint64_t host_writes() const { return host_writes_; }
+  uint64_t total_programs() const { return total_programs_; }
+  uint64_t total_erases() const { return total_erases_; }
+  uint64_t relocated_pages() const { return relocated_pages_; }
+  double write_amplification() const;
+
+ private:
+  struct Block {
+    uint32_t programmed = 0;  // pages written since the last erase
+    uint64_t erases = 0;
+  };
+
+  uint32_t ValidPages(uint32_t block) const;
+  uint32_t ScanForVictim() const;
+  // Programs the next page of the active block, collecting garbage and
+  // opening a fresh block first when it is full.
+  uint64_t ProgramPage(FtlCost* cost);
+  void Collect(FtlCost* cost);
+
+  FtlParams params_;
+  std::map<uint64_t, uint64_t> l2p_;
+  std::map<uint64_t, uint64_t> p2l_;
+  std::vector<Block> blocks_;
+  std::vector<uint32_t> free_blocks_;  // the next block to open is at the back
+  std::optional<uint32_t> active_;
+  bool collecting_ = false;
+  std::vector<uint32_t> last_victims_;
+  uint64_t host_writes_ = 0;
+  uint64_t total_programs_ = 0;
+  uint64_t total_erases_ = 0;
+  uint64_t relocated_pages_ = 0;
 };
 
 // Factory matching MakeCacheStack.

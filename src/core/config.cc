@@ -1,5 +1,6 @@
 #include "src/core/config.h"
 
+#include <cmath>
 #include <cstdio>
 
 #include "src/consistency/directory.h"
@@ -63,6 +64,20 @@ std::vector<std::string> SimConfig::Violations() const {
   rule(timing.coherence_ctrl_ns >= 0, "coherence control-message time must not be negative");
   rule(coherence != CoherenceModel::kLease || timing.lease_ns > 0,
        "coherence=lease requires a positive lease time");
+  if (timing.use_ftl) {
+    // Ftl's constructor would abort on these; a NaN wear weight would make
+    // every victim score NaN and GC pick blocks by index alone.
+    rule(std::isfinite(timing.ftl_overprovision) && timing.ftl_overprovision > 0.0,
+         "FTL overprovision must be finite and above 0, got " +
+             FormatNumber(timing.ftl_overprovision));
+    rule(timing.ftl_pages_per_block > 0, "FTL pages per block must be at least 1");
+    rule(std::isfinite(timing.ftl_wear_weight) && timing.ftl_wear_weight >= 0.0,
+         "FTL wear weight must be finite and at least 0, got " +
+             FormatNumber(timing.ftl_wear_weight));
+    rule(timing.ftl_page_read_ns >= 0 && timing.ftl_page_program_ns >= 0 &&
+             timing.ftl_block_erase_ns >= 0,
+         "FTL page read, page program and block erase times must not be negative");
+  }
   return out;
 }
 

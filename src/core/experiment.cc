@@ -24,12 +24,6 @@ uint64_t FilerBytes(const ExperimentParams& params) {
                                static_cast<double>(params.scale));
 }
 
-std::string Num(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%g", value);
-  return buf;
-}
-
 // A size ScaledBytes can convert: finite, non-negative, and (at 1e9 GiB)
 // far from overflowing 64-bit byte counts.
 bool ConvertibleGib(double gib) { return std::isfinite(gib) && gib >= 0.0 && gib <= 1e9; }
@@ -45,28 +39,30 @@ std::vector<std::string> ParamsViolations(const ExperimentParams& params, bool s
   };
   rule(params.scale >= 1, "scale must be at least 1");
   rule(ConvertibleGib(params.ram_gib),
-       "RAM size must be in [0, 1e9] GiB, got " + Num(params.ram_gib));
+       "RAM size must be in [0, 1e9] GiB, got " + FormatNumber(params.ram_gib));
   rule(ConvertibleGib(params.flash_gib),
-       "flash size must be in [0, 1e9] GiB, got " + Num(params.flash_gib));
+       "flash size must be in [0, 1e9] GiB, got " + FormatNumber(params.flash_gib));
   const bool buildable = out.empty();
   if (synthetic_trace) {
     const bool ws_ok = ConvertibleGib(params.working_set_gib) && params.working_set_gib > 0.0;
     // 1e6 TiB keeps the scaled byte count, too, far from 64-bit overflow.
     const bool filer_ok =
         std::isfinite(params.filer_tib) && params.filer_tib > 0.0 && params.filer_tib <= 1e6;
-    rule(ws_ok, "working set must be in (0, 1e9] GiB, got " + Num(params.working_set_gib));
-    rule(filer_ok, "file server size must be in (0, 1e6] TiB, got " + Num(params.filer_tib));
+    rule(ws_ok, "working set must be in (0, 1e9] GiB, got " + FormatNumber(params.working_set_gib));
+    rule(filer_ok,
+         "file server size must be in (0, 1e6] TiB, got " + FormatNumber(params.filer_tib));
     rule(params.write_fraction >= 0.0 && params.write_fraction <= 1.0,
-         "write fraction must be in [0, 1], got " + Num(params.write_fraction));
+         "write fraction must be in [0, 1], got " + FormatNumber(params.write_fraction));
     rule(params.working_set_io_fraction >= 0.0 && params.working_set_io_fraction <= 1.0,
          "working-set I/O fraction must be in [0, 1], got " +
-             Num(params.working_set_io_fraction));
+             FormatNumber(params.working_set_io_fraction));
     if (buildable && ws_ok && filer_ok) {
       // RunExperiment samples the working set from the file server.
       const uint64_t block = BuildSimConfig(params).block_bytes;
       rule(FilerBytes(params) / block > BuildTraceSpec(params).working_set_bytes / block,
-           "the working set (" + Num(params.working_set_gib) +
-               " GiB) must be smaller than the file server (" + Num(params.filer_tib) + " TiB)");
+           "the working set (" + FormatNumber(params.working_set_gib) +
+               " GiB) must be smaller than the file server (" +
+               FormatNumber(params.filer_tib) + " TiB)");
     }
   }
   if (buildable) {

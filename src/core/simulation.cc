@@ -480,6 +480,9 @@ void Simulation::AuditStructures() {
   const Directory* directory = config_.num_hosts > 1 ? directory_.get() : nullptr;
   for (size_t h = 0; h < hosts_.size(); ++h) {
     auditor_->AuditStructure(static_cast<int>(h), *hosts_[h]->stack, directory);
+    if (const Ftl* ftl = hosts_[h]->flash_dev.ftl(); ftl != nullptr) {
+      ftl->CheckInvariants();  // page maps and the GC victim index
+    }
     refs.push_back({hosts_[h]->stack.get(), &hosts_[h]->writer});
   }
   auditor_->AuditGlobal(refs, *backend_);

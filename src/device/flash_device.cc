@@ -26,10 +26,6 @@ void FlashDevice::EnableFtl(uint64_t logical_pages, FtlParams ftl_params,
   ftl_params.logical_pages = logical_pages;
   ftl_ = std::make_unique<Ftl>(ftl_params);
   ftl_timings_ = timings;
-  free_lpns_.reserve(logical_pages);
-  for (uint64_t lpn = logical_pages; lpn > 0; --lpn) {
-    free_lpns_.push_back(lpn - 1);
-  }
   key_to_lpn_.Reserve(logical_pages);
 }
 
@@ -43,7 +39,10 @@ uint64_t FlashDevice::LpnForWrite(BlockKey key) {
   if (const uint64_t* lpn = key_to_lpn_.Find(key); lpn != nullptr) {
     return *lpn;
   }
-  if (free_lpns_.empty()) {
+  // A page handed out is either mapped to a key or back in free_lpns_, and
+  // pages are first handed out in ascending order. So with free_lpns_
+  // empty, pages [0, key_to_lpn_.size()) are mapped and the rest unused.
+  if (free_lpns_.empty() && key_to_lpn_.size() == ftl_->logical_pages()) {
     // The cache wrote more distinct keys than it trimmed (always the case
     // when TRIM is disabled; otherwise e.g. a lookaside refresh completing
     // after the block's eviction). Reassign the oldest mapping — a
@@ -61,23 +60,23 @@ uint64_t FlashDevice::LpnForWrite(BlockKey key) {
     }
     FLASHSIM_CHECK(!free_lpns_.empty());
   }
-  const uint64_t lpn = free_lpns_.back();
-  free_lpns_.pop_back();
+  // Freed pages first, most recently freed first; then the lowest unused.
+  uint64_t lpn = key_to_lpn_.size();
+  if (!free_lpns_.empty()) {
+    lpn = free_lpns_.back();
+    free_lpns_.pop_back();
+  }
   key_to_lpn_.Insert(key, lpn);
   allocation_order_.push_back(key);
   return lpn;
 }
 
-SimTime FlashDevice::Read(SimTime now, BlockKey key) {
-  SimDuration service;
-  if (ftl_ == nullptr) {
-    service = timing_->flash_read_ns;
-  } else {
-    const uint64_t* lpn = key_to_lpn_.Find(key);
-    // Reads of never-written keys (fills racing evictions) still touch NAND.
-    service = ServiceTime(ftl_->Read(lpn != nullptr ? *lpn : 0));
-  }
-  service = ApplyNoise(service);
+SimTime FlashDevice::Read(SimTime now) {
+  // In FTL mode a read costs one page read wherever the page lives, even
+  // for a never-written key (a fill racing an eviction still touches NAND),
+  // so it needs neither the key's logical page nor the FTL.
+  const SimDuration service =
+      ApplyNoise(ftl_ == nullptr ? timing_->flash_read_ns : ftl_timings_.page_read_ns);
   const SimTime done = resource_.Acquire(now, service);
   if (read_probe_ != nullptr) {
     read_probe_->Record(now, done - service, done);

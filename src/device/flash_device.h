@@ -59,7 +59,7 @@ class FlashDevice {
   }
 
   // Reads one cached block; returns completion time.
-  SimTime Read(SimTime now, BlockKey key = 0);
+  SimTime Read(SimTime now);
 
   // Writes one block (persistence doubling applies in average mode; FTL
   // mode charges program + amortized GC work); returns completion time.
@@ -109,7 +109,7 @@ class FlashDevice {
   std::unique_ptr<Ftl> ftl_;
   FtlDeviceTimings ftl_timings_;
   FlatHashMap<uint64_t> key_to_lpn_;
-  std::vector<uint64_t> free_lpns_;
+  std::vector<uint64_t> free_lpns_;  // trimmed or reclaimed pages, LIFO
   std::deque<BlockKey> allocation_order_;  // fallback reclaim when full
 };
 

@@ -6,10 +6,13 @@
 namespace flashsim {
 
 Ftl::Ftl(const FtlParams& params) : params_(params) {
+  // SimConfig::Violations reports these for simulator runs; a direct caller
+  // that breaks them gets an abort, not a silently different GC.
   FLASHSIM_CHECK(params_.logical_pages > 0);
   FLASHSIM_CHECK(params_.pages_per_block > 0);
-  FLASHSIM_CHECK(params_.overprovision > 0.0);
+  FLASHSIM_CHECK(std::isfinite(params_.overprovision) && params_.overprovision > 0.0);
   FLASHSIM_CHECK(params_.gc_low_watermark >= 1);
+  FLASHSIM_CHECK(std::isfinite(params_.wear_weight) && params_.wear_weight >= 0.0);
 
   // The GC reserve (free watermark + active block + slack) sits ON TOP of
   // the overprovisioned capacity. This guarantees that whenever GC runs,
@@ -32,21 +35,79 @@ Ftl::Ftl(const FtlParams& params) : params_(params) {
   for (uint64_t b = num_blocks; b > 0; --b) {
     free_list_.push_back(static_cast<uint32_t>(b - 1));
   }
+  RebuildVictimIndex();
 }
 
-FtlCost Ftl::Read(uint64_t lpn) {
-  FLASHSIM_CHECK(lpn < params_.logical_pages);
-  FtlCost cost;
-  cost.page_reads = 1;
-  return cost;
+Ftl::VictimRank Ftl::RankOf(uint32_t block) const {
+  const BlockInfo& info = blocks_[block];
+  if (block == active_block_ || info.write_pointer != params_.pages_per_block ||
+      info.valid_pages == params_.pages_per_block) {
+    return {0.0, block, false};
+  }
+  // Greedy-by-valid-count, optionally biased toward low-wear blocks so cold
+  // data doesn't pin low-erase blocks forever (static wear leveling lite).
+  // Only blocks with at least one invalid page are candidates: erasing a
+  // fully-valid block reclaims nothing, and the wear bias must never turn
+  // GC into a zero-progress relocation loop.
+  const double invalid = static_cast<double>(params_.pages_per_block - info.valid_pages);
+  return {invalid - params_.wear_weight * static_cast<double>(info.erase_count), block, true};
+}
+
+bool Ftl::Outranks(const VictimRank& a, const VictimRank& b) const {
+  if (a.candidate != b.candidate) {
+    return a.candidate;
+  }
+  if (a.score != b.score) {
+    return a.score > b.score;
+  }
+  return (a.block < b.block) != test_break_tie_break_;
+}
+
+const Ftl::VictimRank& Ftl::ChildWinner(size_t node) const {
+  const VictimRank& left = victim_tree_[2 * node];
+  const VictimRank& right = victim_tree_[2 * node + 1];
+  return Outranks(right, left) ? right : left;
+}
+
+void Ftl::UpdateVictimIndex(uint32_t block) {
+  size_t node = blocks_.size() + block;
+  const VictimRank rank = RankOf(block);
+  if (victim_tree_[node] == rank) {
+    return;
+  }
+  victim_tree_[node] = rank;
+  for (node /= 2; node >= 1; node /= 2) {
+    const VictimRank& winner = ChildWinner(node);
+    if (victim_tree_[node] == winner) {
+      return;  // every ancestor is a function of unchanged children
+    }
+    victim_tree_[node] = winner;
+  }
+}
+
+void Ftl::RebuildVictimIndex() {
+  const size_t leaves = blocks_.size();
+  victim_tree_.assign(2 * leaves, VictimRank{});
+  for (uint32_t b = 0; b < leaves; ++b) {
+    victim_tree_[leaves + b] = RankOf(b);
+  }
+  for (size_t node = leaves - 1; node >= 1; --node) {
+    victim_tree_[node] = ChildWinner(node);
+  }
+}
+
+void Ftl::test_only_break_victim_tie_break() {
+  test_break_tie_break_ = true;
+  RebuildVictimIndex();
 }
 
 void Ftl::InvalidatePhysical(uint64_t ppn) {
   FLASHSIM_DCHECK(p2l_[ppn] != kUnmapped);
   p2l_[ppn] = kUnmapped;
-  BlockInfo& block = blocks_[ppn / params_.pages_per_block];
-  FLASHSIM_DCHECK(block.valid_pages > 0);
-  --block.valid_pages;
+  const uint32_t block = static_cast<uint32_t>(ppn / params_.pages_per_block);
+  FLASHSIM_DCHECK(blocks_[block].valid_pages > 0);
+  --blocks_[block].valid_pages;
+  UpdateVictimIndex(block);
 }
 
 uint64_t Ftl::AllocatePage(FtlCost* cost) {
@@ -64,10 +125,16 @@ uint64_t Ftl::AllocatePage(FtlCost* cost) {
     // another here would abandon it half-written and leak its pages.
     if (need_new_active()) {
       FLASHSIM_CHECK(!free_list_.empty());
+      const uint32_t sealed = active_block_;
       active_block_ = free_list_.back();
       free_list_.pop_back();
       FLASHSIM_DCHECK(blocks_[active_block_].write_pointer == 0);
       FLASHSIM_DCHECK(blocks_[active_block_].valid_pages == 0);
+      // The sealed block becomes a candidate once it stops being active;
+      // the new active block was free, so it stays a non-candidate.
+      if (sealed != UINT32_MAX) {
+        UpdateVictimIndex(sealed);
+      }
     }
   }
   BlockInfo& block = blocks_[active_block_];
@@ -77,38 +144,14 @@ uint64_t Ftl::AllocatePage(FtlCost* cost) {
   return ppn;
 }
 
-uint32_t Ftl::PickGcVictim() const {
-  // Greedy-by-valid-count, optionally biased toward low-wear blocks so cold
-  // data doesn't pin low-erase blocks forever (static wear leveling lite).
-  // Only blocks with at least one invalid page are candidates: erasing a
-  // fully-valid block reclaims nothing, and the wear bias must never turn
-  // GC into a zero-progress relocation loop.
-  uint32_t best = UINT32_MAX;
-  double best_score = 0.0;
-  for (uint32_t b = 0; b < blocks_.size(); ++b) {
-    const BlockInfo& block = blocks_[b];
-    if (b == active_block_ || block.write_pointer != params_.pages_per_block ||
-        block.valid_pages == params_.pages_per_block) {
-      continue;  // only sealed blocks with reclaimable space are candidates
-    }
-    const double invalid =
-        static_cast<double>(params_.pages_per_block - block.valid_pages);
-    const double score =
-        invalid - params_.wear_weight * static_cast<double>(block.erase_count);
-    if (best == UINT32_MAX || score > best_score) {
-      best = b;
-      best_score = score;
-    }
-  }
-  return best;
-}
-
 void Ftl::CollectGarbage(FtlCost* cost) {
-  const uint32_t victim = PickGcVictim();
-  FLASHSIM_CHECK(victim != UINT32_MAX);
+  const VictimRank& top = victim_tree_[1];
+  FLASHSIM_CHECK(top.candidate);
+  const uint32_t victim = top.block;
   in_gc_ = true;
-  ++gc_runs_;
 
+  // No victim is picked while this one is collected (relocations never
+  // trigger GC), so its index entry is refreshed once, after the erase.
   BlockInfo& block = blocks_[victim];
   for (uint32_t slot = 0; slot < params_.pages_per_block && block.valid_pages > 0; ++slot) {
     const uint64_t ppn = PhysPage(victim, slot);
@@ -118,7 +161,8 @@ void Ftl::CollectGarbage(FtlCost* cost) {
     }
     // Relocate: read the page, program it into the active block.
     cost->page_reads += 1;
-    InvalidatePhysical(ppn);
+    p2l_[ppn] = kUnmapped;
+    --block.valid_pages;
     const uint64_t new_ppn = AllocatePage(cost);
     l2p_[lpn] = new_ppn;
     p2l_[new_ppn] = lpn;
@@ -132,6 +176,7 @@ void Ftl::CollectGarbage(FtlCost* cost) {
   ++total_erases_;
   cost->block_erases += 1;
   free_list_.push_back(victim);
+  UpdateVictimIndex(victim);
   in_gc_ = false;
 }
 
@@ -212,6 +257,16 @@ void Ftl::CheckInvariants() const {
   for (uint32_t b : free_list_) {
     FLASHSIM_CHECK(blocks_[b].valid_pages == 0);
     FLASHSIM_CHECK(blocks_[b].write_pointer == 0);
+  }
+  // The victim index is exact: every leaf ranks its block's current state
+  // and every inner node holds the better of its children.
+  const size_t leaves = blocks_.size();
+  FLASHSIM_CHECK(victim_tree_.size() == 2 * leaves);
+  for (uint32_t b = 0; b < leaves; ++b) {
+    FLASHSIM_CHECK(victim_tree_[leaves + b] == RankOf(b));
+  }
+  for (size_t node = 1; node < leaves; ++node) {
+    FLASHSIM_CHECK(victim_tree_[node] == ChildWinner(node));
   }
 }
 

@@ -10,17 +10,21 @@
 //   - page-mapped L2P/P2L tables over erase blocks;
 //   - out-of-place writes with an active write block;
 //   - greedy garbage collection (minimum-valid victim) with optional
-//     wear-aware victim scoring;
+//     wear-aware victim scoring, picked from an exact O(log B) victim index
+//     instead of a scan of every erase block (DESIGN.md §16);
 //   - per-block erase counts (wear) and write-amplification accounting;
 //   - TRIM — the caching-FTL advantage: a cache can discard evicted blocks,
 //     so their pages never need to be relocated by GC.
 //
 // The FTL is deterministic and purely logical: it reports the physical
-// operations (page reads, page programs, block erases) each logical I/O
-// caused; FtlCostModel (ftl_device.h) turns those into nanoseconds.
+// operations (page reads, page programs, block erases) each logical write
+// caused; FlashDevice (src/device/flash_device.h) turns those into
+// nanoseconds. A read always costs one page read, wherever the page lives,
+// so reads never reach the FTL.
 #ifndef FLASHSIM_SRC_FTL_FTL_H_
 #define FLASHSIM_SRC_FTL_FTL_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -40,27 +44,16 @@ struct FtlParams {
   double wear_weight = 0.0;
 };
 
-// Physical operations caused by one logical operation.
+// Physical operations caused by one logical write.
 struct FtlCost {
   uint32_t page_reads = 0;
   uint32_t page_programs = 0;
   uint32_t block_erases = 0;
-
-  FtlCost& operator+=(const FtlCost& other) {
-    page_reads += other.page_reads;
-    page_programs += other.page_programs;
-    block_erases += other.block_erases;
-    return *this;
-  }
 };
 
 class Ftl {
  public:
   explicit Ftl(const FtlParams& params);
-
-  // Reads logical page `lpn`; a page that was never written (or trimmed)
-  // still costs one page read (the device returns zeros).
-  FtlCost Read(uint64_t lpn);
 
   // Writes logical page `lpn` out of place, invalidating any previous
   // version; may trigger garbage collection (relocations + erases), whose
@@ -74,12 +67,14 @@ class Ftl {
   // Accounting.
   uint64_t host_writes() const { return host_writes_; }
   uint64_t total_programs() const { return total_programs_; }
+  // Each garbage collection erases exactly one block, so this is also the
+  // number of GC runs.
   uint64_t total_erases() const { return total_erases_; }
-  uint64_t gc_runs() const { return gc_runs_; }
   uint64_t relocated_pages() const { return relocated_pages_; }
   // Programs per host write; 1.0 means GC never relocated anything.
   double write_amplification() const;
-  // Wear spread: max and mean per-block erase counts.
+  // Wear: one block's erase count, and the max and mean over all blocks.
+  uint64_t erase_count(uint32_t block) const { return blocks_[block].erase_count; }
   uint64_t max_erase_count() const;
   double mean_erase_count() const;
 
@@ -87,14 +82,33 @@ class Ftl {
   uint64_t physical_blocks() const { return blocks_.size(); }
   uint32_t free_blocks() const { return static_cast<uint32_t>(free_list_.size()); }
 
-  // Structure audit for tests; aborts on violation.
+  // Structure audit for tests, including the victim index against the
+  // block states it ranks; aborts on violation.
   void CheckInvariants() const;
+
+  // Test-only fault injection (tests/ftl_oracle_test.cc): victim-score ties
+  // go to the highest block index instead of the lowest. OracleFtl keeps
+  // the lowest-index rule and must catch the difference. Never called
+  // outside tests.
+  void test_only_break_victim_tie_break();
 
  private:
   struct BlockInfo {
     uint32_t valid_pages = 0;
     uint32_t write_pointer = 0;  // next free page slot; == pages_per_block when sealed
     uint64_t erase_count = 0;
+  };
+
+  // One block's rank as a GC victim. Only sealed, inactive blocks with at
+  // least one invalid page are candidates; every candidate outranks every
+  // non-candidate, a higher score outranks a lower one, and equal scores go
+  // to the lower block index (the order a scan with a strict `>` keeps).
+  struct VictimRank {
+    double score = 0.0;  // invalid - wear_weight * erase_count; 0 for non-candidates
+    uint32_t block = 0;
+    bool candidate = false;
+
+    bool operator==(const VictimRank&) const = default;
   };
 
   static constexpr uint64_t kUnmapped = UINT64_MAX;
@@ -109,22 +123,35 @@ class Ftl {
 
   // Reclaims one victim block; relocations are charged to *cost.
   void CollectGarbage(FtlCost* cost);
-  uint32_t PickGcVictim() const;
 
   void InvalidatePhysical(uint64_t ppn);
+
+  // The victim index: a tournament tree over erase blocks. Leaf
+  // `blocks_.size() + b` holds block b's rank and every inner node the
+  // better of its two children, so the root (node 1) is the victim. The
+  // order is total, so the root is the same block a full scan would pick.
+  VictimRank RankOf(uint32_t block) const;
+  bool Outranks(const VictimRank& a, const VictimRank& b) const;
+  // The better of inner node `node`'s two children.
+  const VictimRank& ChildWinner(size_t node) const;
+  // Re-ranks `block` after its state or the active block changed; walks up
+  // only while an ancestor's winner changes, so O(log B) at worst.
+  void UpdateVictimIndex(uint32_t block);
+  void RebuildVictimIndex();
 
   FtlParams params_;
   std::vector<uint64_t> l2p_;  // logical page -> physical page (or kUnmapped)
   std::vector<uint64_t> p2l_;  // physical page -> logical page (or kUnmapped)
   std::vector<BlockInfo> blocks_;
   std::vector<uint32_t> free_list_;
+  std::vector<VictimRank> victim_tree_;  // [1, B) inner nodes, [B, 2B) leaves
   uint32_t active_block_ = UINT32_MAX;
   bool in_gc_ = false;
+  bool test_break_tie_break_ = false;
 
   uint64_t host_writes_ = 0;
   uint64_t total_programs_ = 0;
   uint64_t total_erases_ = 0;
-  uint64_t gc_runs_ = 0;
   uint64_t relocated_pages_ = 0;
 };
 

@@ -36,4 +36,10 @@ std::string FormatDuration(int64_t ns) {
   return buf;
 }
 
+std::string FormatNumber(double value) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%g", value);
+  return buf;
+}
+
 }  // namespace flashsim

@@ -26,6 +26,10 @@ std::string FormatSize(uint64_t bytes);
 // Nanoseconds -> "123.45us" style string.
 std::string FormatDuration(int64_t ns);
 
+// A double as printf's "%g" prints it ("0.5", "1e+10", "nan"); for messages
+// that echo a bad input back.
+std::string FormatNumber(double value);
+
 }  // namespace flashsim
 
 #endif  // FLASHSIM_SRC_UTIL_UNITS_H_

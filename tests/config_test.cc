@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -139,6 +140,65 @@ TEST(SimConfig, ViolationsNameEachBrokenRule) {
     EXPECT_NE(violations[0].find(c.expected), std::string::npos)
         << "got: " << violations[0] << "\nwant: " << c.expected;
   }
+}
+
+// With the FTL on, each bad FTL parameter is one violation instead of an
+// abort in Ftl's constructor (or, for a NaN wear weight, a silently
+// index-ordered GC).
+TEST(SimConfig, ViolationsNameEachBadFtlParameter) {
+  struct Case {
+    const char* expected;  // substring of the one violation
+    std::function<void(TimingModel&)> breaks;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<Case> cases = {
+      {"FTL overprovision must be finite and above 0, got 0",
+       [](TimingModel& t) { t.ftl_overprovision = 0.0; }},
+      {"FTL overprovision must be finite and above 0, got -0.5",
+       [](TimingModel& t) { t.ftl_overprovision = -0.5; }},
+      {"FTL overprovision must be finite and above 0, got nan",
+       [nan](TimingModel& t) { t.ftl_overprovision = nan; }},
+      {"FTL overprovision must be finite and above 0, got inf",
+       [inf](TimingModel& t) { t.ftl_overprovision = inf; }},
+      {"FTL pages per block must be at least 1",
+       [](TimingModel& t) { t.ftl_pages_per_block = 0; }},
+      {"FTL wear weight must be finite and at least 0, got -1",
+       [](TimingModel& t) { t.ftl_wear_weight = -1.0; }},
+      {"FTL wear weight must be finite and at least 0, got nan",
+       [nan](TimingModel& t) { t.ftl_wear_weight = nan; }},
+      {"FTL wear weight must be finite and at least 0, got inf",
+       [inf](TimingModel& t) { t.ftl_wear_weight = inf; }},
+      {"FTL page read, page program and block erase times must not be negative",
+       [](TimingModel& t) { t.ftl_page_read_ns = -1; }},
+      {"FTL page read, page program and block erase times must not be negative",
+       [](TimingModel& t) { t.ftl_page_program_ns = -1; }},
+      {"FTL page read, page program and block erase times must not be negative",
+       [](TimingModel& t) { t.ftl_block_erase_ns = -1; }},
+  };
+  SimConfig ftl;
+  ftl.timing.use_ftl = true;
+  EXPECT_TRUE(ftl.Violations().empty());
+  for (const Case& c : cases) {
+    SimConfig config;
+    config.timing.use_ftl = true;
+    c.breaks(config.timing);
+    const std::vector<std::string> violations = config.Violations();
+    ASSERT_EQ(violations.size(), 1u) << c.expected;
+    EXPECT_NE(violations[0].find(c.expected), std::string::npos)
+        << "got: " << violations[0] << "\nwant: " << c.expected;
+    // The average-latency device never builds an FTL, so the same values
+    // are harmless without it.
+    config.timing.use_ftl = false;
+    EXPECT_TRUE(config.Violations().empty()) << c.expected;
+  }
+  // Through the front ends' entry point too.
+  ExperimentParams params;
+  params.timing.use_ftl = true;
+  params.timing.ftl_wear_weight = nan;
+  const std::vector<std::string> violations = ParamsViolations(params, true);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_NE(violations[0].find("FTL wear weight"), std::string::npos) << violations[0];
 }
 
 TEST(SimConfig, ViolationsReportEveryBrokenRule) {

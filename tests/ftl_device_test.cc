@@ -15,7 +15,7 @@ TEST(FtlDevice, AverageModeIgnoresKeys) {
   TimingModel timing;
   FlashDevice device(timing);
   EXPECT_FALSE(device.ftl_enabled());
-  EXPECT_EQ(device.Read(0, 123), 88000);
+  EXPECT_EQ(device.Read(0), 88000);
   EXPECT_EQ(device.Write(0, 456), 21000);
   device.Trim(123);  // no-op
 }
@@ -28,7 +28,7 @@ TEST(FtlDevice, FtlModeChargesNandOperations) {
   // GC-free regime: one program per write, one read per read — identical
   // to the average model by construction.
   EXPECT_EQ(device.Write(0, 1), 21000);
-  EXPECT_EQ(device.Read(0, 1), 88000);
+  EXPECT_EQ(device.Read(0), 88000);
   EXPECT_EQ(device.ftl()->host_writes(), 1u);
 }
 

@@ -198,6 +198,45 @@ std::vector<std::string> OneHostCoherenceRow(const SweepPoint& point,
           Table::Cell(c.stalled_writes)};
 }
 
+// The FTL-backed flash device under every architecture, with caching TRIM
+// on and off and greedy vs. wear-aware GC: the digest rows carry the FTL's
+// write amplification, erases and relocations, so any change to victim
+// selection, page allocation or the key->page map is caught.
+Sweep FtlSweep() {
+  ExperimentParams base;
+  base.scale = 2048;
+  base.working_set_gib = 80.0;
+  base.timing.use_ftl = true;
+  std::vector<Sweep::AxisValue> trim_axis;
+  for (const bool trim : {true, false}) {
+    trim_axis.push_back(
+        {trim ? "on" : "off", [trim](ExperimentParams& p) { p.timing.ftl_trim_enabled = trim; }});
+  }
+  std::vector<Sweep::AxisValue> wear_axis;
+  for (const double wear : {0.0, 4.0}) {
+    wear_axis.push_back(
+        {Table::Cell(wear, 0), [wear](ExperimentParams& p) { p.timing.ftl_wear_weight = wear; }});
+  }
+  Sweep sweep(base);
+  sweep.AddAxis("arch", ArchitectureAxis())
+      .AddAxis("trim", std::move(trim_axis))
+      .AddAxis("wear_weight", std::move(wear_axis));
+  return sweep;
+}
+
+std::vector<std::string> FtlRow(const SweepPoint& point, const ExperimentResult& result) {
+  const Metrics& m = result.metrics;
+  return {point.label(0),
+          point.label(1),
+          point.label(2),
+          Table::Cell(m.mean_read_us(), 2),
+          Table::Cell(m.mean_write_us(), 2),
+          Table::Cell(100.0 * m.flash_hit_rate(), 1),
+          Table::Cell(m.ftl_write_amplification, 6),
+          Table::Cell(m.ftl_erases),
+          Table::Cell(m.ftl_gc_relocations)};
+}
+
 std::map<std::string, uint64_t> LoadGoldenDigests() {
   const std::string path = std::string(FLASHSIM_SOURCE_DIR) + "/tests/golden/digests.txt";
   std::ifstream in(path);
@@ -317,6 +356,18 @@ TEST(GoldenDigest, OneHostCoherenceDigestPinned) {
   }
 }
 
+// The FTL-backed device, serial and on 4 workers.
+TEST(GoldenDigest, FtlDigestPinned) {
+  const std::map<std::string, uint64_t> golden = LoadGoldenDigests();
+  auto it = golden.find("fig02_scale2048_ftl");
+  ASSERT_NE(it, golden.end()) << "fig02_scale2048_ftl missing from tests/golden/digests.txt";
+  const Sweep sweep = FtlSweep();
+  for (const int jobs : {1, 4}) {
+    EXPECT_EQ(DigestSweep(sweep, jobs, FtlRow), it->second)
+        << "ftl jobs=" << jobs << " diverged from the pinned digest";
+  }
+}
+
 // Regeneration helper, skipped in normal runs.
 TEST(GoldenDigest, DISABLED_PrintDigests) {
   for (const SweepCase& c : GoldenCases()) {
@@ -329,6 +380,8 @@ TEST(GoldenDigest, DISABLED_PrintDigests) {
   std::printf("fig02_scale2048_hosts1_coh %016llx\n",
               static_cast<unsigned long long>(
                   DigestSweep(OneHostCoherenceSweep(), 1, OneHostCoherenceRow)));
+  std::printf("fig02_scale2048_ftl %016llx\n",
+              static_cast<unsigned long long>(DigestSweep(FtlSweep(), 1, FtlRow)));
 }
 
 }  // namespace
