@@ -81,11 +81,17 @@ void BM_PoissonSample(benchmark::State& state) {
 }
 BENCHMARK(BM_PoissonSample)->Arg(1)->Arg(100);
 
+class NullHandler : public EventHandler {
+ public:
+  void HandleEvent(SimTime /*now*/, uint32_t /*code*/, uint64_t /*arg*/) override {}
+};
+
 void BM_EventQueueScheduleRun(benchmark::State& state) {
+  NullHandler handler;
   for (auto _ : state) {
     EventQueue queue;
     for (int i = 0; i < 1000; ++i) {
-      queue.ScheduleAt(i, [](SimTime) {});
+      queue.ScheduleEvent(i, &handler, 0);
     }
     queue.RunToCompletion();
   }

@@ -1,8 +1,7 @@
-// Hot-path throughput baseline: events/sec through the discrete-event core
-// (typed, pooled-callback, and the pre-PR legacy queue kept in-tree as the
-// regression reference) and simulated-ops/sec across the three cache
-// architectures, plus the micro_components component paths (cache index,
-// LRU chain, timeline resource).
+// Hot-path throughput baseline: events/sec through the discrete-event core,
+// simulated-ops/sec across the three cache architectures, trace-file
+// ingestion in both formats, plus the micro_components component paths
+// (cache index, LRU chain, timeline resource).
 //
 // `--out=json` emits the rows through the harness JSON sink; the committed
 // BENCH_hotpath.json at the repo root is that output, recorded in Release
@@ -17,8 +16,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <functional>
-#include <queue>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -53,48 +50,6 @@ uint64_t HashString(const std::string& s) {
   }
   return h;
 }
-
-// The pre-PR event queue — a binary std::priority_queue of type-erased
-// std::function entries, copied out before pop — replicated here so the
-// speedup over it stays measurable in-tree after the real queue moved on.
-class LegacyEventQueue {
- public:
-  using Callback = std::function<void(SimTime)>;
-
-  void ScheduleAt(SimTime when, Callback cb) {
-    heap_.push(Entry{when, next_seq_++, std::move(cb)});
-  }
-
-  SimTime RunToCompletion() {
-    while (!heap_.empty()) {
-      Entry entry = std::move(const_cast<Entry&>(heap_.top()));
-      heap_.pop();
-      now_ = entry.when;
-      ++events_processed_;
-      entry.cb(now_);
-    }
-    return now_;
-  }
-
-  uint64_t events_processed() const { return events_processed_; }
-
- private:
-  struct Entry {
-    SimTime when;
-    uint64_t seq;
-    Callback cb;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      return a.when != b.when ? a.when > b.when : a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
-  SimTime now_ = 0;
-  uint64_t next_seq_ = 0;
-  uint64_t events_processed_ = 0;
-};
 
 // Every workload keeps this many events outstanding — the shape of a
 // simulator run with 64 application threads, each one I/O in flight.
@@ -136,30 +91,6 @@ BenchRow BenchTypedEvents(uint64_t events) {
   return BenchRow{"event_typed", queue.events_processed(), SecondsSince(start)};
 }
 
-// Callback path: a self-rescheduling 16-byte capture, identical workload on
-// either queue.
-template <typename Queue>
-BenchRow BenchCallbackEvents(const std::string& name, uint64_t events) {
-  Queue queue;
-  uint64_t remaining = events > kOutstanding ? events - kOutstanding : 0;
-  struct Pump {
-    Queue* queue;
-    uint64_t* remaining;
-    void operator()(SimTime now) const {
-      if (*remaining > 0) {
-        --*remaining;
-        queue->ScheduleAt(now + 100, *this);
-      }
-    }
-  };
-  for (int i = 0; i < kOutstanding; ++i) {
-    queue.ScheduleAt(i, Pump{&queue, &remaining});
-  }
-  const auto start = Clock::now();
-  queue.RunToCompletion();
-  return BenchRow{name, queue.events_processed(), SecondsSince(start)};
-}
-
 BenchRow BenchSimulation(Architecture arch, uint64_t ops,
                          const obs::TelemetryConfig& telemetry = {},
                          const char* name_suffix = "") {
@@ -192,13 +123,15 @@ BenchRow BenchSimulation(Architecture arch, uint64_t ops,
 // 2048-block set. With one application thread the queue holds only the
 // distant syncer tick between op completions, so every post-warmup read
 // satisfies the serial fast path's "provably next event" gate — this is the
-// workload the inline dispatch was built for. Three rows:
+// workload the inline dispatch was built for. Four rows:
 //
 //   sim_fastpath       fast path on (the default)
-//   sim_hot_eventpath  same workload, fast path off — the ratio between
-//                      these two is the measured event-loop round-trip tax
+//   sim_hot_eventpath  same workload, fast path off through
+//                      Simulation::test_only_disable_fast_path — the ratio
+//                      between these two is the measured event-loop
+//                      round-trip tax
 //   sim_fastpath_telem fast path + histograms + sampler — its gap to
-//                      sim_fastpath is the batched telemetry tax
+//                      sim_fastpath is the telemetry tax
 //   sim_fastpath_slru  fast path under the SLRU plugin — its gap to
 //                      sim_fastpath is the replacement-policy virtual
 //                      dispatch tax on the certified read path (LRU keeps a
@@ -214,10 +147,12 @@ BenchRow BenchHotReadSimulation(const char* name, bool fast_path, uint64_t ops,
   config.num_hosts = 1;
   config.threads_per_host = 1;
   config.arch = Architecture::kNaive;
-  config.read_fast_path = fast_path;
   config.replacement = replacement;
   config.telemetry = telemetry;
   Simulation sim(config);
+  if (!fast_path) {
+    sim.test_only_disable_fast_path();
+  }
   std::vector<TraceRecord> records;
   records.reserve(ops);
   Rng rng(11);
@@ -245,10 +180,9 @@ BenchRow BenchSimulationTelemetry(uint64_t ops) {
   return BenchSimulation(Architecture::kNaive, ops, telemetry, "_telem");
 }
 
-// Trace-ingestion rows: the same records read back through each front end.
-// trace_ingest_text and trace_ingest_binary stream through stdio
-// (FileTraceSource); trace_ingest_mmap walks the mapped file. Temp files
-// are written once and removed before returning.
+// Trace-ingestion rows: the same records read back through the trace-file
+// reader (OpenTraceSource), once per format. Temp files are written once
+// and removed before returning.
 std::string IngestTempPath(const char* suffix) {
   char path[64];
   std::snprintf(path, sizeof(path), "/tmp/flashsim_hotpath_%d.%s", getpid(), suffix);
@@ -293,21 +227,15 @@ std::vector<BenchRow> BenchTraceIngestAll(uint64_t records) {
   std::vector<BenchRow> rows;
   {
     std::string error;
-    auto text = BufferedTextTraceSource::Open(text_path, &error);
+    auto text = OpenTraceSource(text_path, &error);
     FLASHSIM_CHECK(text != nullptr);
     rows.push_back(BenchTraceIngest("trace_ingest_text", *text, records));
   }
   {
     std::string error;
-    auto binary = FileTraceSource::Open(binary_path, &error);
+    auto binary = OpenTraceSource(binary_path, &error);
     FLASHSIM_CHECK(binary != nullptr);
     rows.push_back(BenchTraceIngest("trace_ingest_binary", *binary, records));
-  }
-  {
-    std::string error;
-    auto mapped = MmapTraceSource::Open(binary_path, &error);
-    FLASHSIM_CHECK(mapped != nullptr);
-    rows.push_back(BenchTraceIngest("trace_ingest_mmap", *mapped, records));
   }
   std::remove(text_path.c_str());
   std::remove(binary_path.c_str());
@@ -443,8 +371,6 @@ int main(int argc, char** argv) {
 
   Table table({"bench", "items", "wall_ms", "items_per_sec", "ns_per_item"});
   AddRow(&table, BenchTypedEvents(events));
-  AddRow(&table, BenchCallbackEvents<EventQueue>("event_callback", events));
-  AddRow(&table, BenchCallbackEvents<LegacyEventQueue>("event_legacy", events));
   for (Architecture arch : kAllArchitectures) {
     AddRow(&table, BenchSimulation(arch, ops));
   }

@@ -304,6 +304,16 @@ int main(int argc, char** argv) {
   if (!problems.empty()) {
     return 2;
   }
+  // An unreadable trace is bad input too: refuse it before any output.
+  std::unique_ptr<TraceFileReader> trace;
+  if (!options.trace_path.empty()) {
+    std::string error;
+    trace = OpenTraceSource(options.trace_path, &error);
+    if (trace == nullptr) {
+      std::fprintf(stderr, "flashsim_cli: %s\n", error.c_str());
+      return 2;
+    }
+  }
 
   std::unique_ptr<TimeSeriesRecorder> series;
   if (options.series_ms > 0) {
@@ -332,13 +342,7 @@ int main(int argc, char** argv) {
   }
   Metrics metrics;
   std::shared_ptr<obs::Telemetry> telemetry;
-  if (!options.trace_path.empty()) {
-    std::string error;
-    auto source = OpenTraceSource(options.trace_path, &error);
-    if (source == nullptr) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
+  if (trace != nullptr) {
     const SimConfig run_config = BuildSimConfig(options.params);
     if (!quiet) {
       std::printf("configuration: %s (trace: %s)\n", run_config.Summary().c_str(),
@@ -348,8 +352,13 @@ int main(int argc, char** argv) {
     if (series != nullptr) {
       sim.set_read_latency_series(series.get());
     }
-    metrics = sim.Run(*source);
+    metrics = sim.Run(*trace);
     telemetry = sim.TakeTelemetry();
+    if (trace->error_line() != 0) {
+      std::fprintf(stderr, "flashsim_cli: note: first malformed record at %s %llu was skipped\n",
+                   trace->format() == TraceFormat::kBinary ? "record" : "line",
+                   static_cast<unsigned long long>(trace->error_line()));
+    }
   } else {
     const ExperimentResult result = RunExperiment(options.params);
     if (!quiet) {

@@ -109,7 +109,7 @@ int Generate(const std::string& path, int argc, char** argv) {
 
 int Stats(const std::string& path) {
   std::string error;
-  auto source = FileTraceSource::Open(path, &error);
+  auto source = OpenTraceSource(path, &error);
   if (source == nullptr) {
     std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
@@ -120,7 +120,8 @@ int Stats(const std::string& path) {
   std::printf("io size: mean %.2f blocks, max %.0f blocks\n", stats.io_size_blocks().mean(),
               stats.io_size_blocks().max());
   if (source->error_line() != 0) {
-    std::printf("note: first malformed record at line %llu was skipped\n",
+    std::printf("note: first malformed record at %s %llu was skipped\n",
+                source->format() == TraceFormat::kBinary ? "record" : "line",
                 static_cast<unsigned long long>(source->error_line()));
   }
   return 0;

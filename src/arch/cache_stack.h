@@ -79,7 +79,7 @@ class ResidencyListener {
 // Writeback accounting contract (audited by src/check/audit.h): every block
 // writeback increments filer_writebacks exactly once, at issue time, and
 // is routed to the filer in exactly one of two ways — a synchronous
-// RemoteStore::Write charged to the issuing path (counted here as
+// StorageService::Write charged to the issuing path (counted here as
 // sync_filer_writes) or a BackgroundWriter enqueue (counted by the writer).
 // So at any instant, per host:
 //

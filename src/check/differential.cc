@@ -12,7 +12,7 @@
 #include "src/device/flash_device.h"
 #include "src/device/network_link.h"
 #include "src/device/ram_device.h"
-#include "src/backend/remote_store.h"
+#include "src/backend/storage_backend.h"
 #include "src/device/timing.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
@@ -91,12 +91,12 @@ class Bridge : public ResidencyListener {
 // One host's real-side rig (devices + stack) plus its oracle.
 struct DiffHost {
   DiffHost(const DiffConfig& config, const TimingModel& timing, EventQueue& queue,
-           Filer& filer, Directory& directory, int host_id)
+           StorageBackend& backend, Directory& directory, int host_id)
       : ram_dev(timing),
         flash_dev(timing),
         link(timing, 4096, queue.clock()),
-        remote(link, filer),
-        writer(queue, remote, &flash_dev, timing.writeback_window),
+        remote(backend.Connect(link)),
+        writer(queue, *remote, &flash_dev, timing.writeback_window),
         bridge(directory, host_id) {
     StackConfig stack_config;
     stack_config.ram_blocks = config.ram_blocks;
@@ -105,7 +105,7 @@ struct DiffHost {
     stack_config.flash_policy = config.flash_policy;
     stack_config.replacement = config.replacement;
     stack_config.admission = config.admission;
-    stack = MakeCacheStack(config.arch, stack_config, ram_dev, flash_dev, remote, writer);
+    stack = MakeCacheStack(config.arch, stack_config, ram_dev, flash_dev, *remote, writer);
     stack->set_residency_listener(&bridge);
     oracle = MakeOracleStack(config.arch, stack_config);
     if (config.inject_subset_eviction_bug && config.arch != Architecture::kUnified) {
@@ -124,7 +124,7 @@ struct DiffHost {
   RamDevice ram_dev;
   FlashDevice flash_dev;
   NetworkLink link;
-  RemoteStore remote;
+  std::unique_ptr<StorageService> remote;
   BackgroundWriter writer;
   Bridge bridge;
   std::unique_ptr<CacheStack> stack;
@@ -332,14 +332,14 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
   // holder drops, not just grants (ops are microseconds apart).
   timing.lease_ns = kMillisecond;
   EventQueue queue;
-  Filer filer(timing, Mix64(config.seed ^ 0xf11e5ULL));
+  StorageBackend backend(timing, /*num_shards=*/1, ShardStrategy::kHash, config.seed);
   Directory directory(config.num_hosts);
   std::vector<std::unique_ptr<DiffHost>> hosts;
   hosts.reserve(static_cast<size_t>(config.num_hosts));
   for (int h = 0; h < config.num_hosts; ++h) {
-    hosts.push_back(std::make_unique<DiffHost>(config, timing, queue, filer, directory, h));
+    hosts.push_back(std::make_unique<DiffHost>(config, timing, queue, backend, directory, h));
   }
-  DiffFabric fabric(hosts, filer);
+  DiffFabric fabric(hosts, backend.shard(0));
   CoherenceParams cparams;
   cparams.model = config.coherence;
   cparams.num_hosts = config.num_hosts;

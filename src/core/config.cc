@@ -115,9 +115,6 @@ std::string SimConfig::Summary() const {
     std::snprintf(buf, sizeof(buf), " coherence=%s", CoherenceModelName(coherence));
     out += buf;
   }
-  if (!read_fast_path) {
-    out += " nofastpath";
-  }
   return out;
 }
 

@@ -41,21 +41,11 @@ struct SimConfig {
   int num_hosts = 1;
   int threads_per_host = 8;
 
-  // Storage backend shape (src/backend/). 1 filer is the paper's topology
-  // and is byte-identical to the pre-backend single-filer path; N > 1 runs
-  // independent filer shards behind a stable block->shard router, the §7.7
-  // "add filers until the knee moves" experiment.
+  // Storage backend shape (src/backend/). 1 filer is the paper's topology;
+  // N > 1 runs independent filer shards behind a stable block->shard
+  // router, the §7.7 "add filers until the knee moves" experiment.
   int num_filers = 1;
   ShardStrategy shard_strategy = ShardStrategy::kHash;
-
-  // Serial read fast path (DESIGN.md §13): when a thread's completion is
-  // provably the next event and its next record provably schedules nothing
-  // (a pure RAM hit, a silent flash hit, or a sole-holder in-place write),
-  // execute it inline instead of round-tripping the event heap. Results are
-  // byte-identical either way (the schedule is provably unchanged); off
-  // exists for A/B benchmarking and belt-and-suspenders debugging. The
-  // auditor disables the path at runtime regardless of this knob.
-  bool read_fast_path = true;
 
   Architecture arch = Architecture::kNaive;
   WritebackPolicy ram_policy = WritebackPolicy::kPeriodic1;

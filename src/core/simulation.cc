@@ -58,7 +58,7 @@ struct Simulation::HostState {
   RamDevice ram_dev;
   FlashDevice flash_dev;
   NetworkLink link;
-  // This host's channel to the storage backend (single filer or sharded).
+  // This host's channel to the storage backend.
   std::unique_ptr<StorageService> remote;
   BackgroundWriter writer;
   HostResidencyBridge bridge;
@@ -100,7 +100,7 @@ class Simulation::CoherenceFabric : public CoherenceTransport {
 Simulation::Simulation(const SimConfig& config) : config_(config) {
   config_.Validate();
   // ShardSeed(seed, 0) reproduces the historical single-filer RNG stream,
-  // so num_filers == 1 stays byte-identical to the pre-backend simulator.
+  // so num_filers == 1 is the paper's one shared filer.
   backend_ = MakeStorageBackend(config_.timing, config_.num_filers, config_.shard_strategy,
                                 config_.seed);
   directory_ = std::make_unique<Directory>(config_.num_hosts);
@@ -151,8 +151,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   // flow through ExecuteOp. A modeled coherence protocol likewise disarms
   // the path: any read may first pay protocol traffic, so no read is
   // provably host-local.
-  serial_fast_path_ = config_.read_fast_path && auditor_ == nullptr && !config_.collect_mrc &&
-                      !coherence_active_;
+  serial_fast_path_ = auditor_ == nullptr && !config_.collect_mrc && !coherence_active_;
   if (config_.collect_mrc) {
     for (int h = 0; h < config_.num_hosts; ++h) {
       mrc_.push_back(std::make_unique<MrcCollector>());

@@ -75,6 +75,10 @@ class Simulation : private EventHandler {
   // Deliberately not part of Metrics: fast path on vs. off is byte-identical
   // there, and tests use this to prove the path actually fired.
   uint64_t fast_path_events() const { return queue_.inline_dispatches(); }
+  // Sends every op of the coming Run through the event heap, as the
+  // auditor does: the reference side of the fast path's byte-identity
+  // tests and of the sim_hot_eventpath bench row. Call before Run.
+  void test_only_disable_fast_path() { serial_fast_path_ = false; }
   // Non-null when SimConfig::audit_stride (or FLASHSIM_AUDIT) enabled the
   // invariant auditor for this run.
   const InvariantAuditor* auditor() const { return auditor_.get(); }
@@ -188,9 +192,9 @@ class Simulation : private EventHandler {
   std::vector<RingDeque<TraceRecord>> backlog_;  // per thread index
   bool source_exhausted_ = false;
   int live_threads_ = 0;
-  // Serial fast path armed for this run: the config knob and no per-record
-  // observer (the auditor and the MRC collector must see every op through
-  // the full event path) and no modeled coherence protocol.
+  // Serial fast path armed for this run: no per-record observer (the
+  // auditor and the MRC collector must see every op through the full event
+  // path), no modeled coherence protocol, and no test_only_disable_fast_path.
   bool serial_fast_path_ = false;
   std::vector<bool> ram_syncer_busy_;    // per host: syncer thread mid-flush
   std::vector<bool> flash_syncer_busy_;  // per host

@@ -4,25 +4,6 @@
 
 namespace flashsim {
 
-EventQueue::~EventQueue() { DestroyPendingCallbacks(); }
-
-void EventQueue::DestroyPendingCallbacks() {
-  // Pending callback events own live objects (and possibly overflow
-  // chunks); destroy them so captures with nontrivial destructors are not
-  // leaked when a queue dies with events still scheduled (RunUntil).
-  for (const Entry& entry : heap_) {
-    if (entry.handler != nullptr) {
-      continue;
-    }
-    CallbackSlot& slot = SlotAt(static_cast<uint32_t>(entry.arg));
-    void* obj = slot.storage;
-    if (slot.overflow) {
-      std::memcpy(&obj, slot.storage, sizeof(void*));
-    }
-    slot.destroy(obj);
-  }
-}
-
 SimTime EventQueue::RunToCompletion() { return RunUntil(kSimTimeNever); }
 
 SimTime EventQueue::RunUntil(SimTime deadline) {
@@ -33,19 +14,14 @@ SimTime EventQueue::RunUntil(SimTime deadline) {
 }
 
 void EventQueue::DispatchHead() {
-  // Pop-then-invoke: the entry is a 40-byte POD copy, and the callback
-  // object (if any) stays in its pool slot — nothing is copied or moved
-  // per event, and the callback may freely schedule new events.
+  // Pop-then-dispatch: the entry is a 40-byte POD copy, so the handler may
+  // freely schedule new events.
   const Entry entry = heap_[0];
   PopTop();
   now_ = entry.when;
   clock_.now = entry.when;
   ++events_processed_;
-  if (entry.handler != nullptr) {
-    entry.handler->HandleEvent(entry.when, entry.code, entry.arg);
-  } else {
-    InvokeAndRecycle(static_cast<uint32_t>(entry.arg), entry.when);
-  }
+  entry.handler->HandleEvent(entry.when, entry.code, entry.arg);
 }
 
 void EventQueue::PopTop() {
@@ -75,55 +51,6 @@ void EventQueue::PopTop() {
     i = best;
   }
   heap_[i] = last;
-}
-
-void EventQueue::InvokeAndRecycle(uint32_t slot_index, SimTime now) {
-  CallbackSlot& slot = SlotAt(slot_index);
-  void* obj = slot.storage;
-  if (slot.overflow) {
-    std::memcpy(&obj, slot.storage, sizeof(void*));
-  }
-  // The invocation may schedule new events and grow the pool; slabs never
-  // move, so `slot` stays valid. This slot is off the free list until the
-  // FreeSlot below, so it cannot be reused mid-invocation.
-  slot.invoke(obj, now);
-  slot.destroy(obj);
-  if (slot.overflow) {
-    FreeOverflowChunk(obj);
-  }
-  FreeSlot(slot_index);
-}
-
-void EventQueue::AddSlab() {
-  FLASHSIM_CHECK(slabs_.size() < (kNoSlot / kSlotsPerSlab) - 1);
-  auto slab = std::make_unique<CallbackSlot[]>(kSlotsPerSlab);
-  const uint32_t base = static_cast<uint32_t>(slabs_.size() * kSlotsPerSlab);
-  for (size_t i = 0; i < kSlotsPerSlab; ++i) {
-    slab[i].next_free =
-        i + 1 < kSlotsPerSlab ? base + static_cast<uint32_t>(i) + 1 : free_slot_;
-  }
-  slabs_.push_back(std::move(slab));
-  free_slot_ = base;
-}
-
-void* EventQueue::AllocOverflowChunk() {
-  if (overflow_free_ == nullptr) {
-    auto slab = std::make_unique<OverflowChunk[]>(kOverflowChunksPerSlab);
-    for (size_t i = 0; i < kOverflowChunksPerSlab; ++i) {
-      FreeOverflowChunk(&slab[i]);
-    }
-    overflow_slabs_.push_back(std::move(slab));
-  }
-  OverflowChunk* chunk = overflow_free_;
-  std::memcpy(&overflow_free_, chunk->bytes, sizeof(overflow_free_));
-  return chunk;
-}
-
-void EventQueue::Reserve(size_t pending) {
-  heap_.reserve(pending);
-  while (callback_pool_slots() < pending) {
-    AddSlab();
-  }
 }
 
 }  // namespace flashsim

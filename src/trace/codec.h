@@ -1,9 +1,8 @@
-// The on-disk trace record codec, shared by every reader and writer
-// (trace_file.cc's streaming FILE* sources and fast_source.cc's
-// mmap/block-buffered ones). One definition of the byte layout and the
-// validation rules means the readers cannot drift apart: a record either
-// decodes identically everywhere or is rejected identically everywhere —
-// the property tests/trace_fuzz_test.cc checks record-for-record.
+// The on-disk trace record codec, shared by the writer (trace_file.cc),
+// the reader (fast_source.cc) and the tests' longhand reference reader.
+// One definition of the byte layout and the validation rules means a
+// record decodes, or is rejected, identically everywhere — the property
+// tests/trace_fuzz_test.cc checks record for record.
 //
 //   Text ("fsim-text v1"): one record per line,
 //     <R|W> <host> <thread> <file> <block> <count> [w]

@@ -1,116 +1,14 @@
 #include "src/trace/fast_source.h"
 
+#include <sys/stat.h>
+
 #include <cstring>
 
 #include "src/trace/codec.h"
-#include "src/trace/trace_file.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#define FLASHSIM_HAVE_MMAP 1
-#endif
 
 namespace flashsim {
 
-// ----------------------------------------------------------------------------
-// MmapTraceSource
-
-std::unique_ptr<MmapTraceSource> MmapTraceSource::Open(const std::string& path,
-                                                       std::string* error) {
-#if FLASHSIM_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (error != nullptr) {
-      *error = "cannot open trace file: " + path;
-    }
-    return nullptr;
-  }
-  struct stat st;
-  if (::fstat(fd, &st) != 0 || static_cast<size_t>(st.st_size) < kTraceBinaryMagicLen) {
-    ::close(fd);
-    if (error != nullptr) {
-      *error = "not a binary trace file: " + path;
-    }
-    return nullptr;
-  }
-  const size_t size = static_cast<size_t>(st.st_size);
-  void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps the file alive
-  if (map == MAP_FAILED) {
-    if (error != nullptr) {
-      *error = "cannot mmap trace file: " + path;
-    }
-    return nullptr;
-  }
-  if (std::memcmp(map, kTraceBinaryMagic, kTraceBinaryMagicLen) != 0) {
-    ::munmap(map, size);
-    if (error != nullptr) {
-      *error = "not a binary trace file: " + path;
-    }
-    return nullptr;
-  }
-#if defined(MADV_SEQUENTIAL)
-  ::madvise(map, size, MADV_SEQUENTIAL);
-#endif
-  // A trailing partial record is ignored, exactly like the streaming
-  // reader's short final fread.
-  const size_t num_records = (size - kTraceBinaryMagicLen) / kTraceBinaryRecordSize;
-  return std::unique_ptr<MmapTraceSource>(new MmapTraceSource(map, size, num_records));
-#else
-  (void)path;
-  if (error != nullptr) {
-    *error = "mmap unavailable on this platform";
-  }
-  return nullptr;
-#endif
-}
-
-MmapTraceSource::MmapTraceSource(void* map, size_t map_size, size_t num_records)
-    : map_(map),
-      map_size_(map_size),
-      data_(static_cast<const unsigned char*>(map) + kTraceBinaryMagicLen),
-      num_records_(num_records) {}
-
-MmapTraceSource::~MmapTraceSource() {
-#if FLASHSIM_HAVE_MMAP
-  if (map_ != nullptr) {
-    ::munmap(map_, map_size_);
-  }
-#endif
-}
-
-bool MmapTraceSource::Next(TraceRecord* record) {
-  while (cursor_ < num_records_) {
-    const unsigned char* rec = data_ + cursor_ * kTraceBinaryRecordSize;
-    ++cursor_;
-    if (DecodeTraceRecord(rec, record)) {
-      ++records_read_;
-      return true;
-    }
-    if (error_line_ == 0) {
-      error_line_ = records_read_ + 1;
-    }
-  }
-  return false;
-}
-
-void MmapTraceSource::Rewind() {
-  cursor_ = 0;
-  records_read_ = 0;
-}
-
-// ----------------------------------------------------------------------------
-// BufferedTextTraceSource
-
-namespace {
-constexpr size_t kTextBufferBytes = 1 << 20;
-}  // namespace
-
-std::unique_ptr<BufferedTextTraceSource> BufferedTextTraceSource::Open(const std::string& path,
-                                                                       std::string* error) {
+std::unique_ptr<TraceFileReader> OpenTraceSource(const std::string& path, std::string* error) {
   std::FILE* file = std::fopen(path.c_str(), "rb");
   if (file == nullptr) {
     if (error != nullptr) {
@@ -118,19 +16,45 @@ std::unique_ptr<BufferedTextTraceSource> BufferedTextTraceSource::Open(const std
     }
     return nullptr;
   }
-  return std::unique_ptr<BufferedTextTraceSource>(new BufferedTextTraceSource(file));
+  std::unique_ptr<TraceFileReader> reader(new TraceFileReader(file));
+  if (std::ferror(file)) {  // e.g. a directory: it opens, but reads fail
+    if (error != nullptr) {
+      *error = "cannot read trace file: " + path;
+    }
+    return nullptr;
+  }
+  return reader;
 }
 
-BufferedTextTraceSource::BufferedTextTraceSource(std::FILE* file)
-    : file_(file), buf_(kTextBufferBytes) {}
-
-BufferedTextTraceSource::~BufferedTextTraceSource() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
+TraceFileReader::TraceFileReader(std::FILE* file) : file_(file), buf_(kBufferBytes) {
+  // buf_ is the only buffer: stdio reads straight into it.
+  std::setvbuf(file_, nullptr, _IONBF, 0);
+  Start();
+  struct stat st;
+  if (format_ == TraceFormat::kBinary && ::fstat(fileno(file_), &st) == 0 &&
+      S_ISREG(st.st_mode)) {
+    size_hint_ = (static_cast<uint64_t>(st.st_size) - kTraceBinaryMagicLen) /
+                 kTraceBinaryRecordSize;
   }
 }
 
-void BufferedTextTraceSource::Refill() {
+TraceFileReader::~TraceFileReader() { std::fclose(file_); }
+
+void TraceFileReader::Start() {
+  pos_ = 0;
+  len_ = 0;
+  eof_ = false;
+  Refill();
+  if (len_ >= kTraceBinaryMagicLen &&
+      std::memcmp(buf_.data(), kTraceBinaryMagic, kTraceBinaryMagicLen) == 0) {
+    format_ = TraceFormat::kBinary;
+    pos_ = kTraceBinaryMagicLen;
+  } else {
+    format_ = TraceFormat::kText;
+  }
+}
+
+void TraceFileReader::Refill() {
   const size_t avail = len_ - pos_;
   if (avail > 0 && pos_ > 0) {
     std::memmove(buf_.data(), buf_.data() + pos_, avail);
@@ -140,13 +64,37 @@ void BufferedTextTraceSource::Refill() {
   const size_t want = buf_.size() - len_;
   const size_t got = std::fread(buf_.data() + len_, 1, want, file_);
   len_ += got;
-  if (got < want) {
-    eof_ = true;  // regular-file short read: end of input (or error — stop
-                  // either way, like the streaming reader's fgets loop)
+  // fread returns short only at end of input or on an error; stop either
+  // way, as a stdio read loop does.
+  eof_ = got < want;
+}
+
+bool TraceFileReader::Next(TraceRecord* record) {
+  return format_ == TraceFormat::kBinary ? NextBinary(record) : NextText(record);
+}
+
+bool TraceFileReader::NextBinary(TraceRecord* record) {
+  for (;;) {
+    if (len_ - pos_ < kTraceBinaryRecordSize) {
+      if (eof_) {
+        return false;  // a trailing partial record is ignored
+      }
+      Refill();
+      continue;
+    }
+    const auto* bytes = reinterpret_cast<const unsigned char*>(buf_.data() + pos_);
+    pos_ += kTraceBinaryRecordSize;
+    if (DecodeTraceRecord(bytes, record)) {
+      ++records_read_;
+      return true;
+    }
+    if (error_line_ == 0) {
+      error_line_ = records_read_ + 1;
+    }
   }
 }
 
-bool BufferedTextTraceSource::NextLine(char* line) {
+bool TraceFileReader::NextLine(char* line) {
   for (;;) {
     const size_t avail = len_ - pos_;
     const size_t cap = avail < 255 ? avail : 255;
@@ -160,8 +108,8 @@ bool BufferedTextTraceSource::NextLine(char* line) {
       return true;
     }
     if (cap == 255) {
-      // A long line chunks at 255 chars without a newline — fgets(,256,)
-      // behavior, which the streaming reader's parse semantics depend on.
+      // No newline in 255 bytes: fgets returns them as one chunk, and the
+      // rest of the line comes back as the next "line".
       std::memcpy(line, base, 255);
       line[255] = '\0';
       pos_ += 255;
@@ -180,7 +128,7 @@ bool BufferedTextTraceSource::NextLine(char* line) {
   }
 }
 
-bool BufferedTextTraceSource::Next(TraceRecord* record) {
+bool TraceFileReader::NextText(TraceRecord* record) {
   char line[256];
   while (NextLine(line)) {
     ++line_;
@@ -191,7 +139,7 @@ bool BufferedTextTraceSource::Next(TraceRecord* record) {
         if (error_line_ == 0) {
           error_line_ = line_;
         }
-        continue;
+        continue;  // tolerate malformed lines; report where the first was
       case TextLineResult::kRecord:
         ++records_read_;
         return true;
@@ -200,41 +148,11 @@ bool BufferedTextTraceSource::Next(TraceRecord* record) {
   return false;
 }
 
-void BufferedTextTraceSource::Rewind() {
+void TraceFileReader::Rewind() {
   std::fseek(file_, 0, SEEK_SET);
-  pos_ = 0;
-  len_ = 0;
-  eof_ = false;
+  Start();
   records_read_ = 0;
   line_ = 0;
-}
-
-// ----------------------------------------------------------------------------
-// OpenTraceSource
-
-std::unique_ptr<TraceSource> OpenTraceSource(const std::string& path, std::string* error) {
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    if (error != nullptr) {
-      *error = "cannot open trace file: " + path;
-    }
-    return nullptr;
-  }
-  char magic[kTraceBinaryMagicLen];
-  const size_t got = std::fread(magic, 1, kTraceBinaryMagicLen, file);
-  std::fclose(file);
-  const bool binary =
-      got == kTraceBinaryMagicLen && std::memcmp(magic, kTraceBinaryMagic, got) == 0;
-  if (binary) {
-    std::string mmap_error;
-    if (auto src = MmapTraceSource::Open(path, &mmap_error)) {
-      return src;
-    }
-    // Mapping can fail where plain reads work (special files, exhausted
-    // address space); the streaming reader handles those.
-    return FileTraceSource::Open(path, error);
-  }
-  return BufferedTextTraceSource::Open(path, error);
 }
 
 }  // namespace flashsim

@@ -1,20 +1,23 @@
-// Fast trace ingestion (DESIGN.md §13): the replay front ends that feed the
-// simulator at memory speed instead of one stdio call per record.
+// The trace-file reader (DESIGN.md §13): the one front end that replays a
+// trace file (either format of trace_file.h) into the simulator.
 //
-//   MmapTraceSource   — binary traces, the whole file mapped read-only;
-//                       Next is a pointer walk over the 22-byte records
-//                       (zero copies, zero syscalls after setup) and
-//                       SizeHint is exact, so the engine pre-sizes its
-//                       backlogs without guessing.
-//   BufferedTextTraceSource — text traces through one big fread block
-//                       buffer instead of per-line fgets. Reproduces
-//                       fgets(256) chunking exactly, so long lines split
-//                       (and mis-parse, and count) identically to the
-//                       streaming reader.
+// OpenTraceSource opens the path once and reads it through one 1 MiB block
+// buffer. The format is sniffed from the first bytes of that buffer, not by
+// a second open, so a pipe, a FIFO or /dev/stdin replays exactly like the
+// regular file it carries. Both formats decode through src/trace/codec.h:
 //
-// Both decode through src/trace/codec.h — the same bytes accept or reject
-// identically in every reader (tests/trace_fuzz_test.cc holds them to
-// record-for-record equality against FileTraceSource).
+//   text   — lines are cut from the buffer exactly as fgets(line, 256, f)
+//            cuts them: a line longer than 255 bytes splits into 255-byte
+//            chunks, each parsed on its own, so malformed lines skip and
+//            error_line() reports exactly as a plain stdio loop would;
+//   binary — 22-byte records decoded in place, a record split by a refill
+//            carried over to the next block; a trailing partial record is
+//            ignored. For a regular file SizeHint() is the exact record
+//            count (from fstat), so the engine pre-sizes its backlogs.
+//
+// tests/trace_fuzz_test.cc holds the reader record for record to a
+// longhand fgets/fread reference on mutated, truncated and adversarial
+// inputs, through the file and through a pipe.
 #ifndef FLASHSIM_SRC_TRACE_FAST_SOURCE_H_
 #define FLASHSIM_SRC_TRACE_FAST_SOURCE_H_
 
@@ -25,88 +28,67 @@
 
 #include "src/trace/record.h"
 #include "src/trace/source.h"
+#include "src/trace/trace_file.h"
 
 namespace flashsim {
 
-// Binary-format reader over a read-only memory mapping. Records with fields
-// out of range are skipped (first one noted in error_line(), counted in
-// records, matching FileTraceSource); a trailing partial record is ignored.
-class MmapTraceSource : public TraceSource {
+class TraceFileReader final : public TraceSource {
  public:
-  // Returns nullptr (and fills *error) if the file cannot be opened, is not
-  // binary format, or cannot be mapped. An empty record region (magic-only
-  // file) is valid and yields no records.
-  static std::unique_ptr<MmapTraceSource> Open(const std::string& path, std::string* error);
+  // Block buffer size: one read per MiB of trace, and the most of the
+  // trace held in memory at once.
+  static constexpr size_t kBufferBytes = size_t{1} << 20;
 
-  ~MmapTraceSource() override;
+  ~TraceFileReader() override;
 
-  MmapTraceSource(const MmapTraceSource&) = delete;
-  MmapTraceSource& operator=(const MmapTraceSource&) = delete;
+  TraceFileReader(const TraceFileReader&) = delete;
+  TraceFileReader& operator=(const TraceFileReader&) = delete;
 
   bool Next(TraceRecord* record) override;
+  // Restarts from the first record. Needs a seekable file: on a pipe the
+  // seek fails and reading just goes on from where the stream is.
   void Rewind() override;
-  // Exact record count (valid + skipped-invalid) — an upper bound on what
-  // Next will deliver, which is what pre-sizing wants.
-  uint64_t SizeHint() const override { return num_records_; }
+  // Binary regular files: the exact record count, valid and invalid (an
+  // upper bound on what Next delivers). Text traces and pipes: 0, unknown.
+  uint64_t SizeHint() const override { return size_hint_; }
 
-  uint64_t records_read() const { return records_read_; }
+  TraceFormat format() const { return format_; }
+  // The first malformed record skipped so far, or 0 if none: its 1-based
+  // line (text) or its 1-based record index (binary).
   uint64_t error_line() const { return error_line_; }
 
  private:
-  MmapTraceSource(void* map, size_t map_size, size_t num_records);
+  friend std::unique_ptr<TraceFileReader> OpenTraceSource(const std::string& path,
+                                                          std::string* error);
 
-  void* map_ = nullptr;
-  size_t map_size_ = 0;
-  const unsigned char* data_ = nullptr;  // first record, past the magic
-  size_t num_records_ = 0;
-  size_t cursor_ = 0;  // next record index
-  uint64_t records_read_ = 0;
-  uint64_t error_line_ = 0;
-};
+  explicit TraceFileReader(std::FILE* file);
 
-// Text-format reader that drains the file through a 1 MiB block buffer.
-// Parse behavior (including fgets's 255-byte line chunking) is identical to
-// FileTraceSource's text path by construction: lines are re-chunked from
-// the block buffer and handed to the same shared parser.
-class BufferedTextTraceSource : public TraceSource {
- public:
-  static std::unique_ptr<BufferedTextTraceSource> Open(const std::string& path,
-                                                       std::string* error);
-
-  ~BufferedTextTraceSource() override;
-
-  BufferedTextTraceSource(const BufferedTextTraceSource&) = delete;
-  BufferedTextTraceSource& operator=(const BufferedTextTraceSource&) = delete;
-
-  bool Next(TraceRecord* record) override;
-  void Rewind() override;
-
-  uint64_t records_read() const { return records_read_; }
-  uint64_t error_line() const { return error_line_; }
-
- private:
-  explicit BufferedTextTraceSource(std::FILE* file);
-
-  // Emulates fgets(line, 256, file_) against the block buffer: delivers up
-  // to 255 chars ending at a newline (included) or at the 255-char cap,
-  // NUL-terminated. Returns false at end of input.
-  bool NextLine(char* line);
+  // Fills the buffer from the file's current position and sniffs the
+  // format from its first bytes.
+  void Start();
+  // Moves the unread bytes to the front of the buffer and reads until it
+  // is full or the input ends (eof_).
   void Refill();
+  // fgets(line, 256, file) over the buffer: up to 255 bytes ending at a
+  // newline (included) or at the cap, NUL-terminated. False at end of input.
+  bool NextLine(char* line);
+  bool NextText(TraceRecord* record);
+  bool NextBinary(TraceRecord* record);
 
-  std::FILE* file_ = nullptr;
+  std::FILE* file_;
   std::vector<char> buf_;
   size_t pos_ = 0;  // read cursor into buf_
   size_t len_ = 0;  // valid bytes in buf_
   bool eof_ = false;
-  uint64_t records_read_ = 0;
-  uint64_t line_ = 0;
+  TraceFormat format_ = TraceFormat::kText;
+  uint64_t size_hint_ = 0;
+  uint64_t records_read_ = 0;  // valid records delivered since (re)start
+  uint64_t line_ = 0;          // text lines consumed since (re)start
   uint64_t error_line_ = 0;
 };
 
-// Opens the fastest reader for the file's format: mmap for binary (falling
-// back to the streaming FileTraceSource if mapping fails, e.g. on a pipe),
-// block-buffered for text. Drop-in for FileTraceSource::Open.
-std::unique_ptr<TraceSource> OpenTraceSource(const std::string& path, std::string* error);
+// Opens a trace file of either format. Returns nullptr and fills *error
+// (may be null) if the path cannot be opened or read.
+std::unique_ptr<TraceFileReader> OpenTraceSource(const std::string& path, std::string* error);
 
 }  // namespace flashsim
 

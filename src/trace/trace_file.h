@@ -1,4 +1,5 @@
-// Trace file reader/writer in two formats:
+// Trace file formats and the writer (the reader is OpenTraceSource in
+// src/trace/fast_source.h). Two formats:
 //
 //   Text ("fsim-text v1"): one record per line,
 //     <R|W> <host> <thread> <file> <block> <count> [w]
@@ -15,47 +16,12 @@
 #include <string>
 
 #include "src/trace/record.h"
-#include "src/trace/source.h"
 
 namespace flashsim {
 
 enum class TraceFormat {
   kText,
   kBinary,
-};
-
-// Streams records from a trace file. Detects the format from the file
-// header (binary magic vs. anything else = text).
-class FileTraceSource : public TraceSource {
- public:
-  // Returns nullptr (and fills *error) if the file cannot be opened/parsed.
-  static std::unique_ptr<FileTraceSource> Open(const std::string& path, std::string* error);
-
-  ~FileTraceSource() override;
-
-  FileTraceSource(const FileTraceSource&) = delete;
-  FileTraceSource& operator=(const FileTraceSource&) = delete;
-
-  bool Next(TraceRecord* record) override;
-  void Rewind() override;
-
-  TraceFormat format() const { return format_; }
-  uint64_t records_read() const { return records_read_; }
-  // Line number of the first malformed text line, or 0 if none seen.
-  uint64_t error_line() const { return error_line_; }
-
- private:
-  FileTraceSource(std::FILE* file, TraceFormat format, long data_offset);
-
-  bool NextText(TraceRecord* record);
-  bool NextBinary(TraceRecord* record);
-
-  std::FILE* file_ = nullptr;
-  TraceFormat format_ = TraceFormat::kText;
-  long data_offset_ = 0;
-  uint64_t records_read_ = 0;
-  uint64_t line_ = 0;
-  uint64_t error_line_ = 0;
 };
 
 // Writes records to a trace file in the chosen format.

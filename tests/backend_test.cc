@@ -10,7 +10,6 @@
 #include <numeric>
 #include <vector>
 
-#include "src/backend/remote_store.h"
 #include "src/backend/shard_router.h"
 #include "src/backend/storage_backend.h"
 #include "src/core/experiment.h"
@@ -113,35 +112,29 @@ TEST(ShardSeed, DistinctShardsGetDistinctSeeds) {
 
 TEST(Backend, PerShardRngStreamsAreIndependent) {
   // Two shards of the same backend seed must draw diverging fast/slow
-  // sequences, and shard 0 must match a legacy-seeded Filer draw for draw.
+  // sequences; shard 0 must match a legacy-seeded Filer draw for draw
+  // whether it is the only filer or one of several — which is what makes
+  // a one-filer backend the paper's single shared filer.
   TimingModel timing;
   constexpr uint64_t kSeed = 42;
-  Filer shard0(timing, ShardSeed(kSeed, 0));
-  Filer shard1(timing, ShardSeed(kSeed, 1));
+  StorageBackend one(timing, 1, ShardStrategy::kHash, kSeed);
+  StorageBackend two(timing, 2, ShardStrategy::kHash, kSeed);
   Filer legacy(timing, Mix64(kSeed ^ 0xf11e5ULL));
   int divergences = 0;
   for (int i = 0; i < 1000; ++i) {
+    bool lone = false;
     bool f0 = false;
     bool f1 = false;
     bool fl = false;
-    shard0.Read(0, &f0);
-    shard1.Read(0, &f1);
+    one.shard(0).Read(0, &lone);
+    two.shard(0).Read(0, &f0);
+    two.shard(1).Read(0, &f1);
     legacy.Read(0, &fl);
+    ASSERT_EQ(lone, fl) << "the one-filer backend diverged from the legacy stream at " << i;
     ASSERT_EQ(f0, fl) << "shard 0 diverged from the legacy stream at draw " << i;
     divergences += (f0 != f1) ? 1 : 0;
   }
   EXPECT_GT(divergences, 0) << "shard 1 mirrors shard 0's stream";
-}
-
-TEST(Backend, FactorySelectsSingleVsSharded) {
-  TimingModel timing;
-  auto single = MakeStorageBackend(timing, 1, ShardStrategy::kHash, 1);
-  EXPECT_EQ(single->num_shards(), 1);
-  EXPECT_NE(dynamic_cast<SingleFilerBackend*>(single.get()), nullptr);
-
-  auto sharded = MakeStorageBackend(timing, 4, ShardStrategy::kHash, 1);
-  EXPECT_EQ(sharded->num_shards(), 4);
-  EXPECT_NE(dynamic_cast<ShardedFilerBackend*>(sharded.get()), nullptr);
 }
 
 TEST(Backend, SingleFilerChannelRoutesEverythingToShardZero) {

@@ -2,7 +2,7 @@
 // semantics, interleaving fairness with foreground reads.
 #include <gtest/gtest.h>
 
-#include "src/backend/remote_store.h"
+#include "src/backend/storage_backend.h"
 #include "src/device/background_writer.h"
 #include "src/device/filer.h"
 #include "src/device/network_link.h"
@@ -12,20 +12,40 @@
 namespace flashsim {
 namespace {
 
-struct WriterRig {
+// One host's writer over a one-filer backend. The rig is also an event
+// handler, so tests can issue work at scheduled times: kEnqueue queues
+// `arg` writes, kRead issues one foreground read and notes its completion.
+struct WriterRig : EventHandler {
+  enum : uint32_t { kEnqueue, kRead };
+
   explicit WriterRig(int window) {
     timing.filer_fast_read_rate = 1.0;
     link = std::make_unique<NetworkLink>(timing, 4096, queue.clock());
-    filer = std::make_unique<Filer>(timing, 3);
-    remote = std::make_unique<RemoteStore>(*link, *filer);
+    backend = std::make_unique<StorageBackend>(timing, 1, ShardStrategy::kHash, 3);
+    remote = backend->Connect(*link);
     writer = std::make_unique<BackgroundWriter>(queue, *remote, nullptr, window);
   }
+
+  void HandleEvent(SimTime now, uint32_t code, uint64_t arg) override {
+    if (code == kEnqueue) {
+      for (uint64_t i = 0; i < arg; ++i) {
+        writer->EnqueueFilerWrite(now, false);
+      }
+    } else {
+      bool fast = false;
+      read_done = remote->Read(now, /*key=*/0, &fast);
+    }
+  }
+
+  Filer& filer() { return backend->shard(0); }
+
   TimingModel timing;
   EventQueue queue;
   std::unique_ptr<NetworkLink> link;
-  std::unique_ptr<Filer> filer;
-  std::unique_ptr<RemoteStore> remote;
+  std::unique_ptr<StorageBackend> backend;
+  std::unique_ptr<StorageService> remote;
   std::unique_ptr<BackgroundWriter> writer;
+  SimTime read_done = 0;
 };
 
 constexpr SimDuration kRoundTrip = 40968 + 92000 + 8200;  // write RTT
@@ -47,7 +67,7 @@ TEST(BackgroundWriter, StaggeredEnqueuesKeepPendingBounded) {
   // Enqueue slower than the drain rate: pending never exceeds 2.
   SimTime t = 0;
   for (int i = 0; i < 50; ++i) {
-    rig.queue.ScheduleAt(t, [&](SimTime now) { rig.writer->EnqueueFilerWrite(now, false); });
+    rig.queue.ScheduleEvent(t, &rig, WriterRig::kEnqueue, 1);
     t += 2 * kRoundTrip;
   }
   rig.queue.RunToCompletion();
@@ -63,14 +83,11 @@ TEST(BackgroundWriter, ForegroundReadsInterleaveWithBacklog) {
   for (int i = 0; i < 50; ++i) {
     rig.writer->EnqueueFilerWrite(0, false);
   }
-  SimTime read_done = 0;
-  rig.queue.ScheduleAt(kRoundTrip / 2, [&](SimTime now) {
-    bool fast = false;
-    read_done = rig.remote->Read(now, /*key=*/0, &fast);
-  });
+  rig.queue.ScheduleEvent(kRoundTrip / 2, &rig, WriterRig::kRead);
   rig.queue.RunToCompletion();
   // The read finishes in ~1-2 round trips, not after the 50-write backlog.
-  EXPECT_LT(read_done, kRoundTrip * 4);
+  EXPECT_GT(rig.read_done, 0);
+  EXPECT_LT(rig.read_done, kRoundTrip * 4);
 }
 
 TEST(BackgroundWriter, WindowNStartsNWritesTogether) {
@@ -94,18 +111,14 @@ TEST(BackgroundWriter, CountsStayConsistentUnderRandomLoad) {
   for (int i = 0; i < 500; ++i) {
     t += static_cast<SimTime>(rng.NextBounded(200000));
     const int burst = static_cast<int>(rng.NextBounded(4)) + 1;
-    rig.queue.ScheduleAt(t, [&rig, burst](SimTime now) {
-      for (int j = 0; j < burst; ++j) {
-        rig.writer->EnqueueFilerWrite(now, false);
-      }
-    });
+    rig.queue.ScheduleEvent(t, &rig, WriterRig::kEnqueue, static_cast<uint64_t>(burst));
     enqueued += static_cast<uint64_t>(burst);
   }
   rig.queue.RunToCompletion();
   EXPECT_EQ(rig.writer->enqueued(), enqueued);
   EXPECT_EQ(rig.writer->completed(), enqueued);
   EXPECT_EQ(rig.writer->pending(), 0u);
-  EXPECT_EQ(rig.filer->writes(), enqueued);
+  EXPECT_EQ(rig.filer().writes(), enqueued);
 }
 
 TEST(BackgroundWriterDeathTest, RejectsZeroWindow) {

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "src/arch/stack_factory.h"
-#include "src/backend/remote_store.h"
+#include "src/backend/storage_backend.h"
 #include "src/consistency/coherence.h"
 #include "src/consistency/directory.h"
 #include "src/device/background_writer.h"
@@ -54,13 +54,13 @@ class NetBridge : public ResidencyListener {
 };
 
 struct NetHost {
-  NetHost(Architecture arch, const TimingModel& timing, EventQueue& queue, Filer& filer,
-          Directory& directory, int host_id)
+  NetHost(Architecture arch, const TimingModel& timing, EventQueue& queue,
+          StorageBackend& backend, Directory& directory, int host_id)
       : ram_dev(timing),
         flash_dev(timing),
         link(timing, 4096, queue.clock()),
-        remote(link, filer),
-        writer(queue, remote, &flash_dev, timing.writeback_window),
+        remote(backend.Connect(link)),
+        writer(queue, *remote, &flash_dev, timing.writeback_window),
         bridge(directory, host_id) {
     StackConfig config;
     config.ram_blocks = 24;
@@ -69,14 +69,14 @@ struct NetHost {
     // on other hosts exercise the Dirty-reconciliation path constantly.
     config.ram_policy = WritebackPolicy::kNone;
     config.flash_policy = WritebackPolicy::kAsync;
-    stack = MakeCacheStack(arch, config, ram_dev, flash_dev, remote, writer);
+    stack = MakeCacheStack(arch, config, ram_dev, flash_dev, *remote, writer);
     stack->set_residency_listener(&bridge);
   }
 
   RamDevice ram_dev;
   FlashDevice flash_dev;
   NetworkLink link;
-  RemoteStore remote;
+  std::unique_ptr<StorageService> remote;
   BackgroundWriter writer;
   NetBridge bridge;
   std::unique_ptr<CacheStack> stack;
@@ -117,11 +117,13 @@ class NetFabric : public CoherenceTransport {
 
 struct TestNet {
   TestNet(Architecture arch, CoherenceModel model, uint64_t seed)
-      : timing(MakeTiming()), filer(timing, Mix64(seed ^ 0xc0feULL)), directory(kHosts) {
+      : timing(MakeTiming()),
+        backend(timing, /*num_shards=*/1, ShardStrategy::kHash, seed),
+        directory(kHosts) {
     for (int h = 0; h < kHosts; ++h) {
-      hosts.push_back(std::make_unique<NetHost>(arch, timing, queue, filer, directory, h));
+      hosts.push_back(std::make_unique<NetHost>(arch, timing, queue, backend, directory, h));
     }
-    fabric = std::make_unique<NetFabric>(hosts, filer);
+    fabric = std::make_unique<NetFabric>(hosts, backend.shard(0));
     CoherenceParams params;
     params.model = model;
     params.num_hosts = kHosts;
@@ -163,7 +165,7 @@ struct TestNet {
   // Devices keep references into the timing model; it must outlive them.
   TimingModel timing;
   EventQueue queue;
-  Filer filer;
+  StorageBackend backend;
   Directory directory;
   std::vector<std::unique_ptr<NetHost>> hosts;
   std::unique_ptr<NetFabric> fabric;

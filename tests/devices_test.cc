@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/backend/remote_store.h"
+#include "src/backend/storage_backend.h"
 #include "src/device/background_writer.h"
 #include "src/device/filer.h"
 #include "src/device/flash_device.h"
@@ -118,34 +118,39 @@ TEST(Filer, DeterministicAcrossSameSeed) {
   }
 }
 
-TEST(RemoteStore, ReadPathComposesStages) {
+// The paper's topology: one shared filer behind the host's link.
+StorageBackend OneFiler(const TimingModel& t) {
+  return StorageBackend(t, /*num_shards=*/1, ShardStrategy::kHash, /*base_seed=*/1);
+}
+
+TEST(StorageService, ReadPathComposesStages) {
   // Request packet (8.2us) + fast filer read (92us) + data packet (40.968us).
   TimingModel t = TestTiming();
   t.filer_fast_read_rate = 1.0;
   NetworkLink link(t, 4096);
-  Filer filer(t, 1);
-  RemoteStore remote(link, filer);
+  StorageBackend backend = OneFiler(t);
+  auto remote = backend.Connect(link);
   bool fast = false;
-  EXPECT_EQ(remote.Read(0, /*key=*/1, &fast), 8200 + 92000 + 40968);
+  EXPECT_EQ(remote->Read(0, /*key=*/1, &fast), 8200 + 92000 + 40968);
   EXPECT_TRUE(fast);
 }
 
-TEST(RemoteStore, WritePathComposesStages) {
+TEST(StorageService, WritePathComposesStages) {
   // Data packet out (40.968us) + filer write (92us) + ack (8.2us).
   TimingModel t = TestTiming();
   NetworkLink link(t, 4096);
-  Filer filer(t, 1);
-  RemoteStore remote(link, filer);
-  EXPECT_EQ(remote.Write(0, /*key=*/1), 40968 + 92000 + 8200);
+  StorageBackend backend = OneFiler(t);
+  auto remote = backend.Connect(link);
+  EXPECT_EQ(remote->Write(0, /*key=*/1), 40968 + 92000 + 8200);
 }
 
 TEST(BackgroundWriter, SingleWindowSerializesWrites) {
   TimingModel t = TestTiming();
   EventQueue queue;
   NetworkLink link(t, 4096, queue.clock());
-  Filer filer(t, 64);
-  RemoteStore remote(link, filer);
-  BackgroundWriter writer(queue, remote, nullptr, 1);
+  StorageBackend backend = OneFiler(t);
+  auto remote = backend.Connect(link);
+  BackgroundWriter writer(queue, *remote, nullptr, 1);
 
   writer.EnqueueFilerWrite(0, false);
   writer.EnqueueFilerWrite(0, false);
@@ -155,7 +160,7 @@ TEST(BackgroundWriter, SingleWindowSerializesWrites) {
   EXPECT_EQ(writer.completed(), 3u);
   EXPECT_EQ(writer.pending(), 0u);
   // Each write is a full round trip (~141.168us); serialized, not stacked.
-  EXPECT_EQ(filer.writes(), 3u);
+  EXPECT_EQ(backend.shard(0).writes(), 3u);
   EXPECT_EQ(queue.Now(), 3 * (40968 + 92000 + 8200));
 }
 
@@ -163,9 +168,9 @@ TEST(BackgroundWriter, WiderWindowOverlaps) {
   TimingModel t = TestTiming();
   EventQueue queue;
   NetworkLink link(t, 4096, queue.clock());
-  Filer filer(t, 64);
-  RemoteStore remote(link, filer);
-  BackgroundWriter writer(queue, remote, nullptr, 4);
+  StorageBackend backend = OneFiler(t);
+  auto remote = backend.Connect(link);
+  BackgroundWriter writer(queue, *remote, nullptr, 4);
   for (int i = 0; i < 4; ++i) {
     writer.EnqueueFilerWrite(0, false);
   }
@@ -179,10 +184,10 @@ TEST(BackgroundWriter, ThenFlashRefreshesFlashCopy) {
   TimingModel t = TestTiming();
   EventQueue queue;
   NetworkLink link(t, 4096, queue.clock());
-  Filer filer(t, 64);
-  RemoteStore remote(link, filer);
+  StorageBackend backend = OneFiler(t);
+  auto remote = backend.Connect(link);
   FlashDevice flash(t);
-  BackgroundWriter writer(queue, remote, &flash, 1);
+  BackgroundWriter writer(queue, *remote, &flash, 1);
   writer.EnqueueFilerWrite(0, true);
   queue.RunToCompletion();
   EXPECT_EQ(flash.reads_plus_writes(), 1u);

@@ -1,9 +1,8 @@
-// Proves the zero-allocation acceptance for the event core: once the queue
-// is warm (heap reserved, callback pool populated), scheduling and
-// dispatching typed events and inline-capture callbacks performs zero heap
-// allocations. The whole binary's global operator new/delete are replaced
-// with counting wrappers; tests snapshot the counter around a steady-state
-// run and assert a zero delta.
+// Proves the zero-allocation acceptance for the event core: once the heap
+// is reserved for the run's concurrency, scheduling and dispatching events
+// performs zero heap allocations. The whole binary's global operator
+// new/delete are replaced with counting wrappers; tests snapshot the
+// counter around a steady-state run and assert a zero delta.
 //
 // This test gets its own binary so the counting allocator cannot perturb
 // the rest of the suite.
@@ -78,63 +77,21 @@ TEST(EventAllocation, SteadyStateTypedEventsAllocateNothing) {
   EXPECT_EQ(after - before, 0u) << "typed event dispatch hit the allocator";
 }
 
-TEST(EventAllocation, SteadyStateInlineCallbacksAllocateNothing) {
+TEST(EventAllocation, ReservedHeapFillsWithoutAllocating) {
+  // Reserve sizes the heap for the run's outstanding events up front, so
+  // even the first fill to that depth never grows it.
   EventQueue queue;
   queue.Reserve(kOutstanding);
-  uint64_t remaining = kWarmupEvents + kSteadyEvents;
-  struct Pump {  // 16-byte capture: well inside the inline slot budget
-    EventQueue* queue;
-    uint64_t* remaining;
-    void operator()(SimTime now) const {
-      if (*remaining > 0) {
-        --*remaining;
-        queue->ScheduleAt(now + 100, *this);
-      }
-    }
-  };
-  for (int i = 0; i < kOutstanding; ++i) {
-    queue.ScheduleAt(i, Pump{&queue, &remaining});
-  }
-  queue.RunUntil(100 * (kWarmupEvents / kOutstanding + 2));
-  ASSERT_GT(queue.events_processed(), kWarmupEvents / 2);
-
+  SelfRescheduler pump(&queue, 0);
   const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  queue.RunToCompletion();
-  const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-
-  EXPECT_GT(queue.events_processed(), kSteadyEvents);
-  EXPECT_EQ(after - before, 0u) << "inline callback path hit the allocator";
-}
-
-TEST(EventAllocation, WarmOverflowCallbacksAllocateNothing) {
-  // Oversized captures use overflow chunks; once a chunk slab exists, the
-  // schedule/dispatch cycle must recycle it without touching the allocator.
-  EventQueue queue;
-  queue.Reserve(kOutstanding);
-  struct Big {  // forces the overflow path
-    EventQueue* queue;
-    uint64_t* remaining;
-    unsigned char pad[64] = {};
-    void operator()(SimTime now) const {
-      if (*remaining > 0) {
-        --*remaining;
-        queue->ScheduleAt(now + 100, *this);
-      }
-    }
-  };
-  static_assert(sizeof(Big) > EventQueue::kInlineCallbackBytes);
-  uint64_t remaining = kWarmupEvents + kSteadyEvents / 10;
   for (int i = 0; i < kOutstanding; ++i) {
-    queue.ScheduleAt(i, Big{&queue, &remaining});
+    queue.ScheduleEvent(kOutstanding - i, &pump, 0);
   }
-  queue.RunUntil(100 * (kWarmupEvents / kOutstanding + 2));
-  ASSERT_GT(queue.events_processed(), kWarmupEvents / 2);
-
-  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
-  queue.RunToCompletion();
   const uint64_t after = g_allocations.load(std::memory_order_relaxed);
-
-  EXPECT_EQ(after - before, 0u) << "warm overflow path hit the allocator";
+  EXPECT_EQ(queue.size(), static_cast<size_t>(kOutstanding));
+  EXPECT_EQ(after - before, 0u) << "a reserved heap grew while filling";
+  queue.RunToCompletion();
+  EXPECT_EQ(queue.events_processed(), static_cast<uint64_t>(kOutstanding));
 }
 
 }  // namespace

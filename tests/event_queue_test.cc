@@ -2,32 +2,36 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <memory>
 #include <vector>
 
 namespace flashsim {
 namespace {
 
-// Appends each event's arg to a shared order vector.
+// Appends each event's arg to a shared order vector and remembers the time
+// it fired at.
 class RecordingHandler : public EventHandler {
  public:
   explicit RecordingHandler(std::vector<int>* order) : order_(order) {}
 
-  void HandleEvent(SimTime /*now*/, uint32_t /*code*/, uint64_t arg) override {
+  void HandleEvent(SimTime now, uint32_t /*code*/, uint64_t arg) override {
     order_->push_back(static_cast<int>(arg));
+    last_now_ = now;
   }
+
+  SimTime last_now() const { return last_now_; }
 
  private:
   std::vector<int>* order_;
+  SimTime last_now_ = -1;
 };
 
 TEST(EventQueue, RunsInTimeOrder) {
   EventQueue queue;
   std::vector<int> order;
-  queue.ScheduleAt(30, [&](SimTime) { order.push_back(3); });
-  queue.ScheduleAt(10, [&](SimTime) { order.push_back(1); });
-  queue.ScheduleAt(20, [&](SimTime) { order.push_back(2); });
+  RecordingHandler handler(&order);
+  queue.ScheduleEvent(30, &handler, 0, 3);
+  queue.ScheduleEvent(10, &handler, 0, 1);
+  queue.ScheduleEvent(20, &handler, 0, 2);
   queue.RunToCompletion();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
@@ -35,8 +39,9 @@ TEST(EventQueue, RunsInTimeOrder) {
 TEST(EventQueue, EqualTimesRunInScheduleOrder) {
   EventQueue queue;
   std::vector<int> order;
+  RecordingHandler handler(&order);
   for (int i = 0; i < 10; ++i) {
-    queue.ScheduleAt(5, [&, i](SimTime) { order.push_back(i); });
+    queue.ScheduleEvent(5, &handler, 0, static_cast<uint64_t>(i));
   }
   queue.RunToCompletion();
   for (int i = 0; i < 10; ++i) {
@@ -44,85 +49,89 @@ TEST(EventQueue, EqualTimesRunInScheduleOrder) {
   }
 }
 
-TEST(EventQueue, CallbackSeesEventTime) {
+TEST(EventQueue, HandlerSeesEventTime) {
   EventQueue queue;
-  SimTime seen = -1;
-  queue.ScheduleAt(123, [&](SimTime now) { seen = now; });
+  std::vector<int> order;
+  RecordingHandler handler(&order);
+  queue.ScheduleEvent(123, &handler, 0);
   queue.RunToCompletion();
-  EXPECT_EQ(seen, 123);
+  EXPECT_EQ(handler.last_now(), 123);
   EXPECT_EQ(queue.Now(), 123);
 }
 
-TEST(EventQueue, CallbacksCanScheduleMore) {
-  EventQueue queue;
-  int fired = 0;
-  std::function<void(SimTime)> chain = [&](SimTime now) {
-    ++fired;
-    if (fired < 5) {
-      queue.ScheduleAt(now + 10, chain);
+TEST(EventQueue, HandlersCanScheduleMore) {
+  struct Chain : EventHandler {
+    EventQueue* queue = nullptr;
+    int fired = 0;
+    void HandleEvent(SimTime now, uint32_t code, uint64_t arg) override {
+      ++fired;
+      if (fired < 5) {
+        queue->ScheduleEvent(now + 10, this, code, arg);
+      }
     }
   };
-  queue.ScheduleAt(0, chain);
-  const SimTime end = queue.RunToCompletion();
-  EXPECT_EQ(fired, 5);
-  EXPECT_EQ(end, 40);
-}
-
-TEST(EventQueue, ScheduleAfterUsesCurrentTime) {
   EventQueue queue;
-  SimTime second_fire = -1;
-  queue.ScheduleAt(100, [&](SimTime) {
-    queue.ScheduleAfter(50, [&](SimTime now) { second_fire = now; });
-  });
-  queue.RunToCompletion();
-  EXPECT_EQ(second_fire, 150);
+  Chain chain;
+  chain.queue = &queue;
+  queue.ScheduleEvent(0, &chain, 0);
+  const SimTime end = queue.RunToCompletion();
+  EXPECT_EQ(chain.fired, 5);
+  EXPECT_EQ(end, 40);
 }
 
 TEST(EventQueue, RunUntilLeavesLaterEvents) {
   EventQueue queue;
-  int fired = 0;
-  queue.ScheduleAt(10, [&](SimTime) { ++fired; });
-  queue.ScheduleAt(100, [&](SimTime) { ++fired; });
+  std::vector<int> order;
+  RecordingHandler handler(&order);
+  queue.ScheduleEvent(10, &handler, 0, 1);
+  queue.ScheduleEvent(100, &handler, 0, 2);
   queue.RunUntil(50);
-  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(order.size(), 1u);
   EXPECT_EQ(queue.size(), 1u);
   queue.RunToCompletion();
-  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(order.size(), 2u);
 }
 
 TEST(EventQueue, CountsProcessedEvents) {
   EventQueue queue;
+  std::vector<int> order;
+  RecordingHandler handler(&order);
   for (int i = 0; i < 7; ++i) {
-    queue.ScheduleAt(i, [](SimTime) {});
+    queue.ScheduleEvent(i, &handler, 0);
   }
   queue.RunToCompletion();
   EXPECT_EQ(queue.events_processed(), 7u);
 }
 
 TEST(EventQueue, ClockTracksNow) {
+  struct ClockCheck : EventHandler {
+    const SimClock* clock = nullptr;
+    SimTime seen = -1;
+    void HandleEvent(SimTime /*now*/, uint32_t /*code*/, uint64_t /*arg*/) override {
+      seen = clock->now;
+    }
+  };
   EventQueue queue;
-  const SimClock* clock = queue.clock();
-  EXPECT_EQ(clock->now, 0);
-  queue.ScheduleAt(77, [&](SimTime) { EXPECT_EQ(clock->now, 77); });
+  ClockCheck check;
+  check.clock = queue.clock();
+  EXPECT_EQ(check.clock->now, 0);
+  queue.ScheduleEvent(77, &check, 0);
   queue.RunToCompletion();
-  EXPECT_EQ(clock->now, 77);
+  EXPECT_EQ(check.seen, 77);
+  EXPECT_EQ(check.clock->now, 77);
 }
 
 TEST(EventQueueDeathTest, SchedulingInThePastAborts) {
+  struct TimeTraveller : EventHandler {
+    EventQueue* queue = nullptr;
+    void HandleEvent(SimTime /*now*/, uint32_t /*code*/, uint64_t /*arg*/) override {
+      EXPECT_DEATH(queue->ScheduleEvent(50, this, 0, 0), "CHECK failed");
+    }
+  };
   EventQueue queue;
-  queue.ScheduleAt(100, [&](SimTime) {
-    EXPECT_DEATH(queue.ScheduleAt(50, [](SimTime) {}), "CHECK failed");
-  });
-  queue.RunToCompletion();
-}
-
-TEST(EventQueueDeathTest, TypedEventInThePastAborts) {
-  EventQueue queue;
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  queue.ScheduleAt(100, [&](SimTime) {
-    EXPECT_DEATH(queue.ScheduleEvent(50, &handler, 0, 0), "CHECK failed");
-  });
+  TimeTraveller traveller;
+  traveller.queue = &queue;
+  queue.ScheduleEvent(100, &traveller, 0);
   queue.RunToCompletion();
 }
 
@@ -146,64 +155,45 @@ TEST(EventQueue, TypedEventsDispatchCodeAndArg) {
   EXPECT_EQ(queue.events_processed(), 1u);
 }
 
-TEST(EventQueue, TypedAndCallbackEventsShareOneTimeline) {
-  // Equal-time typed and callback events fire strictly in scheduling order.
-  EventQueue queue;
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  for (int i = 0; i < 100; ++i) {
-    if (i % 2 == 0) {
-      queue.ScheduleEvent(10, &handler, 0, static_cast<uint64_t>(i));
-    } else {
-      queue.ScheduleAt(10, [&order, i](SimTime) { order.push_back(i); });
-    }
-  }
-  queue.RunToCompletion();
-  ASSERT_EQ(order.size(), 100u);
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(order[static_cast<size_t>(i)], i);
-  }
-}
-
 // The determinism contract at scale: 10k events all scheduled for the same
-// timestamp, from 16 parent callbacks that interleave by rescheduling
+// timestamp, from 16 parent handlers that interleave by rescheduling
 // themselves at their own fire time, must run in exact FIFO-by-seq order on
-// the 4-ary heap. Alternates typed and callback children to cover both
-// representations in one total order.
-TEST(EventQueue, EqualTimeFifoAtScaleFromInterleavedCallbacks) {
+// the 4-ary heap. Children alternate between two handlers, so the order is
+// the queue's, not one handler's.
+TEST(EventQueue, EqualTimeFifoAtScaleFromInterleavedParents) {
   constexpr int kChildren = 10000;
   constexpr int kParents = 16;
   constexpr SimTime kParentTime = 5;
   constexpr SimTime kChildTime = 1000;
 
-  EventQueue queue;
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  int next_index = 0;
-
-  struct Parent {
-    EventQueue* queue;
-    RecordingHandler* handler;
-    std::vector<int>* order;
-    int* next_index;
-    void operator()(SimTime now) const {
+  struct Parent : EventHandler {
+    EventQueue* queue = nullptr;
+    RecordingHandler* children[2] = {nullptr, nullptr};
+    int* next_index = nullptr;
+    void HandleEvent(SimTime now, uint32_t code, uint64_t arg) override {
       if (*next_index >= kChildren) {
         return;
       }
       const int index = (*next_index)++;
-      if (index % 2 == 0) {
-        queue->ScheduleEvent(kChildTime, handler, 0, static_cast<uint64_t>(index));
-      } else {
-        std::vector<int>* out = order;
-        queue->ScheduleAt(kChildTime, [out, index](SimTime) { out->push_back(index); });
-      }
+      queue->ScheduleEvent(kChildTime, children[index % 2], 0, static_cast<uint64_t>(index));
       // Rescheduling at the current time goes to the back of the
       // equal-time line, interleaving the parents round-robin.
-      queue->ScheduleAt(now, *this);
+      queue->ScheduleEvent(now, this, code, arg);
     }
   };
-  for (int p = 0; p < kParents; ++p) {
-    queue.ScheduleAt(kParentTime, Parent{&queue, &handler, &order, &next_index});
+
+  EventQueue queue;
+  std::vector<int> order;
+  RecordingHandler even(&order);
+  RecordingHandler odd(&order);
+  int next_index = 0;
+  std::vector<Parent> parents(kParents);
+  for (Parent& parent : parents) {
+    parent.queue = &queue;
+    parent.children[0] = &even;
+    parent.children[1] = &odd;
+    parent.next_index = &next_index;
+    queue.ScheduleEvent(kParentTime, &parent, 0);
   }
   queue.RunToCompletion();
 
@@ -211,57 +201,6 @@ TEST(EventQueue, EqualTimeFifoAtScaleFromInterleavedCallbacks) {
   for (int i = 0; i < kChildren; ++i) {
     ASSERT_EQ(order[static_cast<size_t>(i)], i) << "equal-time FIFO broken at " << i;
   }
-}
-
-TEST(EventQueue, OverflowCallbacksRunAndRecycleChunks) {
-  // Captures larger than the inline budget take the slab-recycled overflow
-  // path; sequential scheduling must reuse one chunk, not accumulate.
-  EventQueue queue;
-  std::array<uint64_t, 12> big{};  // 96 bytes > kInlineCallbackBytes
-  for (size_t i = 0; i < big.size(); ++i) {
-    big[i] = i + 1;
-  }
-  static_assert(sizeof(big) > EventQueue::kInlineCallbackBytes);
-  uint64_t sum = 0;
-  for (int round = 0; round < 100; ++round) {
-    queue.ScheduleAfter(1, [big, &sum](SimTime) {
-      for (uint64_t v : big) {
-        sum += v;
-      }
-    });
-    queue.RunToCompletion();
-  }
-  EXPECT_EQ(sum, 78u * 100);
-  // One overflow slab's worth of chunks at most, recycled across rounds.
-  EXPECT_LE(queue.overflow_chunks_allocated(), 8u);
-}
-
-TEST(EventQueue, PendingCallbacksAreDestroyedWithTheQueue) {
-  // RunUntil can leave events queued; their captures (here a shared_ptr)
-  // must still be released when the queue dies.
-  auto token = std::make_shared<int>(42);
-  {
-    EventQueue queue;
-    queue.ScheduleAt(100, [token](SimTime) {});
-    std::array<char, 80> pad{};  // overflow-path capture, same contract
-    queue.ScheduleAt(200, [token, pad](SimTime) { (void)pad; });
-    queue.RunUntil(50);
-    EXPECT_EQ(token.use_count(), 3);
-  }
-  EXPECT_EQ(token.use_count(), 1);
-}
-
-TEST(EventQueue, ReservePreallocatesHeapAndPool) {
-  EventQueue queue;
-  queue.Reserve(100);
-  EXPECT_GE(queue.callback_pool_slots(), 100u);
-  std::vector<int> order;
-  RecordingHandler handler(&order);
-  for (int i = 0; i < 100; ++i) {
-    queue.ScheduleEvent(i, &handler, 0, static_cast<uint64_t>(i));
-  }
-  queue.RunToCompletion();
-  EXPECT_EQ(order.size(), 100u);
 }
 
 }  // namespace

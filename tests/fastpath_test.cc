@@ -91,8 +91,14 @@ struct RunResult {
   uint64_t fast_path_events = 0;
 };
 
-RunResult RunWorkload(SimConfig config, std::vector<TraceRecord> records) {
+// fast_path = false runs the event-path reference through
+// Simulation::test_only_disable_fast_path.
+RunResult RunWorkload(SimConfig config, std::vector<TraceRecord> records,
+                      bool fast_path = true) {
   Simulation sim(config);
+  if (!fast_path) {
+    sim.test_only_disable_fast_path();
+  }
   VectorTraceSource source(std::move(records));
   RunResult result;
   result.metrics = sim.Run(source);
@@ -111,10 +117,8 @@ TEST(FastPath, ByteIdenticalAcrossArchitectures) {
       config.arch = arch;
       const auto records = hot ? Workload(1, 1, 20000, 512, 0.2, 3)
                                : Workload(2, 4, 20000, 4096, 0.3, 5);
-      SimConfig off = config;
-      off.read_fast_path = false;
       const RunResult with = RunWorkload(config, records);
-      const RunResult without = RunWorkload(off, records);
+      const RunResult without = RunWorkload(config, records, /*fast_path=*/false);
       const std::string label =
           std::string(ArchitectureName(arch)) + (hot ? " hot-1x1" : " mixed-2x4");
       ExpectMetricsIdentical(with.metrics, without.metrics, label);
@@ -140,10 +144,8 @@ TEST(FastPath, ByteIdenticalAcrossReplacementPolicies) {
       config.arch = arch;
       config.replacement = replacement;
       const auto records = Workload(1, 1, 20000, 512, 0.2, 3);
-      SimConfig off = config;
-      off.read_fast_path = false;
       const RunResult with = RunWorkload(config, records);
-      const RunResult without = RunWorkload(off, records);
+      const RunResult without = RunWorkload(config, records, /*fast_path=*/false);
       const std::string label = std::string(ArchitectureName(arch)) + " policy=" +
                                 ReplacementPolicyName(replacement);
       ExpectMetricsIdentical(with.metrics, without.metrics, label);
@@ -165,10 +167,8 @@ TEST(FastPath, ByteIdenticalOnMissHeavyStream) {
     SimConfig config = BaseConfig(1, 1);
     config.arch = arch;
     const auto records = Workload(1, 1, 20000, 4096, 0.3, 13);
-    SimConfig off = config;
-    off.read_fast_path = false;
     const RunResult with = RunWorkload(config, records);
-    const RunResult without = RunWorkload(off, records);
+    const RunResult without = RunWorkload(config, records, /*fast_path=*/false);
     const std::string label = std::string(ArchitectureName(arch)) + " miss-heavy-1x1";
     ExpectMetricsIdentical(with.metrics, without.metrics, label);
     EXPECT_EQ(with.events, without.events) << label;
@@ -187,10 +187,8 @@ TEST(FastPath, ByteIdenticalUnderAdmissionFilter) {
     config.arch = arch;
     config.admission = AdmissionPolicy::kFlashield;
     const auto records = Workload(1, 1, 20000, 512, 0.2, 3);
-    SimConfig off = config;
-    off.read_fast_path = false;
     const RunResult with = RunWorkload(config, records);
-    const RunResult without = RunWorkload(off, records);
+    const RunResult without = RunWorkload(config, records, /*fast_path=*/false);
     const std::string label = std::string(ArchitectureName(arch)) + " flashield";
     ExpectMetricsIdentical(with.metrics, without.metrics, label);
     EXPECT_EQ(with.fast_path_events > 0, kFastPathArmed) << label;
@@ -199,11 +197,10 @@ TEST(FastPath, ByteIdenticalUnderAdmissionFilter) {
 }
 
 // The auditor must observe every op through the full event path, so arming
-// it disables the fast path regardless of the config knob.
+// it disables the fast path.
 TEST(FastPath, AuditorDisablesFastPath) {
   SimConfig config = BaseConfig(1, 1);
   config.audit_stride = 64;
-  ASSERT_TRUE(config.read_fast_path);
   const RunResult audited = RunWorkload(config, Workload(1, 1, 5000, 512, 0.2, 3));
   EXPECT_EQ(audited.fast_path_events, 0u);
 

@@ -289,10 +289,10 @@ TEST(GoldenDigest, SerialMatchesCommittedAndParallelMatchesSerial) {
 }
 
 // Byte-identity contract for the storage backend (DESIGN.md §11): running
-// the same sweeps with num_filers pinned to 1 explicitly — through the
-// src/backend/ SingleFilerBackend rather than whatever the default happens
-// to be — must reproduce the committed digests bit-for-bit, serial and on
-// 4 workers. This is the guard that lets the sharded backend evolve without
+// the same sweeps with num_filers pinned to 1 explicitly — one shard of the
+// src/backend/ StorageBackend, rather than whatever the default happens to
+// be — must reproduce the committed digests bit-for-bit, serial and on 4
+// workers. This is the guard that lets the sharded backend evolve without
 // silently perturbing every paper figure.
 TEST(GoldenDigest, ExplicitSingleFilerIsByteIdentical) {
   const std::map<std::string, uint64_t> golden = LoadGoldenDigests();

@@ -111,19 +111,6 @@ TEST(TelemetryAllocation, HistogramRecordingIsAllocationFree) {
   EXPECT_EQ(hist_delta, off_delta) << "histogram Record allocated on the hot path";
 }
 
-TEST(TelemetryAllocation, BatchedAndUnbatchedRecordingBothAllocationFree) {
-  // Batched recording (the default) stages into a fixed in-object array and
-  // drains through LatencyHistogram::AddBatch — no allocation either way.
-  SimConfig instrumented = TinyConfig();
-  instrumented.telemetry.histograms = true;
-  ASSERT_TRUE(instrumented.telemetry.batched) << "batched recording should default on";
-  const uint64_t batched_delta = RunAllocations(instrumented, MakeTrace(20000));
-  instrumented.telemetry.batched = false;
-  const uint64_t plain_delta = RunAllocations(instrumented, MakeTrace(20000));
-  EXPECT_EQ(batched_delta, plain_delta)
-      << "batched histogram flush allocated on the hot path";
-}
-
 TEST(TelemetryAllocation, MultiShardOffPathStaysAllocationFree) {
   // A sharded backend adds per-shard routing counters and telemetry probes,
   // but none of it may put allocations on the hot path: with num_filers=4

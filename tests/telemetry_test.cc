@@ -192,80 +192,73 @@ TEST(TelemetryHistogram, MergeWithEmptySides) {
 
 // --- Telemetry registry ----------------------------------------------------
 
-// --- Batched recording (DESIGN.md §13) -------------------------------------
+// --- Staged recording (DESIGN.md §13) --------------------------------------
 
-TEST(TelemetryHistogram, BatchedModeIsByteIdenticalToUnbatched) {
-  // The same value stream, with reads interleaved at awkward points (mid
-  // batch, exactly at capacity, right after a flush), must serialize to the
-  // same bytes and answer every getter identically in both modes.
-  obs::Histogram batched;
-  batched.set_batched(true);
-  obs::Histogram plain;
+// The longhand a staged histogram must agree with: every value added to a
+// LatencyHistogram as it comes, with clamped sum/min/max kept beside it.
+struct LonghandHistogram {
+  void Add(int64_t v) {
+    buckets.Add(v);
+    v = std::max<int64_t>(v, 0);
+    sum += v;
+    min = buckets.count() == 1 ? v : std::min(min, v);
+    max = buckets.count() == 1 ? v : std::max(max, v);
+  }
+
+  LatencyHistogram buckets;
+  int64_t sum = 0;
+  int64_t min = 0;
+  int64_t max = 0;
+};
+
+void ExpectMatchesLonghand(const obs::Histogram& h, const LonghandHistogram& want) {
+  EXPECT_EQ(h.count(), want.buckets.count());
+  EXPECT_EQ(h.sum(), want.sum);
+  EXPECT_EQ(h.min(), want.min);
+  EXPECT_EQ(h.max(), want.max);
+  EXPECT_EQ(h.p50(), want.buckets.Quantile(0.50));
+  EXPECT_EQ(h.p999(), want.buckets.Quantile(0.999));
+  EXPECT_EQ(h.buckets().buckets(), want.buckets.buckets());
+}
+
+TEST(TelemetryHistogram, StagedRecordingMatchesLonghand) {
+  // The same value stream, with reads at awkward points — mid batch,
+  // exactly at capacity, right after a flush — must answer every getter as
+  // the longhand does.
+  obs::Histogram staged;
+  LonghandHistogram longhand;
   std::mt19937_64 rng(99);
   for (int i = 0; i < 1000; ++i) {
     const int64_t v = static_cast<int64_t>(rng() % 3000000) - 50;  // negatives included
-    batched.Record(v);
-    plain.Record(v);
-    if (i % 97 == 0 || i % 64 == 63) {
-      EXPECT_EQ(batched.count(), plain.count()) << i;
-      EXPECT_EQ(batched.min(), plain.min()) << i;
-      EXPECT_EQ(batched.max(), plain.max()) << i;
-      EXPECT_EQ(batched.Serialize(), plain.Serialize()) << i;
+    staged.Record(v);
+    longhand.Add(v);
+    if (i % 97 == 0 || i % 64 == 63 || i % 64 == 0) {
+      SCOPED_TRACE(i);
+      ExpectMatchesLonghand(staged, longhand);
     }
   }
-  EXPECT_EQ(batched.Serialize(), plain.Serialize());
-  EXPECT_EQ(batched.sum(), plain.sum());
-  EXPECT_EQ(batched.p999(), plain.p999());
-  EXPECT_TRUE(batched.batched());  // reads drain the batch, not the mode
+  ExpectMatchesLonghand(staged, longhand);
 }
 
-TEST(TelemetryHistogram, BatchedMergePreservesModeAndState) {
-  // Merging into an empty batched histogram adopts the other side's state
-  // but keeps recording batched; staged values on either side are drained
-  // before merging.
-  obs::Histogram batched;
-  batched.set_batched(true);
+TEST(TelemetryHistogram, MergeDrainsStagedValues) {
+  // Staged values on either side are drained before merging; merging into
+  // an empty histogram adopts the other side's state.
+  obs::Histogram merged;
   obs::Histogram source;
   source.Record(10);
   source.Record(20);
-  batched.Merge(source);
-  EXPECT_TRUE(batched.batched());
-  EXPECT_EQ(batched.count(), 2u);
+  merged.Merge(source);
+  EXPECT_EQ(merged.count(), 2u);
 
   obs::Histogram staged;
-  staged.set_batched(true);
   staged.Record(30);  // still staged when the merge happens
-  batched.Merge(staged);
-  EXPECT_EQ(batched.count(), 3u);
-  EXPECT_EQ(batched.sum(), 60);
-  EXPECT_EQ(batched.min(), 10);
-  EXPECT_EQ(batched.max(), 30);
-
-  obs::Histogram plain;
-  for (const int64_t v : {10, 20, 30}) {
-    plain.Record(v);
+  merged.Record(5);   // and one staged on the receiving side
+  merged.Merge(staged);
+  LonghandHistogram want;
+  for (const int64_t v : {10, 20, 5, 30}) {
+    want.Add(v);
   }
-  EXPECT_EQ(batched.Serialize(), plain.Serialize());
-}
-
-TEST(TelemetryDeterminism, BatchedTelemetryProducesIdenticalRunBytes) {
-  // A real instrumented run with batched recording (the default) must emit
-  // byte-identical histograms, stats JSON, and metrics to the same run with
-  // batching off.
-  ExperimentParams params;
-  params.scale = 4096;
-  params.telemetry.histograms = true;
-  params.telemetry.sample_stride_ns = 10 * kMillisecond;
-  ASSERT_TRUE(params.telemetry.batched);  // batched is the default
-  const ExperimentResult batched = RunExperiment(params);
-  params.telemetry.batched = false;
-  const ExperimentResult plain = RunExperiment(params);
-  ASSERT_NE(batched.telemetry, nullptr);
-  ASSERT_NE(plain.telemetry, nullptr);
-  EXPECT_EQ(batched.telemetry->SerializeHistograms(),
-            plain.telemetry->SerializeHistograms());
-  EXPECT_EQ(batched.telemetry->StatsJson().Dump(), plain.telemetry->StatsJson().Dump());
-  EXPECT_EQ(MetricsToJson(batched.metrics).Dump(), MetricsToJson(plain.metrics).Dump());
+  ExpectMatchesLonghand(merged, want);
 }
 
 TEST(Telemetry, MergeFromMatchesByNameAndAppendsUnknown) {

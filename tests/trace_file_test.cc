@@ -1,11 +1,15 @@
 #include "src/trace/trace_file.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/trace/fast_source.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -15,6 +19,18 @@ class TraceFileTest : public ::testing::Test {
  protected:
   std::string TempPath(const std::string& name) {
     return testing::TempDir() + "/flashsim_" + name;
+  }
+
+  // Writes `records` to `path` in `format`.
+  void WriteTrace(const std::string& path, TraceFormat format,
+                  const std::vector<TraceRecord>& records) {
+    std::string error;
+    auto writer = TraceFileWriter::Create(path, format, &error);
+    ASSERT_NE(writer, nullptr) << error;
+    for (const auto& r : records) {
+      writer->Write(r);
+    }
+    ASSERT_TRUE(writer->Close());
   }
 
   std::vector<TraceRecord> SampleRecords(int n) {
@@ -46,7 +62,7 @@ TEST_F(TraceFileTest, BinaryRoundTrip) {
   }
   EXPECT_TRUE(writer->Close());
 
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr) << error;
   EXPECT_EQ(reader->format(), TraceFormat::kBinary);
   TraceRecord r;
@@ -69,7 +85,7 @@ TEST_F(TraceFileTest, TextRoundTrip) {
   }
   EXPECT_TRUE(writer->Close());
 
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr) << error;
   EXPECT_EQ(reader->format(), TraceFormat::kText);
   TraceRecord r;
@@ -92,7 +108,7 @@ TEST_F(TraceFileTest, RewindRestartsStream) {
   }
   writer->Close();
 
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr);
   TraceRecord r;
   while (reader->Next(&r)) {
@@ -111,7 +127,7 @@ TEST_F(TraceFileTest, TextToleratesCommentsAndBlankLines) {
   std::fclose(f);
 
   std::string error;
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr);
   TraceRecord r;
   ASSERT_TRUE(reader->Next(&r));
@@ -138,7 +154,7 @@ TEST_F(TraceFileTest, TextSkipsMalformedLinesAndReportsFirst) {
   std::fclose(f);
 
   std::string error;
-  auto reader = FileTraceSource::Open(path, &error);
+  auto reader = OpenTraceSource(path, &error);
   ASSERT_NE(reader, nullptr);
   TraceRecord r;
   ASSERT_TRUE(reader->Next(&r));
@@ -153,9 +169,111 @@ TEST_F(TraceFileTest, TextSkipsMalformedLinesAndReportsFirst) {
 
 TEST_F(TraceFileTest, MissingFileReportsError) {
   std::string error;
-  auto reader = FileTraceSource::Open("/nonexistent/nope.trace", &error);
+  auto reader = OpenTraceSource("/nonexistent/nope.trace", &error);
   EXPECT_EQ(reader, nullptr);
   EXPECT_NE(error.find("cannot open"), std::string::npos);
+}
+
+TEST_F(TraceFileTest, DirectoryReportsError) {
+  std::string error;
+  auto reader = OpenTraceSource(testing::TempDir(), &error);
+  EXPECT_EQ(reader, nullptr);
+  EXPECT_NE(error.find("cannot read"), std::string::npos);
+}
+
+std::vector<TraceRecord> DrainPath(const std::string& path) {
+  std::string error;
+  std::unique_ptr<TraceSource> reader = OpenTraceSource(path, &error);
+  EXPECT_NE(reader, nullptr) << error;
+  std::vector<TraceRecord> records;
+  TraceRecord r;
+  while (reader != nullptr && reader->Next(&r)) {
+    records.push_back(r);
+  }
+  return records;
+}
+
+// Streams a file's bytes into a pipe from a writer thread; path() names the
+// pipe's read end, as /dev/stdin or a shell's <(...) would.
+class PipeFeed {
+ public:
+  explicit PipeFeed(const std::string& file) {
+    std::FILE* in = std::fopen(file.c_str(), "rb");
+    EXPECT_NE(in, nullptr) << file;
+    char buf[65536];
+    size_t got;
+    while (in != nullptr && (got = std::fread(buf, 1, sizeof(buf), in)) > 0) {
+      bytes_.append(buf, got);
+    }
+    if (in != nullptr) {
+      std::fclose(in);
+    }
+    std::signal(SIGPIPE, SIG_IGN);  // a failing reader may close early
+    int fds[2];
+    EXPECT_EQ(pipe(fds), 0);
+    read_fd_ = fds[0];
+    writer_ = std::thread([this, fd = fds[1]] {
+      for (size_t done = 0; done < bytes_.size();) {
+        const ssize_t n = write(fd, bytes_.data() + done, bytes_.size() - done);
+        if (n <= 0) {
+          break;  // the reader went away
+        }
+        done += static_cast<size_t>(n);
+      }
+      close(fd);
+    });
+  }
+  ~PipeFeed() {
+    close(read_fd_);
+    writer_.join();
+  }
+
+  PipeFeed(const PipeFeed&) = delete;
+  PipeFeed& operator=(const PipeFeed&) = delete;
+
+  std::string path() const { return "/dev/fd/" + std::to_string(read_fd_); }
+
+ private:
+  std::string bytes_;
+  int read_fd_ = -1;
+  std::thread writer_;
+};
+
+// A piped trace is opened once: the format sniff must not swallow the head
+// of the stream. Both traces span several 1 MiB refills.
+TEST_F(TraceFileTest, PipedTraceReadsLikeTheFile) {
+  const auto records = SampleRecords(100000);
+  for (const TraceFormat format : {TraceFormat::kText, TraceFormat::kBinary}) {
+    const bool binary = format == TraceFormat::kBinary;
+    SCOPED_TRACE(binary ? "binary" : "text");
+    const std::string path = TempPath(binary ? "piped.bin" : "piped.trace");
+    WriteTrace(path, format, records);
+    const std::vector<TraceRecord> from_file = DrainPath(path);
+    ASSERT_EQ(from_file, records);
+    std::vector<TraceRecord> from_pipe;
+    {
+      PipeFeed feed(path);
+      from_pipe = DrainPath(feed.path());
+    }
+    EXPECT_EQ(from_pipe.size(), from_file.size());
+    EXPECT_TRUE(from_pipe == from_file);
+    std::remove(path.c_str());
+  }
+}
+
+TEST_F(TraceFileTest, PipedBinaryTraceHasNoSizeHint) {
+  const std::string path = TempPath("hint.bin");
+  WriteTrace(path, TraceFormat::kBinary, SampleRecords(10));
+  std::string error;
+  auto file = OpenTraceSource(path, &error);
+  ASSERT_NE(file, nullptr) << error;
+  EXPECT_EQ(file->SizeHint(), 10u);
+  PipeFeed feed(path);
+  auto piped = OpenTraceSource(feed.path(), &error);
+  ASSERT_NE(piped, nullptr) << error;
+  EXPECT_EQ(piped->format(), TraceFormat::kBinary);
+  EXPECT_EQ(piped->SizeHint(), 0u);  // a pipe has no size to count
+  std::remove(path.c_str());
 }
 
 TEST_F(TraceFileTest, UnwritablePathReportsError) {

@@ -1,5 +1,5 @@
-// Deterministic fuzz of the trace import surfaces: the text/binary trace
-// file readers and the CSV block-trace importer. Inputs are valid streams
+// Deterministic fuzz of the trace import surfaces: the trace file reader
+// (both formats) and the CSV block-trace importer. Inputs are valid streams
 // mutated with truncation, duplication (repeated headers included), bit
 // flips, and adversarial numeric fields. The properties checked:
 //
@@ -8,14 +8,19 @@
 //     contract: file_id <= kMaxFileId, block + count - 1 <= kMaxBlockInFile,
 //     count >= 1) — malformed rows are skipped and reported via
 //     error_line()/skipped, never half-parsed into aliasing keys;
-//   - well-formed prefixes of truncated files still parse.
+//   - well-formed prefixes of truncated files still parse;
+//   - the block-buffered reader delivers exactly what a longhand stdio
+//     loop (ReferenceReader below) delivers, records and error_line alike,
+//     including where a line or a record straddles a buffer refill.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "src/trace/codec.h"
 #include "src/trace/csv_import.h"
 #include "src/trace/fast_source.h"
 #include "src/trace/trace_file.h"
@@ -23,6 +28,74 @@
 
 namespace flashsim {
 namespace {
+
+// The longhand reference: the simulator's original streaming reader, one
+// fgets(line, 256, f) per text line or one fread of a 22-byte record per
+// binary record, through the shared codec. A short final fread (a partial
+// tail) ends the stream.
+class ReferenceReader {
+ public:
+  explicit ReferenceReader(const std::string& path) : file_(std::fopen(path.c_str(), "rb")) {
+    EXPECT_NE(file_, nullptr) << path;
+    char magic[kTraceBinaryMagicLen];
+    binary_ = std::fread(magic, 1, sizeof(magic), file_) == sizeof(magic) &&
+              std::memcmp(magic, kTraceBinaryMagic, sizeof(magic)) == 0;
+    if (!binary_) {
+      std::rewind(file_);
+    }
+  }
+  ~ReferenceReader() { std::fclose(file_); }
+
+  ReferenceReader(const ReferenceReader&) = delete;
+  ReferenceReader& operator=(const ReferenceReader&) = delete;
+
+  bool Next(TraceRecord* record) {
+    const bool ok = binary_ ? NextBinary(record) : NextText(record);
+    records_read_ += ok ? 1 : 0;
+    return ok;
+  }
+
+  uint64_t error_line() const { return error_line_; }
+
+ private:
+  bool NextText(TraceRecord* record) {
+    char line[256];
+    while (std::fgets(line, sizeof(line), file_) != nullptr) {
+      ++line_;
+      switch (ParseTraceTextLine(line, record)) {
+        case TextLineResult::kSkip:
+          continue;
+        case TextLineResult::kMalformed:
+          if (error_line_ == 0) {
+            error_line_ = line_;
+          }
+          continue;
+        case TextLineResult::kRecord:
+          return true;
+      }
+    }
+    return false;
+  }
+
+  bool NextBinary(TraceRecord* record) {
+    unsigned char bytes[kTraceBinaryRecordSize];
+    while (std::fread(bytes, 1, sizeof(bytes), file_) == sizeof(bytes)) {
+      if (DecodeTraceRecord(bytes, record)) {
+        return true;
+      }
+      if (error_line_ == 0) {
+        error_line_ = records_read_ + 1;
+      }
+    }
+    return false;
+  }
+
+  std::FILE* file_;
+  bool binary_ = false;
+  uint64_t records_read_ = 0;
+  uint64_t line_ = 0;
+  uint64_t error_line_ = 0;
+};
 
 class TraceFuzzTest : public ::testing::Test {
  protected:
@@ -44,7 +117,7 @@ class TraceFuzzTest : public ::testing::Test {
   // Reads every record, checking the range contract on each.
   uint64_t DrainChecked(const std::string& path) {
     std::string error;
-    auto source = FileTraceSource::Open(path, &error);
+    auto source = OpenTraceSource(path, &error);
     EXPECT_NE(source, nullptr) << error;
     TraceRecord r;
     uint64_t n = 0;
@@ -174,7 +247,7 @@ TEST_F(TraceFuzzTest, TextAdversarialFieldsAreSkippedNotTruncated) {
       "R 65536 0 1 0 1\n"                        // host > uint16
       "W 1 2 3 4 5\n");                          // the one valid line
   std::string error;
-  auto source = FileTraceSource::Open(path, &error);
+  auto source = OpenTraceSource(path, &error);
   ASSERT_NE(source, nullptr);
   TraceRecord r;
   uint64_t n = 0;
@@ -207,7 +280,7 @@ TEST_F(TraceFuzzTest, BinaryRecordsWithOutOfRangeFieldsAreSkipped) {
   append_record(7, 42, 3);                     // valid
   const std::string path = WriteFile("ranges.trace", bytes);
   std::string error;
-  auto source = FileTraceSource::Open(path, &error);
+  auto source = OpenTraceSource(path, &error);
   ASSERT_NE(source, nullptr);
   TraceRecord r;
   ASSERT_TRUE(source->Next(&r));
@@ -219,9 +292,9 @@ TEST_F(TraceFuzzTest, BinaryRecordsWithOutOfRangeFieldsAreSkipped) {
 }
 
 // ---------------------------------------------------------------------------
-// Fast-reader identity: the mmap and block-buffered readers (fast_source.h)
-// must deliver record-for-record exactly what the streaming FileTraceSource
-// delivers on ANY input — valid, mutated, truncated, or adversarial.
+// Reader identity: OpenTraceSource must deliver record for record exactly
+// what the longhand ReferenceReader delivers on ANY input — valid, mutated,
+// truncated, or adversarial — and report the same error_line.
 
 std::vector<TraceRecord> Drain(TraceSource& source) {
   std::vector<TraceRecord> records;
@@ -248,103 +321,200 @@ void ExpectSameRecords(const std::vector<TraceRecord>& a, const std::vector<Trac
   }
 }
 
-// Streams the file through FileTraceSource and OpenTraceSource (which picks
-// the mmap or block-buffered reader) and requires identical records.
-void ExpectFastReaderIdentity(const std::string& path) {
+// Reads the file through ReferenceReader and OpenTraceSource and requires
+// identical records and error_line. Returns the records.
+std::vector<TraceRecord> ExpectReaderMatchesReference(const std::string& path) {
+  ReferenceReader reference(path);
+  std::vector<TraceRecord> want;
+  TraceRecord r;
+  while (reference.Next(&r)) {
+    want.push_back(r);
+  }
   std::string error;
-  auto legacy = FileTraceSource::Open(path, &error);
-  ASSERT_NE(legacy, nullptr) << error;
-  auto fast = OpenTraceSource(path, &error);
-  ASSERT_NE(fast, nullptr) << error;
-  ExpectSameRecords(Drain(*legacy), Drain(*fast), "legacy vs fast");
+  auto reader = OpenTraceSource(path, &error);
+  EXPECT_NE(reader, nullptr) << error;
+  if (reader == nullptr) {
+    return want;
+  }
+  ExpectSameRecords(want, Drain(*reader), "reference vs reader");
+  EXPECT_EQ(reader->error_line(), reference.error_line());
+  return want;
 }
 
-TEST_F(TraceFuzzTest, FastTextReaderMatchesStreamingReaderOnMutations) {
+TEST_F(TraceFuzzTest, TextReaderMatchesReferenceOnMutations) {
   const std::string valid = ValidTextTrace(200, 21);
   Rng rng(22);
   for (int round = 0; round < 100; ++round) {
-    ExpectFastReaderIdentity(WriteFile("ident_text.trace", Mutate(valid, rng)));
+    ExpectReaderMatchesReference(WriteFile("ident_text.trace", Mutate(valid, rng)));
   }
 }
 
-TEST_F(TraceFuzzTest, FastBinaryReaderMatchesStreamingReaderOnMutations) {
+TEST_F(TraceFuzzTest, BinaryReaderMatchesReferenceOnMutations) {
   const std::string valid = ValidBinaryTrace(200, 23);
   Rng rng(24);
   for (int round = 0; round < 100; ++round) {
-    ExpectFastReaderIdentity(WriteFile("ident_bin.trace", Mutate(valid, rng)));
+    ExpectReaderMatchesReference(WriteFile("ident_bin.trace", Mutate(valid, rng)));
   }
 }
 
-TEST_F(TraceFuzzTest, BufferedTextReaderChunksLongLinesLikeFgets) {
+TEST_F(TraceFuzzTest, TextReaderChunksLongLinesLikeFgets) {
   // Lines longer than 255 bytes split into fgets-sized chunks; each chunk
-  // parses independently. A 300-byte garbage line, a line whose valid
-  // record is buried past the chunk boundary, and a normal record must all
-  // come out of both readers identically (including error_line).
-  std::string text(300, 'x');
-  text += "\n";
-  text += std::string(280, ' ') + "R 0 0 1 2 3\n";  // record lands in chunk 2
+  // parses on its own. Line by line, as fgets(256) cuts them:
+  //   1  "W 0 0 9 9 1"                     record
+  //   2  255 x                             malformed (first error)
+  //   3  45 x                              malformed
+  //   4  255 spaces                        blank
+  //   5  25 spaces + "R 0 0 1 2 3"         record (buried past the cut)
+  //   6  "R 1 2 3 4 5"                     record
+  std::string text = "W 0 0 9 9 1\n";
+  text += std::string(300, 'x') + "\n";
+  text += std::string(280, ' ') + "R 0 0 1 2 3\n";
   text += "R 1 2 3 4 5\n";
   const std::string path = WriteFile("longline.trace", text);
+  const std::vector<TraceRecord> records = ExpectReaderMatchesReference(path);
+  ASSERT_EQ(records.size(), 3u);
+  EXPECT_EQ(records[0].op, TraceOp::kWrite);
+  EXPECT_EQ(records[0].file_id, 9u);
+  EXPECT_EQ(records[1].op, TraceOp::kRead);
+  EXPECT_EQ(records[1].file_id, 1u);
+  EXPECT_EQ(records[1].block, 2u);
+  EXPECT_EQ(records[1].block_count, 3u);
+  EXPECT_EQ(records[2].host, 1);
+  EXPECT_EQ(records[2].thread, 2);
+  EXPECT_EQ(records[2].block_count, 5u);
   std::string error;
-  auto legacy = FileTraceSource::Open(path, &error);
-  ASSERT_NE(legacy, nullptr);
-  auto buffered = BufferedTextTraceSource::Open(path, &error);
-  ASSERT_NE(buffered, nullptr);
-  ExpectSameRecords(Drain(*legacy), Drain(*buffered), "long lines");
-  EXPECT_EQ(legacy->error_line(), buffered->error_line());
+  auto reader = OpenTraceSource(path, &error);
+  ASSERT_NE(reader, nullptr) << error;
+  Drain(*reader);
+  EXPECT_EQ(reader->error_line(), 2u);
 }
 
-TEST_F(TraceFuzzTest, MmapReaderBinaryEdgeCases) {
+TEST_F(TraceFuzzTest, BinaryEdgeCases) {
   std::string error;
-  // Zero-length file: no magic, so it is not a binary trace.
-  EXPECT_EQ(MmapTraceSource::Open(WriteFile("empty.trace", ""), &error), nullptr);
-  // Magic-only: valid, zero records, exact SizeHint.
+  // Zero-length file: no magic, so it reads as an empty text trace.
   {
-    auto source = MmapTraceSource::Open(WriteFile("magic.trace", "FSIMB1\n"), &error);
+    auto source = OpenTraceSource(WriteFile("empty.trace", ""), &error);
     ASSERT_NE(source, nullptr) << error;
+    EXPECT_EQ(source->format(), TraceFormat::kText);
+    EXPECT_EQ(source->SizeHint(), 0u);
+    TraceRecord r;
+    EXPECT_FALSE(source->Next(&r));
+  }
+  // Magic-only: binary, zero records, exact SizeHint.
+  {
+    auto source = OpenTraceSource(WriteFile("magic.trace", "FSIMB1\n"), &error);
+    ASSERT_NE(source, nullptr) << error;
+    EXPECT_EQ(source->format(), TraceFormat::kBinary);
     EXPECT_EQ(source->SizeHint(), 0u);
     TraceRecord r;
     EXPECT_FALSE(source->Next(&r));
   }
   // Unaligned tail: one whole record plus a partial one — the partial tail
-  // is ignored, matching the streaming reader's short final fread.
+  // is ignored, as the reference's short final fread ends its stream.
   {
     const std::string whole = ValidBinaryTrace(2, 25);
     const std::string path = WriteFile("tail.trace", whole.substr(0, whole.size() - 10));
-    auto source = MmapTraceSource::Open(path, &error);
+    auto source = OpenTraceSource(path, &error);
     ASSERT_NE(source, nullptr) << error;
     EXPECT_EQ(source->SizeHint(), 1u);
-    ExpectFastReaderIdentity(path);
+    EXPECT_EQ(ExpectReaderMatchesReference(path).size(), 1u);
   }
   // SizeHint counts invalid (skipped) records too: it is an upper bound.
   {
     const std::string valid = ValidBinaryTrace(5, 26);
-    auto source = MmapTraceSource::Open(WriteFile("hint.trace", valid), &error);
+    auto source = OpenTraceSource(WriteFile("hint.trace", valid), &error);
     ASSERT_NE(source, nullptr) << error;
     EXPECT_EQ(source->SizeHint(), 5u);
   }
 }
 
-TEST_F(TraceFuzzTest, FastReadersRewindToIdenticalStreams) {
+TEST_F(TraceFuzzTest, RewindReplaysIdenticalStreams) {
   std::string error;
-  {
-    auto source = MmapTraceSource::Open(WriteFile("rw.trace", ValidBinaryTrace(50, 27)),
-                                        &error);
+  for (const std::string& bytes : {ValidBinaryTrace(50, 27), ValidTextTrace(50, 28)}) {
+    auto source = OpenTraceSource(WriteFile("rw.trace", bytes), &error);
     ASSERT_NE(source, nullptr) << error;
     const auto first = Drain(*source);
     ASSERT_EQ(first.size(), 50u);
     source->Rewind();
-    ExpectSameRecords(first, Drain(*source), "mmap rewind");
+    ExpectSameRecords(first, Drain(*source), "rewind");
   }
-  {
-    auto source =
-        BufferedTextTraceSource::Open(WriteFile("rw.trace", ValidTextTrace(50, 28)), &error);
-    ASSERT_NE(source, nullptr) << error;
-    const auto first = Drain(*source);
-    ASSERT_EQ(first.size(), 50u);
-    source->Rewind();
-    ExpectSameRecords(first, Drain(*source), "buffered text rewind");
-  }
+}
+
+// ---------------------------------------------------------------------------
+// Refill boundaries: the reader holds TraceFileReader::kBufferBytes of the
+// file at a time, so records and lines that straddle a refill must come out
+// whole.
+
+constexpr size_t kRefill = TraceFileReader::kBufferBytes;
+
+TEST_F(TraceFuzzTest, BinaryRecordsStraddleRefills) {
+  // Record k starts at byte 7 + 22k, so record 47662 spans the first
+  // refill boundary (bytes 1048571..1048592); later refills fall at other
+  // offsets into a record. An invalid record planted across the first
+  // boundary pins error_line there; a second one lies past the second.
+  const uint64_t kRecords = 3 * kRefill / kTraceBinaryRecordSize;
+  std::string bytes = ValidBinaryTrace(kRecords, 29);
+  const size_t straddler = (kRefill - kTraceBinaryMagicLen) / kTraceBinaryRecordSize;
+  ASSERT_LT(kTraceBinaryMagicLen + straddler * kTraceBinaryRecordSize, kRefill);
+  ASSERT_GT(kTraceBinaryMagicLen + (straddler + 1) * kTraceBinaryRecordSize, kRefill);
+  bytes[kTraceBinaryMagicLen + straddler * kTraceBinaryRecordSize] = 7;  // op 7: invalid
+  bytes[kTraceBinaryMagicLen + (2 * straddler + 5) * kTraceBinaryRecordSize] = 9;
+  bytes += "tail";  // a partial record at the very end
+  const std::string path = WriteFile("straddle.trace", bytes);
+  const std::vector<TraceRecord> records = ExpectReaderMatchesReference(path);
+  EXPECT_EQ(records.size(), kRecords - 2);
+  std::string error;
+  auto reader = OpenTraceSource(path, &error);
+  ASSERT_NE(reader, nullptr) << error;
+  EXPECT_EQ(reader->SizeHint(), kRecords);
+  Drain(*reader);
+  EXPECT_EQ(reader->error_line(), straddler + 1);
+}
+
+TEST_F(TraceFuzzTest, TextLinesStraddleRefills) {
+  // A refill carries the unread part of the last line over to the front of
+  // the next block, so buffer k+1 starts where buffer k's partial line
+  // began. Built line by line around the first three boundaries:
+  //   - a record line starting 7 bytes before the first boundary (the next
+  //     buffer starts at kRefill - 7);
+  //   - the first malformed line starting 4 bytes before the second
+  //     (2 * kRefill - 11), pinning error_line across a refill;
+  //   - a 300-byte line starting 100 bytes before the third, whose fgets
+  //     cut at 255 bytes lands in the next buffer.
+  std::string text;
+  uint64_t lines = 0;
+  uint64_t records = 0;
+  auto add = [&](const std::string& line, bool record) {
+    text += line;
+    ++lines;
+    records += record ? 1 : 0;
+  };
+  Rng rng(30);
+  auto pad_to = [&](size_t offset) {  // valid lines, then a comment filler
+    while (text.size() + 40 < offset) {
+      add("R 0 1 2 " + std::to_string(rng.NextBounded(1000)) + " 1\n", true);
+    }
+    add(std::string(offset - text.size() - 1, '#') + "\n", false);
+    ASSERT_EQ(text.size(), offset);
+  };
+  pad_to(kRefill - 7);
+  add("W 3 4 5 6 7\n", true);
+  pad_to(2 * kRefill - 11);
+  const uint64_t bogus_line = lines + 1;
+  add("R bogus line\n", false);
+  pad_to(3 * kRefill - 111);
+  add(std::string(300, ' ') + "R 9 9 9 9 9\n", true);  // two fgets chunks
+  add("R 1 1 1 1 1\n", true);
+  const std::string path = WriteFile("straddle_text.trace", text);
+  const std::vector<TraceRecord> got = ExpectReaderMatchesReference(path);
+  ASSERT_EQ(got.size(), records);
+  EXPECT_EQ(got[got.size() - 2].host, 9);
+  EXPECT_EQ(got[got.size() - 2].block_count, 9u);
+  std::string error;
+  auto reader = OpenTraceSource(path, &error);
+  ASSERT_NE(reader, nullptr) << error;
+  Drain(*reader);
+  EXPECT_EQ(reader->error_line(), bogus_line);
 }
 
 std::string ValidCsv(uint64_t rows, uint64_t seed) {
