@@ -226,8 +226,6 @@ inline std::vector<Sweep::AxisValue> AdmissionAxis(
   return values;
 }
 
-// Storage-backend shard counts (SimConfig::num_filers); 1 is the paper's
-// single-filer topology.
 // Coherence protocol members (DESIGN.md §15). perfect is the paper's
 // zero-cost model; directory/lease put the protocol on the network path.
 inline std::vector<Sweep::AxisValue> CoherenceAxis(const std::vector<CoherenceModel>& models) {
@@ -240,6 +238,8 @@ inline std::vector<Sweep::AxisValue> CoherenceAxis(const std::vector<CoherenceMo
   return values;
 }
 
+// Storage-backend shard counts (SimConfig::num_filers); 1 is the paper's
+// single-filer topology.
 inline std::vector<Sweep::AxisValue> FilersAxis(const std::vector<int>& counts) {
   std::vector<Sweep::AxisValue> values;
   values.reserve(counts.size());

@@ -2,17 +2,17 @@
 //
 // §3.8 counts invalidations but does not charge their protocol traffic.
 // This bench reruns the Fig 11 worst case (two hosts, one shared working
-// set) under the legacy packet-charging models — free (the paper),
-// asynchronous messages, and blocking (the writer waits for
-// acknowledgements) — and the modeled coherence protocols
-// (--coherence=directory|lease, DESIGN.md §15), to quantify how much of
-// the write-latency advantage of client flash caching survives a real
-// consistency protocol.
+// set) under each coherence protocol (--coherence, DESIGN.md §15): perfect
+// (the paper's free invalidation), directory (a lookup round trip per read
+// miss; report, callback, ack and grant per invalidating write, the writer
+// waiting for the grant) and lease (time-bounded read leases; writers break
+// only live ones), to quantify how much of the write-latency advantage of
+// client flash caching survives a real consistency protocol.
 //
-// Expected shape: async messaging is nearly free (small packets on
-// otherwise idle links); blocking invalidation adds a network round trip to
-// every invalidating write, which at high sharing rates erases the
-// "writes at RAM speed" property.
+// Expected shape: perfect writes stay at RAM speed with no messages; the
+// priced protocols put four packets and a directory service on the path of
+// every invalidating write, which at high sharing rates erases the "writes
+// at RAM speed" property, and slow reads with their lookups.
 #include "bench/bench_util.h"
 
 using namespace flashsim;
@@ -32,27 +32,13 @@ int main(int argc, char** argv) {
                             p.write_fraction = write_pct / 100.0;
                           }});
   }
-  std::vector<Sweep::AxisValue> traffic_axis;
-  for (InvalidationTraffic model : {InvalidationTraffic::kNone, InvalidationTraffic::kAsync,
-                                    InvalidationTraffic::kBlocking}) {
-    traffic_axis.push_back({InvalidationTrafficName(model), [model](ExperimentParams& p) {
-                              p.invalidation_traffic = model;
-                              p.coherence = CoherenceModel::kPerfect;
-                            }});
-  }
-  // The modeled protocols charge their own messages (invalidation off).
-  for (CoherenceModel model : {CoherenceModel::kDirectory, CoherenceModel::kLease}) {
-    traffic_axis.push_back({CoherenceModelName(model), [model](ExperimentParams& p) {
-                              p.invalidation_traffic = InvalidationTraffic::kNone;
-                              p.coherence = model;
-                            }});
-  }
 
   Sweep sweep(base);
   sweep.AddAxis("write_pct", std::move(write_axis))
-      .AddAxis("traffic_model", std::move(traffic_axis));
+      .AddAxis("coherence", CoherenceAxis({CoherenceModel::kPerfect, CoherenceModel::kDirectory,
+                                           CoherenceModel::kLease}));
 
-  Table table({"write_pct", "traffic_model", "write_us", "read_us", "invalidation_pct",
+  Table table({"write_pct", "coherence", "write_us", "read_us", "invalidation_pct",
                "messages"});
   RunSweepIntoTable(sweep, options, &table,
                     [](const SweepPoint& point, const ExperimentResult& result) {

@@ -21,8 +21,8 @@
 //     --persistent            doubled flash writes (recoverable cache)
 //     --cold                  skip warmup (crashed cache)
 //     --ftl                   FTL-backed flash device (GC, erases, TRIM)
-//     --invalidation=none|async|blocking
-//     --coherence=perfect|directory|lease
+//     --coherence=perfect|directory|lease      consistency protocol; perfect
+//                             (the default) is the paper's free invalidation
 //     --series-ms=N           print a read-latency time series
 //     --json                  machine-readable full Metrics snapshot
 //     --stats_json=PATH       write metrics + telemetry histograms ("-" = stdout)
@@ -103,19 +103,6 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                        return false;
                      }
                      params.admission = *policy;
-                     return true;
-                   });
-  parser.AddCustom("invalidation", "none|async|blocking", "consistency traffic model",
-                   [&params](const std::string& value) {
-                     if (value == "none") {
-                       params.invalidation_traffic = InvalidationTraffic::kNone;
-                     } else if (value == "async") {
-                       params.invalidation_traffic = InvalidationTraffic::kAsync;
-                     } else if (value == "blocking") {
-                       params.invalidation_traffic = InvalidationTraffic::kBlocking;
-                     } else {
-                       return false;
-                     }
                      return true;
                    });
   parser.AddCustom("coherence", "perfect|directory|lease",

@@ -198,21 +198,6 @@ class CacheStack {
   virtual std::optional<SimTime> FlushOneFlashBlock(SimTime now,
                                                     SimTime dirtied_before = kSimTimeNever) = 0;
 
-  // Drains a tier completely with back-to-back sequential writebacks
-  // (test/shutdown convenience); returns the final completion time.
-  SimTime FlushAllRam(SimTime now) {
-    while (auto done = FlushOneRamBlock(now)) {
-      now = *done;
-    }
-    return now;
-  }
-  SimTime FlushAllFlash(SimTime now) {
-    while (auto done = FlushOneFlashBlock(now)) {
-      now = *done;
-    }
-    return now;
-  }
-
   // Cache-consistency invalidation: drop every copy of `key` (stale data is
   // discarded, not written back). No time is charged — the paper's
   // directory acts instantly with global knowledge (§3.8).

@@ -206,10 +206,6 @@ uint32_t LruBlockCache::Insert(BlockKey key, bool dirty, std::optional<EvictedBl
     // Full: evict per the replacement policy and reuse the buffer.
     slot = policy_->SelectVictim();
     const bool victim_dirty = this->dirty(slot);
-    ++evictions_;
-    if (victim_dirty) {
-      ++dirty_evictions_;
-    }
     if (evicted != nullptr) {
       *evicted = EvictedBlock{hot_[slot].key, medium_of(slot), victim_dirty};
     }
@@ -223,7 +219,6 @@ uint32_t LruBlockCache::Insert(BlockKey key, bool dirty, std::optional<EvictedBl
   hot_[slot].key = key;
   flags_[slot] = kInUseFlag;
   ++size_;
-  ++inserts_;
   IndexInsert(key, slot);
   LruPushFront(slot);
   policy_->OnInsert(slot);

@@ -201,10 +201,6 @@ class LruBlockCache {
   // must all agree. Aborts on violation.
   void CheckInvariants() const;
 
-  uint64_t evictions() const { return evictions_; }
-  uint64_t dirty_evictions() const { return dirty_evictions_; }
-  uint64_t inserts() const { return inserts_; }
-
  private:
   // Everything a lookup, hit, or eviction reads; four to a cache line.
   struct HotSlot {
@@ -282,9 +278,6 @@ class LruBlockCache {
   std::vector<uint32_t> free_slots_;  // slots freed by Remove, reused first
   uint64_t size_ = 0;
   uint64_t dirty_count_ = 0;
-  uint64_t evictions_ = 0;
-  uint64_t dirty_evictions_ = 0;
-  uint64_t inserts_ = 0;
 };
 
 }  // namespace flashsim

@@ -5,19 +5,39 @@
 #include <memory>
 #include <sstream>
 
+#include "src/arch/host_rig.h"
 #include "src/arch/subset_stack.h"
-#include "src/consistency/directory.h"
-#include "src/device/background_writer.h"
-#include "src/device/filer.h"
-#include "src/device/flash_device.h"
-#include "src/device/network_link.h"
-#include "src/device/ram_device.h"
 #include "src/backend/storage_backend.h"
+#include "src/cache/lru_cache.h"
+#include "src/consistency/directory.h"
+#include "src/consistency/rig_transport.h"
 #include "src/device/timing.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
+
+std::vector<std::string> DiffConfig::Violations() const {
+  std::vector<std::string> out;
+  const auto rule = [&out](bool holds, const std::string& message) {
+    if (!holds) {
+      out.push_back(message);
+    }
+  };
+  rule(num_hosts >= 1 && num_hosts <= Directory::kMaxHosts,
+       "hosts must be in [1, " + std::to_string(Directory::kMaxHosts) + "], got " +
+           std::to_string(num_hosts));
+  // The unified stack keeps both tiers on one chain, the tightest case.
+  rule(ram_blocks <= LruBlockCache::kMaxCapacity &&
+           flash_blocks <= LruBlockCache::kMaxCapacity - ram_blocks,
+       "RAM + flash must be at most 2^31 blocks, got " + std::to_string(ram_blocks) + " + " +
+           std::to_string(flash_blocks));
+  // The naive stack's RAM→flash writeback requires RAM ⊆ flash.
+  rule(arch != Architecture::kNaive || admission == AdmissionPolicy::kAll,
+       "the naive architecture requires admission=all (a flash admission filter breaks "
+       "RAM ⊆ flash)");
+  return out;
+}
 
 std::string DiffConfig::Summary() const {
   std::ostringstream os;
@@ -75,112 +95,42 @@ std::string DescribeOp(const DiffOp& op) {
   return os.str();
 }
 
-// Forwards one host's residency transitions into the shared directory
-// (mirrors Simulation::HostResidencyBridge).
-class Bridge : public ResidencyListener {
- public:
-  Bridge(Directory& directory, int host) : directory_(&directory), host_(host) {}
-  void OnCached(BlockKey key) override { directory_->NoteCached(host_, key); }
-  void OnDropped(BlockKey key) override { directory_->NoteDropped(host_, key); }
-
- private:
-  Directory* directory_;
-  int host_;
-};
-
-// One host's real-side rig (devices + stack) plus its oracle.
-struct DiffHost {
-  DiffHost(const DiffConfig& config, const TimingModel& timing, EventQueue& queue,
-           StorageBackend& backend, Directory& directory, int host_id)
-      : ram_dev(timing),
-        flash_dev(timing),
-        link(timing, 4096, queue.clock()),
-        remote(backend.Connect(link)),
-        writer(queue, *remote, &flash_dev, timing.writeback_window),
-        bridge(directory, host_id) {
-    StackConfig stack_config;
-    stack_config.ram_blocks = config.ram_blocks;
-    stack_config.flash_blocks = config.flash_blocks;
-    stack_config.ram_policy = config.ram_policy;
-    stack_config.flash_policy = config.flash_policy;
-    stack_config.replacement = config.replacement;
-    stack_config.admission = config.admission;
-    stack = MakeCacheStack(config.arch, stack_config, ram_dev, flash_dev, *remote, writer);
-    stack->set_residency_listener(&bridge);
-    oracle = MakeOracleStack(config.arch, stack_config);
-    if (config.inject_subset_eviction_bug && config.arch != Architecture::kUnified) {
-      static_cast<SubsetStackBase*>(stack.get())->test_only_break_subset_eviction();
-    }
-    // Bug seams arm the real side only; the oracle keeps the correct
-    // behavior, so the suite must diverge if the seam has any effect.
-    if (config.inject_replacement_bug) {
-      stack->test_only_break_replacement();
-    }
-    if (config.inject_admission_bug) {
-      stack->test_only_break_admission();
-    }
+// The real side's hosts, built from the same HostRig the simulator uses,
+// with the stack bug seams armed as the config asks. Bug seams arm the real
+// side only; the oracle keeps the correct behavior, so the suite must
+// diverge if the seam has any effect.
+std::unique_ptr<HostRig> MakeRealHost(const DiffConfig& config, const StackConfig& stack_config,
+                                      const TimingModel& timing, EventQueue& queue,
+                                      StorageBackend& backend) {
+  auto rig = std::make_unique<HostRig>(config.arch, stack_config, timing, /*block_bytes=*/4096,
+                                       queue, backend);
+  if (config.inject_subset_eviction_bug && config.arch != Architecture::kUnified) {
+    static_cast<SubsetStackBase*>(rig->stack.get())->test_only_break_subset_eviction();
   }
-
-  RamDevice ram_dev;
-  FlashDevice flash_dev;
-  NetworkLink link;
-  std::unique_ptr<StorageService> remote;
-  BackgroundWriter writer;
-  Bridge bridge;
-  std::unique_ptr<CacheStack> stack;
-  std::unique_ptr<OracleStack> oracle;
-};
-
-// CoherenceTransport over the rig's hosts and the single shared filer
-// (mirrors Simulation::CoherenceFabric). Protocol drops land on the *real*
-// stacks; the residency bridges keep the directory in step.
-class DiffFabric : public CoherenceTransport {
- public:
-  DiffFabric(std::vector<std::unique_ptr<DiffHost>>& hosts, Filer& filer)
-      : hosts_(&hosts), filer_(&filer) {}
-
-  SimTime HostToFiler(int host, SimTime now, bool carries_data) override {
-    return at(host).link.SendToFiler(now, carries_data);
+  if (config.inject_replacement_bug) {
+    rig->stack->test_only_break_replacement();
   }
-  SimTime FilerToHost(int host, SimTime now, bool carries_data) override {
-    return at(host).link.SendToHost(now, carries_data);
+  if (config.inject_admission_bug) {
+    rig->stack->test_only_break_admission();
   }
-  SimTime FilerService(BlockKey key, SimTime arrival, SimDuration service) override {
-    (void)key;  // one filer: every key's home shard
-    return filer_->ServeControl(arrival, service);
-  }
-  void DropCopy(int host, BlockKey key) override { at(host).stack->Invalidate(key); }
-  bool HoldsCopy(int host, BlockKey key) const override { return at(host).stack->Holds(key); }
-  bool HoldsDirty(int host, BlockKey key) const override {
-    return at(host).stack->HoldsDirty(key);
-  }
-
- private:
-  DiffHost& at(int host) { return *(*hosts_)[static_cast<size_t>(host)]; }
-  const DiffHost& at(int host) const { return *(*hosts_)[static_cast<size_t>(host)]; }
-
-  std::vector<std::unique_ptr<DiffHost>>* hosts_;
-  Filer* filer_;
-};
+  return rig;
+}
 
 // OracleCoherence's residency window over the *oracle* stacks — the model
 // side never reads real-stack state.
 class DiffOracleView : public OracleResidencyView {
  public:
-  explicit DiffOracleView(std::vector<std::unique_ptr<DiffHost>>& hosts) : hosts_(&hosts) {}
+  explicit DiffOracleView(std::vector<std::unique_ptr<OracleStack>>& oracles)
+      : oracles_(&oracles) {}
 
-  bool HoldsCopy(int host, BlockKey key) const override {
-    return (*hosts_)[static_cast<size_t>(host)]->oracle->Holds(key);
-  }
-  bool HoldsDirty(int host, BlockKey key) const override {
-    return (*hosts_)[static_cast<size_t>(host)]->oracle->HoldsDirty(key);
-  }
-  void DropCopy(int host, BlockKey key) override {
-    (*hosts_)[static_cast<size_t>(host)]->oracle->Invalidate(key);
-  }
+  bool HoldsCopy(int host, BlockKey key) const override { return at(host).Holds(key); }
+  bool HoldsDirty(int host, BlockKey key) const override { return at(host).HoldsDirty(key); }
+  void DropCopy(int host, BlockKey key) override { at(host).Invalidate(key); }
 
  private:
-  std::vector<std::unique_ptr<DiffHost>>* hosts_;
+  OracleStack& at(int host) const { return *(*oracles_)[static_cast<size_t>(host)]; }
+
+  std::vector<std::unique_ptr<OracleStack>>* oracles_;
 };
 
 void AppendFieldDiff(std::ostringstream& os, const char* name, uint64_t real, uint64_t want) {
@@ -190,9 +140,9 @@ void AppendFieldDiff(std::ostringstream& os, const char* name, uint64_t real, ui
 }
 
 // Returns empty string when the host's observables agree.
-std::string CompareHost(int host, const DiffHost& h) {
-  const StackCounters& real = h.stack->counters();
-  const StackCounters& want = h.oracle->counters();
+std::string CompareHost(int host, const CacheStack& stack, const OracleStack& oracle) {
+  const StackCounters& real = stack.counters();
+  const StackCounters& want = oracle.counters();
   std::ostringstream os;
   if (!(real == want)) {
     os << "counters diverged on host " << host << ":";
@@ -209,13 +159,13 @@ std::string CompareHost(int host, const DiffHost& h) {
                     want.flash_admission_rejects);
     return os.str();
   }
-  if (h.stack->RamResident() != h.oracle->RamResident() ||
-      h.stack->FlashResident() != h.oracle->FlashResident() ||
-      h.stack->DirtyBlocks() != h.oracle->DirtyBlocks()) {
+  if (stack.RamResident() != oracle.RamResident() ||
+      stack.FlashResident() != oracle.FlashResident() ||
+      stack.DirtyBlocks() != oracle.DirtyBlocks()) {
     os << "residency diverged on host " << host << ":";
-    AppendFieldDiff(os, "ram_resident", h.stack->RamResident(), h.oracle->RamResident());
-    AppendFieldDiff(os, "flash_resident", h.stack->FlashResident(), h.oracle->FlashResident());
-    AppendFieldDiff(os, "dirty_blocks", h.stack->DirtyBlocks(), h.oracle->DirtyBlocks());
+    AppendFieldDiff(os, "ram_resident", stack.RamResident(), oracle.RamResident());
+    AppendFieldDiff(os, "flash_resident", stack.FlashResident(), oracle.FlashResident());
+    AppendFieldDiff(os, "dirty_blocks", stack.DirtyBlocks(), oracle.DirtyBlocks());
     return os.str();
   }
   return "";
@@ -250,9 +200,10 @@ std::string DescribeBlock(const OracleBlock& block) {
 }
 
 // Deep state comparison; empty string when identical.
-std::string CompareSnapshots(int host, const DiffConfig& config, const DiffHost& h) {
-  const OracleStack::Snapshot real = SnapshotRealStack(config.arch, *h.stack);
-  const OracleStack::Snapshot want = h.oracle->TakeSnapshot();
+std::string CompareSnapshots(int host, const DiffConfig& config, const CacheStack& stack,
+                             const OracleStack& oracle) {
+  const OracleStack::Snapshot real = SnapshotRealStack(config.arch, stack);
+  const OracleStack::Snapshot want = oracle.TakeSnapshot();
   if (real == want) {
     return "";
   }
@@ -334,26 +285,30 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
   EventQueue queue;
   StorageBackend backend(timing, /*num_shards=*/1, ShardStrategy::kHash, config.seed);
   Directory directory(config.num_hosts);
-  std::vector<std::unique_ptr<DiffHost>> hosts;
-  hosts.reserve(static_cast<size_t>(config.num_hosts));
+  StackConfig stack_config;
+  stack_config.ram_blocks = config.ram_blocks;
+  stack_config.flash_blocks = config.flash_blocks;
+  stack_config.ram_policy = config.ram_policy;
+  stack_config.flash_policy = config.flash_policy;
+  stack_config.replacement = config.replacement;
+  stack_config.admission = config.admission;
+  // Host h is the pair (rigs[h], oracles[h]): the real stack on its devices
+  // and the reference model it must agree with.
+  std::vector<std::unique_ptr<HostRig>> rigs;
+  std::vector<std::unique_ptr<OracleStack>> oracles;
   for (int h = 0; h < config.num_hosts; ++h) {
-    hosts.push_back(std::make_unique<DiffHost>(config, timing, queue, backend, directory, h));
+    rigs.push_back(MakeRealHost(config, stack_config, timing, queue, backend));
+    oracles.push_back(MakeOracleStack(config.arch, stack_config));
   }
-  DiffFabric fabric(hosts, backend.shard(0));
-  CoherenceParams cparams;
-  cparams.model = config.coherence;
-  cparams.num_hosts = config.num_hosts;
-  cparams.charge_legacy_traffic = false;
-  cparams.legacy_traffic_blocks_writer = false;
-  cparams.directory_service_ns = timing.coherence_ctrl_ns;
-  cparams.flush_service_ns = timing.filer_write_ns;
-  cparams.lease_ns = timing.lease_ns;
-  const std::unique_ptr<CoherenceProtocol> coherence =
-      MakeCoherenceProtocol(cparams, &directory, &fabric);
+  // Protocol drops land on the *real* stacks; on multi-host rigs the
+  // transport's residency bridges keep the directory in step.
+  RigTransport transport(rigs, backend, directory);
+  const std::unique_ptr<CoherenceProtocol> coherence = MakeCoherenceProtocol(
+      MakeCoherenceParams(config.coherence, config.num_hosts, timing), &directory, &transport);
   if (config.inject_coherence_bug) {
     coherence->test_only_break_protocol();
   }
-  DiffOracleView oracle_view(hosts);
+  DiffOracleView oracle_view(oracles);
   OracleCoherence oracle_coherence(config.coherence, config.num_hosts, timing.lease_ns,
                                    oracle_view);
 
@@ -370,13 +325,13 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
         !msg.empty()) {
       return msg;
     }
-    for (int h = 0; h < config.num_hosts; ++h) {
-      std::string msg = CompareHost(h, *hosts[static_cast<size_t>(h)]);
+    for (size_t h = 0; h < rigs.size(); ++h) {
+      std::string msg = CompareHost(static_cast<int>(h), *rigs[h]->stack, *oracles[h]);
       if (!msg.empty()) {
         return msg;
       }
       if (deep) {
-        msg = CompareSnapshots(h, config, *hosts[static_cast<size_t>(h)]);
+        msg = CompareSnapshots(static_cast<int>(h), config, *rigs[h]->stack, *oracles[h]);
         if (!msg.empty()) {
           return msg;
         }
@@ -388,18 +343,19 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
   SimTime now = 0;
   for (uint64_t i = 0; i < ops.size(); ++i) {
     const DiffOp& op = ops[i];
-    DiffHost& host = *hosts[static_cast<size_t>(op.host)];
+    CacheStack& stack = *rigs[static_cast<size_t>(op.host)]->stack;
+    OracleStack& oracle = *oracles[static_cast<size_t>(op.host)];
     switch (op.kind) {
       case DiffOpKind::kRead: {
         // The protocol runs before the stack on both sides: the real
-        // BeforeRead reconciles remote Dirty copies through the fabric and
+        // BeforeRead reconciles remote Dirty copies through the transport and
         // returns the (possibly stalled) read start; the longhand model
         // mirrors its decisions against the oracle stacks.
         const SimTime start = coherence->BeforeRead(op.host, op.key, now);
         oracle_coherence.OnRead(op.host, op.key, now, start);
         HitLevel level = HitLevel::kRam;
-        now = host.stack->Read(start, op.key, &level);
-        const OracleHit want = host.oracle->Read(op.key);
+        now = stack.Read(start, op.key, &level);
+        const OracleHit want = oracle.Read(op.key);
         if (CollapseHitLevel(level) != want) {
           return diverge(i, op,
                          std::string("hit tier: real=") + HitLevelName(level) +
@@ -408,24 +364,24 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
         break;
       }
       case DiffOpKind::kWrite: {
-        now = host.stack->Write(now, op.key);
+        now = stack.Write(now, op.key);
         // The protocol is the write path's only invalidator for every
         // model (it owns Directory::OnBlockWrite and drops stale copies
-        // through the fabric); the longhand model does the same to the
+        // through the transport); the longhand model does the same to the
         // oracle stacks from its own stale-set computation.
         const SimTime entered = now;
         now = coherence->OnWrite(op.host, op.key, entered, /*measured=*/true);
-        host.oracle->Write(op.key);
+        oracle.Write(op.key);
         oracle_coherence.OnWrite(op.host, op.key, entered);
         // Protocol-driven invalidation must leave every host's real and
         // oracle residency of the written key in agreement.
-        for (int other = 0; other < config.num_hosts; ++other) {
-          const DiffHost& o = *hosts[static_cast<size_t>(other)];
-          if (o.stack->Holds(op.key) != o.oracle->Holds(op.key)) {
+        for (size_t other = 0; other < rigs.size(); ++other) {
+          const bool real_holds = rigs[other]->stack->Holds(op.key);
+          const bool want_holds = oracles[other]->Holds(op.key);
+          if (real_holds != want_holds) {
             std::ostringstream os;
             os << "invalidation: host " << other << " Holds(" << op.key
-               << "): real=" << o.stack->Holds(op.key)
-               << " oracle=" << o.oracle->Holds(op.key);
+               << "): real=" << real_holds << " oracle=" << want_holds;
             return diverge(i, op, os.str());
           }
         }
@@ -434,10 +390,10 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
       case DiffOpKind::kFlushRam:
       case DiffOpKind::kFlushFlash: {
         const bool ram_tier = op.kind == DiffOpKind::kFlushRam;
-        const std::optional<SimTime> done = ram_tier ? host.stack->FlushOneRamBlock(now)
-                                                     : host.stack->FlushOneFlashBlock(now);
+        const std::optional<SimTime> done = ram_tier ? stack.FlushOneRamBlock(now)
+                                                     : stack.FlushOneFlashBlock(now);
         const bool want =
-            ram_tier ? host.oracle->FlushOneRamBlock() : host.oracle->FlushOneFlashBlock();
+            ram_tier ? oracle.FlushOneRamBlock() : oracle.FlushOneFlashBlock();
         if (done.has_value() != want) {
           std::ostringstream os;
           os << "flush outcome: real=" << (done.has_value() ? "wrote" : "clean")
@@ -450,16 +406,16 @@ DiffResult RunSchedule(const DiffConfig& config, const std::vector<DiffOp>& ops)
         break;
       }
       case DiffOpKind::kInvalidate: {
-        host.stack->Invalidate(op.key);
-        host.oracle->Invalidate(op.key);
+        stack.Invalidate(op.key);
+        oracle.Invalidate(op.key);
         break;
       }
     }
     // Residency agreement on the touched key, both directions.
-    if (host.stack->Holds(op.key) != host.oracle->Holds(op.key)) {
+    if (stack.Holds(op.key) != oracle.Holds(op.key)) {
       std::ostringstream os;
-      os << "Holds(" << op.key << "): real=" << host.stack->Holds(op.key)
-         << " oracle=" << host.oracle->Holds(op.key);
+      os << "Holds(" << op.key << "): real=" << stack.Holds(op.key)
+         << " oracle=" << oracle.Holds(op.key);
       return diverge(i, op, os.str());
     }
     // Lease protocol: the touched key's lease-table entry (presence and
@@ -680,6 +636,9 @@ bool LoadDivergeFile(const std::string& path, DiffConfig* config, std::vector<Di
       return false;
     }
   }
+  if (!config->Violations().empty()) {
+    return false;
+  }
   for (uint64_t i = 0; i < declared_ops; ++i) {
     std::string kind_token;
     DiffOp op;
@@ -699,6 +658,9 @@ DiffResult ReplayDivergeFile(const std::string& path) {
     DiffResult result;
     result.ok = false;
     result.message = "load: failed to read diverge file " + path;
+    for (const std::string& violation : config.Violations()) {
+      result.message += "; " + violation;
+    }
     return result;
   }
   return RunSchedule(config, ops);

@@ -72,6 +72,11 @@ struct DiffConfig {
   // lease forgets to break live leases on writes). A no-op under perfect.
   bool inject_coherence_bug = false;
 
+  // Every rule this configuration breaks, one sentence each; empty when the
+  // rig can build it. check_cli prints these and exits 2; LoadDivergeFile
+  // refuses a file that declares any.
+  std::vector<std::string> Violations() const;
+
   std::string Summary() const;
 };
 
@@ -122,8 +127,9 @@ bool WriteDivergeFile(const std::string& path, const DiffConfig& config,
                       const std::vector<DiffOp>& ops);
 bool LoadDivergeFile(const std::string& path, DiffConfig* config, std::vector<DiffOp>* ops);
 
-// Loads and re-runs a .diverge file. A load failure reports ok == false
-// with a "load:" message.
+// Loads and re-runs a .diverge file. A load failure — unreadable, malformed,
+// or declaring a configuration with Violations() — reports ok == false with
+// a "load:" message.
 DiffResult ReplayDivergeFile(const std::string& path);
 
 }  // namespace flashsim

@@ -833,8 +833,7 @@ void OracleCoherence::OnWrite(int host, BlockKey key, SimTime now) {
     }
   }
   if (model_ == CoherenceModel::kPerfect) {
-    // Zero-cost counting model; the rig runs it with legacy charging off,
-    // so copies drop for free.
+    // Zero-cost counting model: copies drop for free.
     for (int other = 0; other < num_hosts_; ++other) {
       if (other != host && view_->HoldsCopy(other, key)) {
         Drop(other, key);

@@ -125,10 +125,9 @@ SimTime CoherenceProtocol::ReconcileDirty(int reader, BlockKey key, SimTime read
 
 namespace {
 
-// The paper's zero-cost counting directory (§3.8): the pre-protocol
-// ExecuteOp invalidation block, verbatim — including the legacy
-// --invalidation=async|blocking packet charging — so every committed golden
-// digest reproduces byte-identically. Reads never enter the protocol.
+// The paper's zero-cost counting directory (§3.8): stale copies vanish
+// instantly and nothing is charged, which reproduces every committed golden
+// digest byte-identically. Reads never enter the protocol.
 class PerfectProtocol final : public CoherenceProtocol {
  public:
   using CoherenceProtocol::CoherenceProtocol;
@@ -144,29 +143,10 @@ class PerfectProtocol final : public CoherenceProtocol {
     if (!stale.any()) {
       return now;
     }
-    SimTime ack_deadline = now;
-    const bool charge = params_.charge_legacy_traffic;
-    SimTime report_arrival = now;
-    CoherenceCounters& c = at(host);
-    if (charge) {
-      report_arrival = transport_->HostToFiler(host, now, /*carries_data=*/false);
-      ++c.invalidation_messages;
-    }
     for (int other = 0; other < params_.num_hosts; ++other) {
-      if (!stale.Contains(other)) {
-        continue;
+      if (stale.Contains(other)) {
+        transport_->DropCopy(other, key);
       }
-      transport_->DropCopy(other, key);
-      if (charge) {
-        const SimTime callback =
-            transport_->FilerToHost(other, report_arrival, /*carries_data=*/false);
-        const SimTime ack = transport_->HostToFiler(other, callback, /*carries_data=*/false);
-        c.invalidation_messages += 2;
-        ack_deadline = std::max(ack_deadline, ack);
-      }
-    }
-    if (params_.legacy_traffic_blocks_writer) {
-      return ack_deadline;
     }
     return now;
   }

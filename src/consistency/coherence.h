@@ -9,11 +9,10 @@
 //
 // Three members on the `SimConfig::coherence` axis:
 //
-//   perfect    The paper's model, bit-for-bit: PerfectProtocol::OnWrite is
-//              the pre-protocol ExecuteOp invalidation block verbatim
-//              (including the legacy --invalidation=async|blocking message
-//              charging), so every committed golden digest reproduces
-//              byte-identically. Reads never enter the protocol.
+//   perfect    The paper's model, bit-for-bit: PerfectProtocol::OnWrite
+//              drops stale copies instantly and charges nothing, so every
+//              committed golden digest reproduces byte-identically. Reads
+//              never enter the protocol.
 //
 //   directory  Synchronous lookup + invalidate round trips. Every read miss
 //              pays a directory lookup round trip before the data fetch; a
@@ -39,9 +38,10 @@
 // Layering: this file depends only on the directory, sim time, and block
 // keys. Everything the protocols need from the world — link timing, filer
 // queueing, cache residency and dirty bits — comes through the
-// CoherenceTransport interface, implemented by Simulation, the differential
-// rig, and the protocol test net. Protocol code never draws RNG, so
-// enabling a protocol cannot perturb the device-layer random streams.
+// CoherenceTransport interface, implemented once by RigTransport
+// (rig_transport.h) for the simulator, the differential rig and the
+// protocol test net alike. Protocol code never draws RNG, so enabling a
+// protocol cannot perturb the device-layer random streams.
 #ifndef FLASHSIM_SRC_CONSISTENCY_COHERENCE_H_
 #define FLASHSIM_SRC_CONSISTENCY_COHERENCE_H_
 
@@ -131,11 +131,6 @@ class CoherenceTransport {
 struct CoherenceParams {
   CoherenceModel model = CoherenceModel::kPerfect;
   int num_hosts = 1;
-  // Perfect only: reproduce the legacy --invalidation message charging
-  // (SimConfig::invalidation_traffic). Non-perfect protocols charge their
-  // own traffic and require these off.
-  bool charge_legacy_traffic = false;
-  bool legacy_traffic_blocks_writer = false;
   // Filer-side service time per directory control message.
   SimDuration directory_service_ns = 0;
   // Filer-side service time to absorb a reconciled dirty flush.

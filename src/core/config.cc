@@ -8,18 +8,6 @@
 
 namespace flashsim {
 
-const char* InvalidationTrafficName(InvalidationTraffic model) {
-  switch (model) {
-    case InvalidationTraffic::kNone:
-      return "none";
-    case InvalidationTraffic::kAsync:
-      return "async";
-    case InvalidationTraffic::kBlocking:
-      return "blocking";
-  }
-  return "?";
-}
-
 std::vector<std::string> SimConfig::Violations() const {
   std::vector<std::string> out;
   const auto rule = [&out](bool holds, const std::string& message) {
@@ -55,12 +43,11 @@ std::vector<std::string> SimConfig::Violations() const {
   rule(timing.filer_fast_read_rate >= 0.0 && timing.filer_fast_read_rate <= 1.0,
        "filer fast-read rate must be in [0, 1]");
   rule(timing.filer_concurrency >= 1, "filer concurrency must be at least 1");
-  // Modeled protocols charge their own control traffic; the legacy
-  // --invalidation packet model on top would double-charge every write.
-  rule(coherence == CoherenceModel::kPerfect ||
-           invalidation_traffic == InvalidationTraffic::kNone,
-       std::string("coherence=") + CoherenceModelName(coherence) +
-           " charges its own messages and requires invalidation=none");
+  // An infinite sigma makes the lognormal factor NaN, which the device
+  // would turn into a negative service time.
+  rule(std::isfinite(timing.flash_noise_sigma) && timing.flash_noise_sigma >= 0.0,
+       "flash noise sigma must be finite and at least 0, got " +
+           FormatNumber(timing.flash_noise_sigma));
   rule(timing.coherence_ctrl_ns >= 0, "coherence control-message time must not be negative");
   rule(coherence != CoherenceModel::kLease || timing.lease_ns > 0,
        "coherence=lease requires a positive lease time");

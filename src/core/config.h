@@ -22,18 +22,6 @@
 
 namespace flashsim {
 
-// How cache-consistency invalidation traffic is charged (extension; the
-// paper counts invalidations but does not model protocol traffic, §3.8).
-enum class InvalidationTraffic : uint8_t {
-  kNone = 0,      // paper behavior: instant, free invalidation
-  kAsync = 1,     // report + callback + ack packets occupy the links,
-                  // but the writer does not wait
-  kBlocking = 2,  // the writer blocks until every stale copy acknowledges
-                  // its invalidation (strong consistency)
-};
-
-const char* InvalidationTrafficName(InvalidationTraffic model);
-
 struct SimConfig {
   uint32_t block_bytes = 4096;
   uint64_t ram_bytes = 8 * kGiB;
@@ -65,15 +53,12 @@ struct SimConfig {
 
   TimingModel timing;
 
-  InvalidationTraffic invalidation_traffic = InvalidationTraffic::kNone;
-
-  // Coherence protocol (DESIGN.md §15). kPerfect is the paper's zero-cost
-  // counting directory and the byte-identical default; kDirectory/kLease
-  // put lookup/invalidation/lease traffic on the network and filer.
-  // Non-perfect protocols charge their own messages, so they require
-  // invalidation_traffic == kNone (Validate enforces it); they also disable
-  // the serial read fast path — every read may carry protocol traffic, so
-  // no read is provably host-local.
+  // Coherence protocol (DESIGN.md §15), the one axis that prices
+  // consistency. kPerfect is the paper's zero-cost counting directory and
+  // the byte-identical default; kDirectory/kLease put lookup/invalidation/
+  // lease traffic on the network and filer. They also disable the serial
+  // read fast path — every read may carry protocol traffic, so no read is
+  // provably host-local.
   CoherenceModel coherence = CoherenceModel::kPerfect;
 
   // Seeds the filer's fast/slow read draws (trace generation seeds live in

@@ -88,7 +88,6 @@ SimConfig BuildSimConfig(const ExperimentParams& params) {
   config.admission = params.admission;
   config.collect_mrc = params.collect_mrc;
   config.timing = params.timing;
-  config.invalidation_traffic = params.invalidation_traffic;
   config.coherence = params.coherence;
   config.seed = params.seed;
   config.audit_stride = params.audit ? 64 : 0;

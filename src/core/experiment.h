@@ -49,7 +49,6 @@ struct ExperimentParams {
   // the block->shard routing strategy.
   int num_filers = 1;
   ShardStrategy shard_strategy = ShardStrategy::kHash;
-  InvalidationTraffic invalidation_traffic = InvalidationTraffic::kNone;
   // Coherence protocol axis (DESIGN.md §15); perfect is the paper's model.
   CoherenceModel coherence = CoherenceModel::kPerfect;
   double write_fraction = 0.30;

@@ -56,11 +56,11 @@ struct Metrics {
   uint64_t invalidating_writes = 0;
   uint64_t invalidations = 0;
   // Protocol messages charged to the network (extension; zero under the
-  // paper's free-invalidation model). Counted for the whole run.
+  // paper's free-invalidation model). Counted for the whole run; the same
+  // number as coherence.invalidation_messages.
   uint64_t invalidation_messages = 0;
   // Coherence protocol accounting (DESIGN.md §15): message, lease, and
-  // stall totals summed over hosts. All-zero under perfect without the
-  // legacy --invalidation charging.
+  // stall totals summed over hosts. All-zero under perfect.
   CoherenceModel coherence_model = CoherenceModel::kPerfect;
   CoherenceCounters coherence;
 

@@ -7,96 +7,6 @@
 
 namespace flashsim {
 
-// Forwards one host's cache residency transitions into the directory.
-class Simulation::HostResidencyBridge : public ResidencyListener {
- public:
-  HostResidencyBridge(Directory& directory, int host) : directory_(&directory), host_(host) {}
-
-  void OnCached(BlockKey key) override { directory_->NoteCached(host_, key); }
-  void OnDropped(BlockKey key) override { directory_->NoteDropped(host_, key); }
-
- private:
-  Directory* directory_;
-  int host_;
-};
-
-struct Simulation::HostState {
-  HostState(const SimConfig& config, EventQueue& queue, StorageBackend& backend,
-            Directory& directory, int host_id)
-      : ram_dev(config.timing),
-        flash_dev(config.timing),
-        link(config.timing, config.block_bytes, queue.clock()),
-        remote(backend.Connect(link)),
-        writer(queue, *remote, &flash_dev, config.timing.writeback_window),
-        bridge(directory, host_id) {
-    StackConfig stack_config;
-    stack_config.ram_blocks = config.ram_blocks();
-    stack_config.flash_blocks = config.flash_blocks();
-    stack_config.ram_policy = config.ram_policy;
-    stack_config.flash_policy = config.flash_policy;
-    stack_config.replacement = config.replacement;
-    stack_config.admission = config.admission;
-    if (config.timing.use_ftl && stack_config.flash_blocks > 0) {
-      FtlParams ftl_params;
-      ftl_params.overprovision = config.timing.ftl_overprovision;
-      ftl_params.pages_per_block = config.timing.ftl_pages_per_block;
-      ftl_params.wear_weight = config.timing.ftl_wear_weight;
-      FtlDeviceTimings ftl_timings;
-      ftl_timings.page_read_ns = config.timing.ftl_page_read_ns;
-      ftl_timings.page_program_ns = config.timing.ftl_page_program_ns;
-      ftl_timings.block_erase_ns = config.timing.ftl_block_erase_ns;
-      flash_dev.EnableFtl(stack_config.flash_blocks, ftl_params, ftl_timings);
-    }
-    stack = MakeCacheStack(config.arch, stack_config, ram_dev, flash_dev, *remote, writer);
-    // A lone host's holder set can never name another host (DESIGN.md §15),
-    // so one-host runs leave the directory empty.
-    if (config.num_hosts > 1) {
-      stack->set_residency_listener(&bridge);
-    }
-  }
-
-  RamDevice ram_dev;
-  FlashDevice flash_dev;
-  NetworkLink link;
-  // This host's channel to the storage backend.
-  std::unique_ptr<StorageService> remote;
-  BackgroundWriter writer;
-  HostResidencyBridge bridge;
-  std::unique_ptr<CacheStack> stack;
-};
-
-// Adapts the simulation's links, stacks, and filer shards to the
-// CoherenceTransport interface (coherence.h). Control messages ride the
-// sender's NetworkLink and queue at the filer shard owning the block, so
-// protocol traffic contends with data exactly where real traffic would.
-class Simulation::CoherenceFabric : public CoherenceTransport {
- public:
-  explicit CoherenceFabric(Simulation& sim) : sim_(&sim) {}
-
-  SimTime HostToFiler(int host, SimTime now, bool carries_data) override {
-    return sim_->hosts_[static_cast<size_t>(host)]->link.SendToFiler(now, carries_data);
-  }
-  SimTime FilerToHost(int host, SimTime now, bool carries_data) override {
-    return sim_->hosts_[static_cast<size_t>(host)]->link.SendToHost(now, carries_data);
-  }
-  SimTime FilerService(BlockKey key, SimTime arrival, SimDuration service) override {
-    const int shard = sim_->hosts_[0]->remote->ShardOf(key);
-    return sim_->backend_->shard(shard).ServeControl(arrival, service);
-  }
-  void DropCopy(int host, BlockKey key) override {
-    sim_->hosts_[static_cast<size_t>(host)]->stack->Invalidate(key);
-  }
-  bool HoldsCopy(int host, BlockKey key) const override {
-    return sim_->hosts_[static_cast<size_t>(host)]->stack->Holds(key);
-  }
-  bool HoldsDirty(int host, BlockKey key) const override {
-    return sim_->hosts_[static_cast<size_t>(host)]->stack->HoldsDirty(key);
-  }
-
- private:
-  Simulation* sim_;
-};
-
 Simulation::Simulation(const SimConfig& config) : config_(config) {
   config_.Validate();
   // ShardSeed(seed, 0) reproduces the historical single-filer RNG stream,
@@ -107,12 +17,20 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   if (config_.num_hosts > 1) {
     // Pre-size the directory's holders index for the most blocks that can
     // be cached anywhere at once, so it never rehashes mid-trace. One-host
-    // runs never feed it (HostState).
+    // runs never feed it (RigTransport).
     directory_->Reserve((config_.ram_blocks() + config_.flash_blocks()) *
                         static_cast<uint64_t>(config_.num_hosts));
   }
+  StackConfig stack_config;
+  stack_config.ram_blocks = config_.ram_blocks();
+  stack_config.flash_blocks = config_.flash_blocks();
+  stack_config.ram_policy = config_.ram_policy;
+  stack_config.flash_policy = config_.flash_policy;
+  stack_config.replacement = config_.replacement;
+  stack_config.admission = config_.admission;
   for (int h = 0; h < config_.num_hosts; ++h) {
-    hosts_.push_back(std::make_unique<HostState>(config_, queue_, *backend_, *directory_, h));
+    hosts_.push_back(std::make_unique<HostRig>(config_.arch, stack_config, config_.timing,
+                                               config_.block_bytes, queue_, *backend_));
   }
   if (config_.timing.flash_noise_sigma > 0.0) {
     // Arm per-host flash latency noise, each host on its own substream.
@@ -121,17 +39,10 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
                                                             FlashStreamSeed(config_.seed, h));
     }
   }
-  fabric_ = std::make_unique<CoherenceFabric>(*this);
-  CoherenceParams cparams;
-  cparams.model = config_.coherence;
-  cparams.num_hosts = config_.num_hosts;
-  cparams.charge_legacy_traffic = config_.invalidation_traffic != InvalidationTraffic::kNone;
-  cparams.legacy_traffic_blocks_writer =
-      config_.invalidation_traffic == InvalidationTraffic::kBlocking;
-  cparams.directory_service_ns = config_.timing.coherence_ctrl_ns;
-  cparams.flush_service_ns = config_.timing.filer_write_ns;
-  cparams.lease_ns = config_.timing.lease_ns;
-  coherence_ = MakeCoherenceProtocol(cparams, directory_.get(), fabric_.get());
+  transport_ = std::make_unique<RigTransport>(hosts_, *backend_, *directory_);
+  coherence_ = MakeCoherenceProtocol(
+      MakeCoherenceParams(config_.coherence, config_.num_hosts, config_.timing),
+      directory_.get(), transport_.get());
   coherence_active_ = config_.coherence != CoherenceModel::kPerfect;
   backlog_.resize(static_cast<size_t>(NumThreads()));
 #ifdef FLASHSIM_AUDIT
@@ -174,7 +85,7 @@ void Simulation::ArmTelemetry() {
     name_op_write_ = trace->RegisterName("op.write");
   }
   for (int h = 0; h < config_.num_hosts; ++h) {
-    HostState& host = *hosts_[static_cast<size_t>(h)];
+    HostRig& host = *hosts_[static_cast<size_t>(h)];
     const std::string prefix = "h" + std::to_string(h) + ".";
     int pid = 0;
     if (trace != nullptr) {
@@ -225,14 +136,8 @@ Simulation::~Simulation() = default;
 
 CacheStack& Simulation::stack(int host) { return *hosts_[static_cast<size_t>(host)]->stack; }
 
-NetworkLink& Simulation::link(int host) { return hosts_[static_cast<size_t>(host)]->link; }
-
 FlashDevice& Simulation::flash_device(int host) {
   return hosts_[static_cast<size_t>(host)]->flash_dev;
-}
-
-const BackgroundWriter& Simulation::writer(int host) const {
-  return hosts_[static_cast<size_t>(host)]->writer;
 }
 
 bool Simulation::NextOpFor(int thread_index, TraceRecord* record) {
@@ -279,7 +184,7 @@ const TraceRecord* Simulation::PeekOpFor(int thread_index) {
 
 SimTime Simulation::ExecuteOp(SimTime now, const TraceRecord& record) {
   const int host_id = record.host % config_.num_hosts;
-  HostState& host = *hosts_[static_cast<size_t>(host_id)];
+  HostRig& host = *hosts_[static_cast<size_t>(host_id)];
   const bool measured = !record.warmup;
   SimTime t = now;
   for (uint32_t i = 0; i < record.block_count; ++i) {
@@ -311,9 +216,8 @@ SimTime Simulation::ExecuteOp(SimTime now, const TraceRecord& record) {
       // A new version exists: the coherence protocol updates the directory
       // and invalidates stale copies elsewhere. PerfectProtocol is the
       // paper's §3.8 model — instant, free invalidation with global
-      // knowledge (plus the legacy --invalidation packet charging) — and
-      // reproduces the pre-protocol inline block byte-identically; modeled
-      // protocols put the messages on the network and may block `t`.
+      // knowledge; modeled protocols put the messages on the network and
+      // may block `t`.
       t = coherence_->OnWrite(host_id, key, t, measured);
     }
   }
@@ -464,7 +368,7 @@ void Simulation::HandleEvent(SimTime now, uint32_t code, uint64_t arg) {
 }
 
 void Simulation::AuditAfterRecord(int host) {
-  HostState& hs = *hosts_[static_cast<size_t>(host)];
+  HostRig& hs = *hosts_[static_cast<size_t>(host)];
   auditor_->AuditCounters(host, *hs.stack, hs.writer);
   if (++records_since_structural_audit_ >= config_.audit_stride) {
     records_since_structural_audit_ = 0;
@@ -626,9 +530,8 @@ Metrics Simulation::Run(TraceSource& source) {
   metrics_.invalidating_writes = directory_->invalidating_writes();
   metrics_.invalidations = directory_->invalidations();
   metrics_.coherence = coherence_->totals();
-  // invalidation_messages predates the protocol layer; keep it as the
-  // protocol's wire-packet total (identical to the legacy count under
-  // perfect + --invalidation, zero under perfect without it).
+  // invalidation_messages predates the protocol layer; it repeats the
+  // protocol's wire-packet total (always zero under perfect).
   metrics_.invalidation_messages = metrics_.coherence.invalidation_messages;
   metrics_.coherence_model = config_.coherence;
   // Cache indexes are fixed-size tables that cannot rehash; the directory

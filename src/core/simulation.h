@@ -1,9 +1,10 @@
 // The trace-driven simulator (§5).
 //
-// Wires together, per host: a RAM cache and flash cache arranged by the
-// configured architecture, a RAM device, a flash device, and a private
-// network segment — all above one shared filer. A global consistency
-// directory invalidates stale copies instantly when any host writes (§3.8).
+// Wires together one HostRig per host (src/arch/host_rig.h): a RAM cache
+// and flash cache arranged by the configured architecture, a RAM device, a
+// flash device, and a private network segment — all above one shared
+// storage backend. A coherence protocol over a global consistency directory
+// invalidates stale copies when any host writes (§3.8, DESIGN.md §15).
 //
 // Execution model: the trace is issued as fast as possible subject to each
 // application thread having at most one I/O in progress; all executions
@@ -18,18 +19,17 @@
 #include <vector>
 
 #include "src/arch/cache_stack.h"
-#include "src/arch/stack_factory.h"
+#include "src/arch/host_rig.h"
 #include "src/backend/storage_backend.h"
 #include "src/cache/mrc.h"
 #include "src/check/audit.h"
 #include "src/consistency/coherence.h"
 #include "src/consistency/directory.h"
+#include "src/consistency/rig_transport.h"
 #include "src/core/config.h"
 #include "src/core/metrics.h"
 #include "src/device/filer.h"
 #include "src/device/flash_device.h"
-#include "src/device/network_link.h"
-#include "src/device/ram_device.h"
 #include "src/obs/telemetry.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/source.h"
@@ -55,9 +55,7 @@ class Simulation : private EventHandler {
 
   // Test access.
   CacheStack& stack(int host);
-  NetworkLink& link(int host);
   FlashDevice& flash_device(int host);
-  const BackgroundWriter& writer(int host) const;
   // Filer shard accessors; the default argument keeps single-filer callers
   // (`sim.filer()`) unchanged.
   Filer& filer(int shard = 0) { return backend_->shard(shard); }
@@ -102,10 +100,6 @@ class Simulation : private EventHandler {
   std::unique_ptr<obs::Telemetry> TakeTelemetry() { return std::move(telemetry_); }
 
  private:
-  struct HostState;
-  class HostResidencyBridge;
-  class CoherenceFabric;
-
   // Typed event codes. Args: kEvThreadStart carries the global thread
   // index; kEvSyncerTick the tier (1 = RAM); kEvSyncerStep the host in the
   // low 32 bits and the tier in bit 32; kEvSample carries nothing.
@@ -172,20 +166,20 @@ class Simulation : private EventHandler {
   void AuditStructures();
 
   SimConfig config_;
-  // Declared before hosts_: each HostState binds its link clock and
+  // Declared before hosts_: each HostRig binds its link clock and
   // background writer to the queue, so the queue must outlive the hosts.
   EventQueue queue_;
   std::unique_ptr<StorageBackend> backend_;
   std::unique_ptr<Directory> directory_;
-  std::vector<std::unique_ptr<HostState>> hosts_;
-  // Coherence layer (DESIGN.md §15): the fabric adapts the hosts' links,
-  // stacks, and filer shards to the CoherenceTransport interface; the
+  std::vector<std::unique_ptr<HostRig>> hosts_;
+  // Coherence layer (DESIGN.md §15): the transport adapts the hosts' links,
+  // stacks, and filer shards to the protocols and feeds the directory; the
   // protocol drives ExecuteOp's read/write hooks through it. Declared after
-  // hosts_ (the fabric dereferences them) and always constructed —
-  // PerfectProtocol reproduces the legacy inline invalidation block
-  // byte-for-byte. coherence_active_ caches `model != perfect` so the
-  // perfect read path pays one bool test, not a virtual call.
-  std::unique_ptr<CoherenceFabric> fabric_;
+  // hosts_ (the transport dereferences them) and always constructed —
+  // PerfectProtocol is the paper's free invalidation. coherence_active_
+  // caches `model != perfect` so the perfect read path pays one bool test,
+  // not a virtual call.
+  std::unique_ptr<RigTransport> transport_;
   std::unique_ptr<CoherenceProtocol> coherence_;
   bool coherence_active_ = false;
   TraceSource* source_ = nullptr;

@@ -147,12 +147,13 @@ int Main(int argc, char** argv) {
                                            kAllReplacementPolicies.end())
           : std::vector<ReplacementPolicy>{*ParseReplacementPolicy(replacement_name)};
 
-  int configs = 0;
-  int divergences = 0;
+  std::vector<DiffConfig> configs;
   for (Architecture arch : archs) {
     // The naive stack keeps RAM a strict subset of flash and cannot host an
-    // admission filter; skip it rather than aborting on the config check.
-    if (arch == Architecture::kNaive && base.admission != AdmissionPolicy::kAll) {
+    // admission filter; a sweep over every architecture skips it, while an
+    // explicit --arch=naive is reported below.
+    if (arch_name.empty() && arch == Architecture::kNaive &&
+        base.admission != AdmissionPolicy::kAll) {
       continue;
     }
     for (WritebackPolicy ram_policy : ram_policies) {
@@ -163,23 +164,36 @@ int Main(int argc, char** argv) {
           config.ram_policy = ram_policy;
           config.flash_policy = flash_policy;
           config.replacement = replacement;
-          ++configs;
-          const DiffResult result = RunDifferential(config, diverge_dir);
-          if (!result.ok) {
-            ++divergences;
-            std::printf("DIVERGED [%s]: %s\n", config.Summary().c_str(),
-                        result.message.c_str());
-          }
+          configs.push_back(config);
         }
       }
     }
   }
+  // Bad flags are a usage error (exit 2), never an abort inside the rig.
+  for (const DiffConfig& config : configs) {
+    const std::vector<std::string> violations = config.Violations();
+    for (const std::string& violation : violations) {
+      std::fprintf(stderr, "check_cli: %s\n", violation.c_str());
+    }
+    if (!violations.empty()) {
+      return 2;
+    }
+  }
+
+  int divergences = 0;
+  for (const DiffConfig& config : configs) {
+    const DiffResult result = RunDifferential(config, diverge_dir);
+    if (!result.ok) {
+      ++divergences;
+      std::printf("DIVERGED [%s]: %s\n", config.Summary().c_str(), result.message.c_str());
+    }
+  }
   if (divergences == 0) {
-    std::printf("ok: %d configurations, %llu ops each, zero divergences\n", configs,
+    std::printf("ok: %zu configurations, %llu ops each, zero divergences\n", configs.size(),
                 static_cast<unsigned long long>(base.num_ops));
     return expect_divergence ? 1 : 0;  // an injected bug that nothing caught is a failure
   }
-  std::printf("%d/%d configurations diverged\n", divergences, configs);
+  std::printf("%d/%zu configurations diverged\n", divergences, configs.size());
   return expect_divergence ? 0 : 1;  // with an injected bug, divergence is expected
 }
 

@@ -1,7 +1,7 @@
 // Protocol test net for the coherence layer (src/consistency/coherence.h):
-// N hosts with real cache stacks, network links, and a shared filer, driven
-// through randomized multi-host interleavings with per-step invariant
-// checks:
+// N HostRigs (real cache stacks, network links) over a shared filer, wired
+// by the simulator's own RigTransport and driven through randomized
+// multi-host interleavings with per-step invariant checks:
 //
 //   - single-dirty-holder: a write leaves the writer as the block's only
 //     holder (every protocol invalidates all stale copies);
@@ -15,7 +15,8 @@
 //     moves backwards;
 //   - sim time itself is monotone through every protocol call.
 //
-// Run across all protocols x all three cache stacks x seeds.
+// Run across all protocols x all three cache stacks x seeds. The last two
+// cases pin RigTransport's own routing and directory feeding.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -23,15 +24,11 @@
 #include <utility>
 #include <vector>
 
-#include "src/arch/stack_factory.h"
+#include "src/arch/host_rig.h"
 #include "src/backend/storage_backend.h"
 #include "src/consistency/coherence.h"
 #include "src/consistency/directory.h"
-#include "src/device/background_writer.h"
-#include "src/device/filer.h"
-#include "src/device/flash_device.h"
-#include "src/device/network_link.h"
-#include "src/device/ram_device.h"
+#include "src/consistency/rig_transport.h"
 #include "src/device/timing.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
@@ -42,26 +39,11 @@ namespace {
 constexpr int kHosts = 4;
 constexpr uint64_t kKeySpace = 192;
 
-class NetBridge : public ResidencyListener {
- public:
-  NetBridge(Directory& directory, int host) : directory_(&directory), host_(host) {}
-  void OnCached(BlockKey key) override { directory_->NoteCached(host_, key); }
-  void OnDropped(BlockKey key) override { directory_->NoteDropped(host_, key); }
-
- private:
-  Directory* directory_;
-  int host_;
-};
-
-struct NetHost {
-  NetHost(Architecture arch, const TimingModel& timing, EventQueue& queue,
-          StorageBackend& backend, Directory& directory, int host_id)
-      : ram_dev(timing),
-        flash_dev(timing),
-        link(timing, 4096, queue.clock()),
-        remote(backend.Connect(link)),
-        writer(queue, *remote, &flash_dev, timing.writeback_window),
-        bridge(directory, host_id) {
+struct TestNet {
+  TestNet(Architecture arch, CoherenceModel model, uint64_t seed)
+      : timing(MakeTiming()),
+        backend(timing, /*num_shards=*/1, ShardStrategy::kHash, seed),
+        directory(kHosts) {
     StackConfig config;
     config.ram_blocks = 24;
     config.flash_blocks = 96;
@@ -69,70 +51,13 @@ struct NetHost {
     // on other hosts exercise the Dirty-reconciliation path constantly.
     config.ram_policy = WritebackPolicy::kNone;
     config.flash_policy = WritebackPolicy::kAsync;
-    stack = MakeCacheStack(arch, config, ram_dev, flash_dev, *remote, writer);
-    stack->set_residency_listener(&bridge);
-  }
-
-  RamDevice ram_dev;
-  FlashDevice flash_dev;
-  NetworkLink link;
-  std::unique_ptr<StorageService> remote;
-  BackgroundWriter writer;
-  NetBridge bridge;
-  std::unique_ptr<CacheStack> stack;
-};
-
-// The test net's CoherenceTransport: host links on the message path, the
-// shared filer's server pool for directory service, stack invalidation for
-// copy drops.
-class NetFabric : public CoherenceTransport {
- public:
-  NetFabric(std::vector<std::unique_ptr<NetHost>>& hosts, Filer& filer)
-      : hosts_(&hosts), filer_(&filer) {}
-
-  SimTime HostToFiler(int host, SimTime now, bool carries_data) override {
-    return (*hosts_)[static_cast<size_t>(host)]->link.SendToFiler(now, carries_data);
-  }
-  SimTime FilerToHost(int host, SimTime now, bool carries_data) override {
-    return (*hosts_)[static_cast<size_t>(host)]->link.SendToHost(now, carries_data);
-  }
-  SimTime FilerService(BlockKey key, SimTime arrival, SimDuration service) override {
-    (void)key;
-    return filer_->ServeControl(arrival, service);
-  }
-  void DropCopy(int host, BlockKey key) override {
-    (*hosts_)[static_cast<size_t>(host)]->stack->Invalidate(key);
-  }
-  bool HoldsCopy(int host, BlockKey key) const override {
-    return (*hosts_)[static_cast<size_t>(host)]->stack->Holds(key);
-  }
-  bool HoldsDirty(int host, BlockKey key) const override {
-    return (*hosts_)[static_cast<size_t>(host)]->stack->HoldsDirty(key);
-  }
-
- private:
-  std::vector<std::unique_ptr<NetHost>>* hosts_;
-  Filer* filer_;
-};
-
-struct TestNet {
-  TestNet(Architecture arch, CoherenceModel model, uint64_t seed)
-      : timing(MakeTiming()),
-        backend(timing, /*num_shards=*/1, ShardStrategy::kHash, seed),
-        directory(kHosts) {
     for (int h = 0; h < kHosts; ++h) {
-      hosts.push_back(std::make_unique<NetHost>(arch, timing, queue, backend, directory, h));
+      hosts.push_back(
+          std::make_unique<HostRig>(arch, config, timing, /*block_bytes=*/4096, queue, backend));
     }
-    fabric = std::make_unique<NetFabric>(hosts, backend.shard(0));
-    CoherenceParams params;
-    params.model = model;
-    params.num_hosts = kHosts;
-    params.charge_legacy_traffic = false;
-    params.legacy_traffic_blocks_writer = false;
-    params.directory_service_ns = timing.coherence_ctrl_ns;
-    params.flush_service_ns = timing.filer_write_ns;
-    params.lease_ns = timing.lease_ns;
-    protocol = MakeCoherenceProtocol(params, &directory, fabric.get());
+    transport = std::make_unique<RigTransport>(hosts, backend, directory);
+    protocol = MakeCoherenceProtocol(MakeCoherenceParams(model, kHosts, timing), &directory,
+                                     transport.get());
   }
 
   static TimingModel MakeTiming() {
@@ -167,8 +92,8 @@ struct TestNet {
   EventQueue queue;
   StorageBackend backend;
   Directory directory;
-  std::vector<std::unique_ptr<NetHost>> hosts;
-  std::unique_ptr<NetFabric> fabric;
+  std::vector<std::unique_ptr<HostRig>> hosts;
+  std::unique_ptr<RigTransport> transport;
   std::unique_ptr<CoherenceProtocol> protocol;
 };
 
@@ -321,6 +246,62 @@ TEST(CoherenceStateMachine, FollowsMesiTransitions) {
     EXPECT_FALSE(net.hosts[1]->stack->Holds(key));
     EXPECT_EQ(protocol.StateOf(key), SharingState::kExclusive);
     EXPECT_GT(protocol.totals().dirty_fetches, 0u);
+  }
+}
+
+std::vector<std::unique_ptr<HostRig>> SmallRigs(int num_hosts, const TimingModel& timing,
+                                                EventQueue& queue, StorageBackend& backend) {
+  StackConfig config;
+  config.ram_blocks = 8;
+  config.flash_blocks = 32;
+  std::vector<std::unique_ptr<HostRig>> hosts;
+  for (int h = 0; h < num_hosts; ++h) {
+    hosts.push_back(std::make_unique<HostRig>(Architecture::kLookaside, config, timing,
+                                              /*block_bytes=*/4096, queue, backend));
+  }
+  return hosts;
+}
+
+// The transport's own contract, below the protocols: directory service
+// queues at the filer shard that owns the block, the shard its data reads
+// go to.
+TEST(RigTransport, ControlServiceQueuesAtTheBlocksShard) {
+  constexpr int kShards = 4;
+  const TimingModel timing;
+  EventQueue queue;
+  StorageBackend backend(timing, kShards, ShardStrategy::kHash, /*base_seed=*/5);
+  Directory directory(2);
+  const std::vector<std::unique_ptr<HostRig>> hosts = SmallRigs(2, timing, queue, backend);
+  RigTransport transport(hosts, backend, directory);
+  std::vector<uint64_t> expected(kShards, 0);
+  for (uint64_t block = 0; block < 64; ++block) {
+    const BlockKey key = MakeBlockKey(0, block);
+    transport.FilerService(key, 0, timing.coherence_ctrl_ns);
+    ++expected[static_cast<size_t>(backend.router().ShardOf(key))];
+  }
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_GT(expected[static_cast<size_t>(s)], 0u) << "shard " << s << " owns no key";
+    EXPECT_EQ(backend.shard(s).control_messages(), expected[static_cast<size_t>(s)])
+        << "shard " << s;
+  }
+}
+
+// Residency reaches the directory only when another host could be told
+// about it: a lone host's holder sets stay empty (DESIGN.md §15).
+TEST(RigTransport, FeedsTheDirectoryOnlyOnMultiHostFleets) {
+  for (int num_hosts : {1, 2}) {
+    const TimingModel timing;
+    EventQueue queue;
+    StorageBackend backend(timing, /*num_shards=*/1, ShardStrategy::kHash, /*base_seed=*/5);
+    Directory directory(num_hosts);
+    const std::vector<std::unique_ptr<HostRig>> hosts =
+        SmallRigs(num_hosts, timing, queue, backend);
+    RigTransport transport(hosts, backend, directory);
+    const BlockKey key = MakeBlockKey(0, 3);
+    HitLevel level = HitLevel::kRam;
+    hosts[0]->stack->Read(0, key, &level);
+    ASSERT_TRUE(transport.HoldsCopy(0, key));
+    EXPECT_EQ(directory.holder_count(key), num_hosts > 1 ? 1 : 0) << num_hosts << " hosts";
   }
 }
 

@@ -119,11 +119,12 @@ TEST(SimConfig, ViolationsNameEachBrokenRule) {
        [](SimConfig& c) { c.timing.filer_fast_read_rate = 1.5; }},
       {"filer concurrency must be at least 1",
        [](SimConfig& c) { c.timing.filer_concurrency = 0; }},
-      {"coherence=lease charges its own messages and requires invalidation=none",
+      {"flash noise sigma must be finite and at least 0, got inf",
        [](SimConfig& c) {
-         c.coherence = CoherenceModel::kLease;
-         c.invalidation_traffic = InvalidationTraffic::kBlocking;
+         c.timing.flash_noise_sigma = std::numeric_limits<double>::infinity();
        }},
+      {"flash noise sigma must be finite and at least 0, got -0.5",
+       [](SimConfig& c) { c.timing.flash_noise_sigma = -0.5; }},
       {"coherence control-message time must not be negative",
        [](SimConfig& c) { c.timing.coherence_ctrl_ns = -1; }},
       {"coherence=lease requires a positive lease time",
@@ -224,10 +225,10 @@ TEST(ParamsViolations, ReportsBadFlagCombinations) {
     only(params, "naive architecture requires admission=all");
   }
   {
+    // flashsim_cli --flash-noise=inf: the lognormal factor would be NaN.
     ExperimentParams params;
-    params.coherence = CoherenceModel::kLease;
-    params.invalidation_traffic = InvalidationTraffic::kBlocking;
-    only(params, "requires invalidation=none");
+    params.timing.flash_noise_sigma = std::numeric_limits<double>::infinity();
+    only(params, "flash noise sigma must be finite and at least 0, got inf");
   }
   {
     ExperimentParams params;

@@ -107,7 +107,7 @@ TEST(Consistency, DirectoryTracksEvictions) {
   EXPECT_EQ(m.invalidating_writes, 0u);
 }
 
-TEST(Consistency, SharedWorkingSetProducesInvalidationTraffic) {
+TEST(Consistency, SharedWorkingSetInvalidatesMostWrites) {
   // Both hosts hammer the same small set of blocks with 30% writes; a
   // substantial fraction of writes must invalidate (the Fig 11 effect).
   SimConfig config = TwoHostConfig();

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/tracegen/generator.h"
 #include "src/util/units.h"
@@ -310,6 +314,75 @@ TEST(Differential, ReplayMissingFileFailsCleanly) {
   const DiffResult result = ReplayDivergeFile("/nonexistent/no.diverge");
   EXPECT_FALSE(result.ok);
   EXPECT_NE(result.message.find("load:"), std::string::npos);
+}
+
+// Inputs that used to abort check_cli inside Directory's or LruBlockCache's
+// constructor are reported instead, one sentence per broken rule.
+TEST(Differential, ViolationsReportEachBadInput) {
+  EXPECT_TRUE(DiffConfig().Violations().empty());
+  const auto only = [](const DiffConfig& config, const std::string& expected) {
+    const std::vector<std::string> violations = config.Violations();
+    ASSERT_EQ(violations.size(), 1u) << expected;
+    EXPECT_NE(violations[0].find(expected), std::string::npos) << violations[0];
+  };
+  {
+    DiffConfig config;
+    config.num_hosts = 0;
+    only(config, "hosts must be in [1, 4096], got 0");
+  }
+  {
+    DiffConfig config;
+    config.num_hosts = 5000;
+    only(config, "hosts must be in [1, 4096], got 5000");
+  }
+  {
+    DiffConfig config;
+    config.ram_blocks = uint64_t{1} << 32;
+    only(config, "RAM + flash must be at most 2^31 blocks");
+  }
+  {
+    // A sum that would wrap around to a small number is still too large.
+    DiffConfig config;
+    config.ram_blocks = 2;
+    config.flash_blocks = UINT64_MAX - 1;
+    only(config, "RAM + flash must be at most 2^31 blocks");
+  }
+  {
+    DiffConfig config;
+    config.admission = AdmissionPolicy::kFlashield;
+    only(config, "naive architecture requires admission=all");
+  }
+  DiffConfig lookaside;
+  lookaside.arch = Architecture::kLookaside;
+  lookaside.admission = AdmissionPolicy::kFlashield;
+  EXPECT_TRUE(lookaside.Violations().empty());
+}
+
+// A hand-written .diverge file that declares a configuration the rig
+// cannot build fails to load, and its replay reports why.
+TEST(Differential, ReplayRefusesABadDivergeFile) {
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "flashsim_bad_header.diverge";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"arch lookaside\nhosts 0\n", "hosts must be in [1, 4096], got 0"},
+      {"arch lookaside\nhosts 5000\n", "hosts must be in [1, 4096], got 5000"},
+      {"arch lookaside\nram_blocks 4294967296\n", "RAM + flash must be at most 2^31 blocks"},
+      {"arch naive\nadmission flashield\n", "naive architecture requires admission=all"},
+  };
+  for (const auto& [header, expected] : cases) {
+    {
+      std::ofstream out(path);
+      out << "flashsim-diverge v1\n" << header << "ops 1\nr 0 7\n";
+    }
+    DiffConfig config;
+    std::vector<DiffOp> ops;
+    EXPECT_FALSE(LoadDivergeFile(path.string(), &config, &ops)) << header;
+    const DiffResult result = ReplayDivergeFile(path.string());
+    EXPECT_FALSE(result.ok) << header;
+    EXPECT_EQ(result.message.rfind("load:", 0), 0u) << result.message;
+    EXPECT_NE(result.message.find(expected), std::string::npos) << result.message;
+  }
+  std::filesystem::remove(path);
 }
 
 TEST(Differential, SameSeedSameSchedule) {

@@ -38,7 +38,9 @@ TEST(LookasideStack, FlashNeverDirtyUnderAnyPolicy) {
       t = h.Write(t, key);
       t = h.Read(t, key);
     }
-    h.stack().FlushAllRam(t);
+    while (const std::optional<SimTime> done = h.stack().FlushOneRamBlock(t)) {
+      t = *done;
+    }
     h.queue().RunToCompletion();
     // All dirtiness lives in RAM only; the flash tier holds no dirty data.
     const auto& stack = static_cast<LookasideStack&>(h.stack());

@@ -82,7 +82,6 @@ TEST(LruCache, EvictionReportsDirtyAndCleansIt) {
   ASSERT_TRUE(evicted.has_value());
   EXPECT_TRUE(evicted->dirty);
   EXPECT_EQ(cache.dirty_count(), 0u);
-  EXPECT_EQ(cache.dirty_evictions(), 1u);
 }
 
 TEST(LruCache, OldestDirtyIsFifo) {

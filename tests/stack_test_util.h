@@ -1,6 +1,7 @@
-// Shared harness for cache-stack unit tests: one host's devices, link,
-// one-filer backend, and background writer around a stack under test,
-// with Table 1 timings made deterministic (filer reads always fast).
+// Shared harness for cache-stack unit tests: one HostRig (the simulator's
+// own per-host wiring of devices, link, background writer and stack) over
+// a one-filer backend, with Table 1 timings made deterministic (filer
+// reads always fast).
 //
 // Handy hand-computed path times (Table 1, 4 KB blocks):
 //   RAM access                     400 ns
@@ -14,11 +15,10 @@
 
 #include <memory>
 
-#include "src/arch/stack_factory.h"
+#include "src/arch/host_rig.h"
 #include "src/arch/subset_stack.h"
 #include "src/arch/unified_stack.h"
 #include "src/backend/storage_backend.h"
-#include "src/device/background_writer.h"
 #include "src/sim/event_queue.h"
 
 namespace flashsim {
@@ -40,12 +40,7 @@ class StackHarness {
                ReplacementPolicy replacement = ReplacementPolicy::kLru,
                AdmissionPolicy admission = AdmissionPolicy::kAll) {
     timing_.filer_fast_read_rate = 1.0;  // deterministic reads
-    link_ = std::make_unique<NetworkLink>(timing_, 4096, queue_.clock());
     backend_ = std::make_unique<StorageBackend>(timing_, 1, ShardStrategy::kHash, 7);
-    remote_ = backend_->Connect(*link_);
-    ram_dev_ = std::make_unique<RamDevice>(timing_);
-    flash_dev_ = std::make_unique<FlashDevice>(timing_);
-    writer_ = std::make_unique<BackgroundWriter>(queue_, *remote_, flash_dev_.get(), 1);
     StackConfig config;
     config.ram_blocks = ram_blocks;
     config.flash_blocks = flash_blocks;
@@ -53,36 +48,32 @@ class StackHarness {
     config.flash_policy = flash_policy;
     config.replacement = replacement;
     config.admission = admission;
-    stack_ = MakeCacheStack(arch, config, *ram_dev_, *flash_dev_, *remote_, *writer_);
+    rig_ = std::make_unique<HostRig>(arch, config, timing_, /*block_bytes=*/4096, queue_,
+                                     *backend_);
   }
 
-  CacheStack& stack() { return *stack_; }
+  CacheStack& stack() { return *rig_->stack; }
   Filer& filer() { return backend_->shard(0); }
-  FlashDevice& flash_dev() { return *flash_dev_; }
-  BackgroundWriter& writer() { return *writer_; }
+  FlashDevice& flash_dev() { return rig_->flash_dev; }
+  BackgroundWriter& writer() { return rig_->writer; }
   EventQueue& queue() { return queue_; }
   TimingModel& timing() { return timing_; }
 
   // Convenience wrappers.
   SimTime Read(SimTime now, BlockKey key, HitLevel* level = nullptr) {
-    HitLevel scratch;
-    return stack_->Read(now, key, level != nullptr ? level : &scratch);
+    HitLevel ignored;
+    return rig_->stack->Read(now, key, level != nullptr ? level : &ignored);
   }
-  SimTime Write(SimTime now, BlockKey key) { return stack_->Write(now, key); }
+  SimTime Write(SimTime now, BlockKey key) { return rig_->stack->Write(now, key); }
 
   // Pre-loads `key` as a clean resident block (read it once).
   SimTime Load(SimTime now, BlockKey key) { return Read(now, key); }
 
  private:
-  TimingModel timing_;
+  TimingModel timing_;  // the rig's devices point into it
   EventQueue queue_;
-  std::unique_ptr<NetworkLink> link_;
   std::unique_ptr<StorageBackend> backend_;
-  std::unique_ptr<StorageService> remote_;
-  std::unique_ptr<RamDevice> ram_dev_;
-  std::unique_ptr<FlashDevice> flash_dev_;
-  std::unique_ptr<BackgroundWriter> writer_;
-  std::unique_ptr<CacheStack> stack_;
+  std::unique_ptr<HostRig> rig_;
 };
 
 }  // namespace flashsim
