@@ -40,18 +40,18 @@ LruBlockCache::LruBlockCache(std::string name, uint64_t ram_slots, uint64_t flas
   hot_ = std::make_unique_for_overwrite<HotSlot[]>(n);
   flags_ = std::make_unique<uint8_t[]>(n);
   cold_ = std::make_unique_for_overwrite<ColdSlot[]>(n);
-  // At most half full, so probe runs stay short; capacity is fixed, so the
-  // table never grows.
-  size_t entries = 8;
-  while (entries < 2 * n) {
-    entries <<= 1;
-  }
+  const size_t entries = IndexEntries(capacity_);
   index_.assign(entries, IndexEntry{0, kInvalidSlot});
   index_mask_ = entries - 1;
   policy_ = MakeEvictionPolicy(replacement, this);
 }
 
 LruBlockCache::~LruBlockCache() = default;
+
+uint64_t LruBlockCache::MetadataBytes(uint64_t capacity) {
+  return capacity * (sizeof(HotSlot) + sizeof(uint8_t) + sizeof(ColdSlot)) +
+         IndexEntries(capacity) * sizeof(IndexEntry);
+}
 
 size_t LruBlockCache::PosOfSlot(uint32_t slot) const {
   size_t i = Tag(hot_[slot].key) & index_mask_;

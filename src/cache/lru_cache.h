@@ -90,6 +90,11 @@ class LruBlockCache {
   LruBlockCache(LruBlockCache&&) = delete;
   LruBlockCache& operator=(LruBlockCache&&) = delete;
 
+  // Bytes a cache of `capacity` slots allocates for its slot records
+  // (hot, flags, cold) and its block index: the per-block sizes of
+  // DESIGN.md §8, summed by SimConfig::MetadataBytes.
+  static uint64_t MetadataBytes(uint64_t capacity);
+
   uint64_t capacity() const { return capacity_; }
   uint64_t size() const { return size_; }
   uint64_t dirty_count() const { return dirty_count_; }
@@ -230,6 +235,16 @@ class LruBlockCache {
   static constexpr size_t kNoPos = SIZE_MAX;
 
   static uint32_t Tag(BlockKey key) { return static_cast<uint32_t>(Mix64(key)); }
+
+  // Index entries for `capacity` slots: at most half full, so probe runs
+  // stay short; capacity is fixed, so the table never grows.
+  static size_t IndexEntries(uint64_t capacity) {
+    size_t entries = 8;
+    while (entries < 2 * capacity) {
+      entries <<= 1;
+    }
+    return entries;
+  }
 
   // Index position of `key`, or kNoPos.
   size_t FindPos(BlockKey key) const {

@@ -73,6 +73,11 @@ class Directory {
     }
   }
 
+  // Bytes of the holders index Reserve(blocks) allocates and writes:
+  // 16-byte slots, ceil(8 * blocks / 7) of them. (Slot mode's mask pool is
+  // written only as blocks are first cached.)
+  static uint64_t TableBytes(uint64_t blocks) { return FlatHashMap<uint64_t>::TableBytes(blocks); }
+
   // Load-triggered rehashes of the holders index (0 when Reserve held).
   uint64_t index_rehashes() const { return holders_.growth_rehashes(); }
 

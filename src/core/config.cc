@@ -1,5 +1,7 @@
 #include "src/core/config.h"
 
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdio>
 
@@ -7,6 +9,29 @@
 #include "src/util/assert.h"
 
 namespace flashsim {
+namespace {
+
+// 0 when the system cannot say.
+uint64_t PhysicalMemoryBytes() {
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_bytes = sysconf(_SC_PAGE_SIZE);
+  return pages > 0 && page_bytes > 0
+             ? static_cast<uint64_t>(pages) * static_cast<uint64_t>(page_bytes)
+             : 0;
+}
+
+}  // namespace
+
+uint64_t SimConfig::MetadataBytes() const {
+  // Naive and lookaside keep one LruBlockCache per tier; unified keeps one
+  // over both.
+  const uint64_t per_host = arch == Architecture::kUnified
+                                ? LruBlockCache::MetadataBytes(ram_blocks() + flash_blocks())
+                                : LruBlockCache::MetadataBytes(ram_blocks()) +
+                                      LruBlockCache::MetadataBytes(flash_blocks());
+  const uint64_t directory = num_hosts > 1 ? Directory::TableBytes(fleet_cache_blocks()) : 0;
+  return per_host * static_cast<uint64_t>(num_hosts) + directory;
+}
 
 std::vector<std::string> SimConfig::Violations() const {
   std::vector<std::string> out;
@@ -31,6 +56,17 @@ std::vector<std::string> SimConfig::Violations() const {
     rule(ram_blocks() + flash_blocks() <= LruBlockCache::kMaxCapacity,
          "RAM + flash per host must be at most 2^31 blocks, got " +
              std::to_string(ram_blocks() + flash_blocks()));
+    if (out.empty()) {
+      // Refuse up front what would otherwise die in an allocation mid-setup.
+      const uint64_t metadata = MetadataBytes();
+      const uint64_t physical = PhysicalMemoryBytes();
+      rule(physical == 0 || metadata <= physical,
+           "estimated cache metadata of " + FormatSize(metadata) + " (" +
+               std::to_string(num_hosts) + " hosts x " +
+               std::to_string(ram_blocks() + flash_blocks()) +
+               " cached blocks, plus the directory) exceeds physical memory of " +
+               FormatSize(physical));
+    }
   }
   // The naive stack's RAM→flash writeback requires RAM ⊆ flash, which a
   // DRAM→flash admission filter deliberately breaks.

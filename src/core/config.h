@@ -79,6 +79,17 @@ struct SimConfig {
 
   uint64_t ram_blocks() const { return ram_bytes / block_bytes; }
   uint64_t flash_blocks() const { return flash_bytes / block_bytes; }
+  // The most blocks cached anywhere at once: the consistency directory's
+  // reservation on multi-host runs.
+  uint64_t fleet_cache_blocks() const {
+    return (ram_blocks() + flash_blocks()) * static_cast<uint64_t>(num_hosts);
+  }
+
+  // Estimated bytes of the run's cache metadata, the part that grows with
+  // cache size and fleet width: every host's cache slot records and block
+  // indexes, plus the directory's holders index when hosts > 1. Violations()
+  // refuses runs whose estimate exceeds the machine's physical memory.
+  uint64_t MetadataBytes() const;
 
   // Every rule this configuration breaks, one sentence each; empty when the
   // simulator accepts it. Front ends print these and exit 2.

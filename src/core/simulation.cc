@@ -9,6 +9,7 @@ namespace flashsim {
 
 Simulation::Simulation(const SimConfig& config) : config_(config) {
   config_.Validate();
+  backlog_ = PooledQueues<TraceRecord>(static_cast<size_t>(NumThreads()));
   // ShardSeed(seed, 0) reproduces the historical single-filer RNG stream,
   // so num_filers == 1 is the paper's one shared filer.
   backend_ = MakeStorageBackend(config_.timing, config_.num_filers, config_.shard_strategy,
@@ -18,8 +19,7 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
     // Pre-size the directory's holders index for the most blocks that can
     // be cached anywhere at once, so it never rehashes mid-trace. One-host
     // runs never feed it (RigTransport).
-    directory_->Reserve((config_.ram_blocks() + config_.flash_blocks()) *
-                        static_cast<uint64_t>(config_.num_hosts));
+    directory_->Reserve(config_.fleet_cache_blocks());
   }
   StackConfig stack_config;
   stack_config.ram_blocks = config_.ram_blocks();
@@ -44,7 +44,6 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
       MakeCoherenceParams(config_.coherence, config_.num_hosts, config_.timing),
       directory_.get(), transport_.get());
   coherence_active_ = config_.coherence != CoherenceModel::kPerfect;
-  backlog_.resize(static_cast<size_t>(NumThreads()));
 #ifdef FLASHSIM_AUDIT
   // Audit builds force the auditor on with a stride that keeps even scaled
   // benches feasible under sanitizers; an explicit stride still wins.
@@ -141,10 +140,10 @@ FlashDevice& Simulation::flash_device(int host) {
 }
 
 bool Simulation::NextOpFor(int thread_index, TraceRecord* record) {
-  auto& queue = backlog_[static_cast<size_t>(thread_index)];
-  if (!queue.empty()) {
-    *record = queue.front();
-    queue.pop_front();
+  const size_t queue = static_cast<size_t>(thread_index);
+  if (!backlog_.empty(queue)) {
+    *record = backlog_.front(queue);
+    backlog_.pop_front(queue);
     return true;
   }
   while (!source_exhausted_) {
@@ -162,14 +161,14 @@ bool Simulation::NextOpFor(int thread_index, TraceRecord* record) {
       *record = next;
       return true;
     }
-    backlog_[static_cast<size_t>(target)].push_back(next);
+    backlog_.push_back(static_cast<size_t>(target), next);
   }
   return false;
 }
 
 const TraceRecord* Simulation::PeekOpFor(int thread_index) {
-  auto& queue = backlog_[static_cast<size_t>(thread_index)];
-  while (queue.empty() && !source_exhausted_) {
+  const size_t queue = static_cast<size_t>(thread_index);
+  while (backlog_.empty(queue) && !source_exhausted_) {
     TraceRecord next;
     if (!source_->Next(&next)) {
       source_exhausted_ = true;
@@ -177,9 +176,9 @@ const TraceRecord* Simulation::PeekOpFor(int thread_index) {
     }
     const int host = next.host % config_.num_hosts;
     const int thread = next.thread % config_.threads_per_host;
-    backlog_[static_cast<size_t>(ThreadIndex(host, thread))].push_back(next);
+    backlog_.push_back(static_cast<size_t>(ThreadIndex(host, thread)), next);
   }
-  return queue.empty() ? nullptr : &queue.front();
+  return backlog_.empty(queue) ? nullptr : &backlog_.front(queue);
 }
 
 SimTime Simulation::ExecuteOp(SimTime now, const TraceRecord& record) {
@@ -340,7 +339,7 @@ void Simulation::StartThread(int thread_index, SimTime now) {
       break;  // not inlinable: fall back to the event path
     }
     record = *next;
-    backlog_[static_cast<size_t>(thread_index)].pop_front();
+    backlog_.pop_front(static_cast<size_t>(thread_index));
     queue_.NoteInlineDispatch(done);
     now = done;
     done = *fast_done;
@@ -477,16 +476,15 @@ Metrics Simulation::Run(TraceSource& source) {
   // background-writer window slot.
   queue_.Reserve(static_cast<size_t>(NumThreads()) + 3 + 2 * hosts_.size() +
                  hosts_.size() * static_cast<size_t>(config_.timing.writeback_window));
-  // Pre-size the per-thread backlogs from the trace's size hint. The
-  // backlog only holds read-ahead for threads whose ops arrive out of
-  // order, so cap the reservation; the ring still grows if a trace turns
-  // out badly skewed.
+  // Pre-size the backlog pool from the trace's size hint. The backlogs
+  // only hold read-ahead for threads whose ops arrive out of order, so cap
+  // the reservation per thread; the pool still grows if a trace turns out
+  // badly skewed. The reservation is address space: only chunks actually
+  // queued into are ever touched.
   if (const uint64_t hint = source.SizeHint(); hint > 0) {
     const uint64_t per_thread =
         std::min<uint64_t>(hint / static_cast<uint64_t>(NumThreads()) + 1, 16384);
-    for (auto& backlog : backlog_) {
-      backlog.Reserve(static_cast<size_t>(per_thread));
-    }
+    backlog_.Reserve(static_cast<size_t>(per_thread) * static_cast<size_t>(NumThreads()));
   }
   for (int t = 0; t < NumThreads(); ++t) {
     queue_.ScheduleEvent(0, this, kEvThreadStart, static_cast<uint64_t>(t));

@@ -33,7 +33,7 @@
 #include "src/obs/telemetry.h"
 #include "src/sim/event_queue.h"
 #include "src/trace/source.h"
-#include "src/util/ring_deque.h"
+#include "src/util/pooled_queues.h"
 #include "src/util/time_series.h"
 
 namespace flashsim {
@@ -124,8 +124,8 @@ class Simulation : private EventHandler {
   // Peeks the next op for the thread without consuming it, pulling from the
   // source into backlogs as needed (the thread's own find is parked in its
   // backlog, unlike NextOpFor's direct return). Returns nullptr when the
-  // thread is out of work. The pointer is invalidated by the next backlog
-  // mutation.
+  // thread is out of work. The pointer stays valid until the thread's
+  // backlog is next popped (pushes to any backlog leave it in place).
   const TraceRecord* PeekOpFor(int thread_index);
 
   // Executes one operation starting at `now`; returns its completion time.
@@ -183,7 +183,9 @@ class Simulation : private EventHandler {
   std::unique_ptr<CoherenceProtocol> coherence_;
   bool coherence_active_ = false;
   TraceSource* source_ = nullptr;
-  std::vector<RingDeque<TraceRecord>> backlog_;  // per thread index
+  // Per-thread-index backlogs of read-ahead records, in one chunk pool
+  // (DESIGN.md §8).
+  PooledQueues<TraceRecord> backlog_;
   bool source_exhausted_ = false;
   int live_threads_ = 0;
   // Serial fast path armed for this run: no per-record observer (the

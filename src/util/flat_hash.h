@@ -6,47 +6,70 @@
 // deletion is ~4x faster in the access loop and keeps memory proportional
 // to live entries. (The cache's own block index is a fixed-size table of
 // 8-byte entries inside LruBlockCache, DESIGN.md §8.)
+//
+// A slot is 16 bytes, {key, value}: an empty slot holds the reserved key
+// kEmptyKey, and the one legal key equal to it (the all-ones BlockKey,
+// file 2^24-1 block 2^40-1) is kept out of band. A key's home slot is a
+// multiply-shift reduction of Mix64(key), so the table can be any size:
+// Reserve(n) allocates exactly ceil(8n/7) slots.
 #ifndef FLASHSIM_SRC_UTIL_FLAT_HASH_H_
 #define FLASHSIM_SRC_UTIL_FLAT_HASH_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "src/util/assert.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
 
-// Maps uint64_t -> V. V must be default-constructible and cheap to move.
-// Not thread-safe; the simulator is single-threaded by design.
+// Maps uint64_t -> V. V must be default-constructible, cheap to move, and
+// at most 8 bytes. Not thread-safe; the simulator is single-threaded by
+// design.
 template <typename V>
 class FlatHashMap {
  public:
-  FlatHashMap() { Rehash(kInitialCapacity); }
+  FlatHashMap() {
+    Rehash(kInitialCapacity);
+    max_size_ = GrowthLimit(kInitialCapacity);
+  }
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  // Slots in the table (the out-of-band key takes none).
+  size_t capacity() const { return slots_.size(); }
 
+  // Bytes of the table Reserve(n) allocates on a fresh map.
+  static uint64_t TableBytes(uint64_t n) { return ReservedSlots(n) * sizeof(Slot); }
+
+  // Makes room for n entries without a growth rehash: the table becomes
+  // exactly ceil(8n/7) slots (7/8 maximum load) and holds n entries before
+  // the next growth.
   void Reserve(size_t n) {
-    size_t needed = NextPow2(n * 8 / kMaxLoadNumerator + 1);
-    if (needed > slots_.size()) {
-      Rehash(needed);
+    if (n <= max_size_) {
+      return;
     }
+    const size_t slots = static_cast<size_t>(ReservedSlots(n));
+    if (slots != slots_.size()) {
+      Rehash(slots);
+    }
+    max_size_ = n;
   }
 
   // Returns a pointer to the mapped value, or nullptr if absent.
   V* Find(uint64_t key) {
-    size_t i = Hash(key) & mask_;
-    for (;;) {
+    if (key == kEmptyKey) {
+      return has_empty_key_ ? &empty_key_value_ : nullptr;
+    }
+    for (size_t i = Home(key);; i = Next(i)) {
       Slot& s = slots_[i];
-      if (!s.used) {
-        return nullptr;
-      }
       if (s.key == key) {
         return &s.value;
       }
-      i = (i + 1) & mask_;
+      if (s.key == kEmptyKey) {
+        return nullptr;
+      }
     }
   }
 
@@ -64,87 +87,84 @@ class FlatHashMap {
 
   // Inserts or overwrites; returns a reference to the mapped value.
   V& Insert(uint64_t key, V value) {
-    MaybeGrow();
-    size_t i = Hash(key) & mask_;
-    for (;;) {
-      Slot& s = slots_[i];
-      if (!s.used) {
-        s.used = true;
-        s.key = key;
-        s.value = std::move(value);
-        ++size_;
-        return s.value;
-      }
-      if (s.key == key) {
-        s.value = std::move(value);
-        return s.value;
-      }
-      i = (i + 1) & mask_;
-    }
+    V& slot = (*this)[key];
+    slot = std::move(value);
+    return slot;
   }
 
-  // Finds key, default-constructing the entry if absent.
+  // Finds key, default-constructing the entry if absent. Every empty slot
+  // already holds V(), so claiming one only writes the key. Only a new key
+  // can trigger growth.
   V& operator[](uint64_t key) {
-    MaybeGrow();
-    size_t i = Hash(key) & mask_;
-    for (;;) {
-      Slot& s = slots_[i];
-      if (!s.used) {
-        s.used = true;
-        s.key = key;
-        s.value = V();
+    if (key == kEmptyKey) {
+      if (!has_empty_key_) {
+        if (size_ == max_size_) {
+          Grow();
+        }
+        has_empty_key_ = true;
         ++size_;
-        return s.value;
       }
+      return empty_key_value_;
+    }
+    for (size_t i = Home(key);; i = Next(i)) {
+      Slot& s = slots_[i];
       if (s.key == key) {
         return s.value;
       }
-      i = (i + 1) & mask_;
+      if (s.key == kEmptyKey) {
+        if (size_ == max_size_) {
+          Grow();
+          return (*this)[key];  // re-probe the grown table
+        }
+        s.key = key;
+        ++size_;
+        return s.value;
+      }
     }
   }
 
   // Removes key if present; returns whether it was present. Uses backward
   // shifting so no tombstones accumulate.
   bool Erase(uint64_t key) {
-    size_t i = Hash(key) & mask_;
-    for (;;) {
-      Slot& s = slots_[i];
-      if (!s.used) {
+    if (key == kEmptyKey) {
+      if (!has_empty_key_) {
         return false;
       }
-      if (s.key == key) {
+      has_empty_key_ = false;
+      empty_key_value_ = V();
+      --size_;
+      return true;
+    }
+    size_t i = Home(key);
+    for (;; i = Next(i)) {
+      if (slots_[i].key == key) {
         break;
       }
-      i = (i + 1) & mask_;
+      if (slots_[i].key == kEmptyKey) {
+        return false;
+      }
     }
     // Backward-shift deletion: pull displaced followers into the hole.
     size_t hole = i;
-    size_t j = (i + 1) & mask_;
-    for (;;) {
-      Slot& s = slots_[j];
-      if (!s.used) {
-        break;
-      }
-      const size_t home = Hash(s.key) & mask_;
-      // s may move into the hole only if the hole lies within its probe path.
-      const bool movable = ((j - home) & mask_) >= ((j - hole) & mask_);
-      if (movable) {
-        slots_[hole] = std::move(s);
+    for (size_t j = Next(i); slots_[j].key != kEmptyKey; j = Next(j)) {
+      // The entry at j may move into the hole only if the hole lies on its
+      // probe path (between its home and j, cyclically).
+      if (Distance(Home(slots_[j].key), j) >= Distance(hole, j)) {
+        slots_[hole] = std::move(slots_[j]);
         hole = j;
       }
-      j = (j + 1) & mask_;
     }
-    slots_[hole].used = false;
-    slots_[hole].value = V();
+    slots_[hole] = Slot{};
     --size_;
     return true;
   }
 
   void Clear() {
     for (Slot& s : slots_) {
-      s.used = false;
-      s.value = V();
+      s = Slot{};
     }
+    has_empty_key_ = false;
+    empty_key_value_ = V();
     size_ = 0;
   }
 
@@ -152,64 +172,86 @@ class FlatHashMap {
   template <typename Fn>
   void ForEach(Fn&& fn) {
     for (Slot& s : slots_) {
-      if (s.used) {
+      if (s.key != kEmptyKey) {
         fn(s.key, s.value);
       }
+    }
+    if (has_empty_key_) {
+      fn(kEmptyKey, empty_key_value_);
     }
   }
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     for (const Slot& s : slots_) {
-      if (s.used) {
+      if (s.key != kEmptyKey) {
         fn(s.key, s.value);
       }
+    }
+    if (has_empty_key_) {
+      fn(kEmptyKey, empty_key_value_);
     }
   }
 
  private:
+  static constexpr uint64_t kEmptyKey = ~0ULL;
+
   struct Slot {
-    uint64_t key = 0;
+    uint64_t key = kEmptyKey;
     V value{};
-    bool used = false;
   };
+  static_assert(sizeof(Slot) == 16, "a slot must stay 16 bytes: V at most 8");
 
   static constexpr size_t kInitialCapacity = 16;
-  static constexpr size_t kMaxLoadNumerator = 7;  // grow above 7/8 load
 
-  static size_t Hash(uint64_t key) { return static_cast<size_t>(Mix64(key)); }
+  // ceil(8n/7): the fewest slots that hold n entries at 7/8 load.
+  static uint64_t ReservedSlots(uint64_t n) { return (8 * n + 6) / 7; }
 
-  static size_t NextPow2(size_t n) {
-    size_t p = kInitialCapacity;
-    while (p < n) {
-      p <<= 1;
-    }
-    return p;
+  // Entries a table of `capacity` slots holds before a growth rehash: the
+  // most that stay strictly below 7/8 load.
+  static size_t GrowthLimit(size_t capacity) { return (7 * capacity + 7) / 8 - 1; }
+
+  // Home slot: the high word of Mix64(key) * capacity, uniform over any
+  // table size.
+  size_t Home(uint64_t key) const {
+    return static_cast<size_t>((static_cast<unsigned __int128>(Mix64(key)) * slots_.size()) >>
+                               64);
   }
 
-  void MaybeGrow() {
-    if ((size_ + 1) * 8 >= slots_.size() * kMaxLoadNumerator) {
-      ++growth_rehashes_;
-      Rehash(slots_.size() * 2);
-    }
+  size_t Next(size_t i) const { return i + 1 == slots_.size() ? 0 : i + 1; }
+
+  // Probe steps from `from` forward to `to`, wrapping past the last slot.
+  size_t Distance(size_t from, size_t to) const {
+    return to >= from ? to - from : to + slots_.size() - from;
+  }
+
+  void Grow() {
+    ++growth_rehashes_;
+    Rehash(slots_.size() * 2);
+    max_size_ = GrowthLimit(slots_.size());
   }
 
   void Rehash(size_t new_capacity) {
-    FLASHSIM_CHECK((new_capacity & (new_capacity - 1)) == 0);
     std::vector<Slot> old = std::move(slots_);
     slots_.assign(new_capacity, Slot{});
-    mask_ = new_capacity - 1;
-    size_ = 0;
     for (Slot& s : old) {
-      if (s.used) {
-        Insert(s.key, std::move(s.value));
+      if (s.key != kEmptyKey) {
+        size_t i = Home(s.key);
+        while (slots_[i].key != kEmptyKey) {
+          i = Next(i);
+        }
+        slots_[i] = std::move(s);
       }
     }
   }
 
   std::vector<Slot> slots_;
-  size_t mask_ = 0;
+  // Entries (the out-of-band key included) the table holds before the
+  // next growth rehash.
+  size_t max_size_ = 0;
   size_t size_ = 0;
+  bool has_empty_key_ = false;
+  V empty_key_value_{};
   uint64_t growth_rehashes_ = 0;
 };
 

@@ -1,10 +1,10 @@
 // Power-of-two ring-buffer FIFO.
 //
-// The simulator's per-thread trace backlogs are plain FIFOs with a
-// reservable bound; std::deque cannot reserve and allocates a fresh map
-// node every few hundred entries. This ring keeps elements contiguous,
-// grows by doubling, and after Reserve never allocates again while the
-// queue stays within the reserved capacity.
+// The background writer's pending queue oscillates between empty and a few
+// entries; std::deque releases its chunk on empty and allocates a fresh one
+// on the next push. This ring keeps elements contiguous, grows by doubling,
+// and keeps its high-water buffer, so a queue that stays within it never
+// allocates again.
 #ifndef FLASHSIM_SRC_UTIL_RING_DEQUE_H_
 #define FLASHSIM_SRC_UTIL_RING_DEQUE_H_
 
@@ -23,13 +23,6 @@ class RingDeque {
   bool empty() const { return size_ == 0; }
   size_t size() const { return size_; }
   size_t capacity() const { return buf_.size(); }
-
-  // Grows capacity to the smallest power of two >= n (never shrinks).
-  void Reserve(size_t n) {
-    if (n > buf_.size()) {
-      Grow(NextPow2(n));
-    }
-  }
 
   void push_back(T value) {
     if (size_ == buf_.size()) {
@@ -63,14 +56,6 @@ class RingDeque {
 
  private:
   static constexpr size_t kMinCapacity = 16;
-
-  static size_t NextPow2(size_t n) {
-    size_t p = kMinCapacity;
-    while (p < n) {
-      p <<= 1;
-    }
-    return p;
-  }
 
   void Grow(size_t new_capacity) {
     std::vector<T> grown(new_capacity);

@@ -202,6 +202,31 @@ TEST(SimConfig, ViolationsNameEachBadFtlParameter) {
   EXPECT_NE(violations[0].find("FTL wear weight"), std::string::npos) << violations[0];
 }
 
+// The footprint estimate on one small config, summed by hand from the
+// per-block sizes: 33 bytes of slot records per cached block (16 hot,
+// 1 flags, 16 cold), an 8-byte index entry per slot of a power-of-two index
+// at least twice the capacity, and 16-byte directory slots, ceil(8n/7) of
+// them for n = (RAM + flash) x hosts.
+TEST(SimConfig, MetadataEstimatePinsItsFormula) {
+  SimConfig config;
+  config.ram_bytes = 64 * 4096;
+  config.flash_bytes = 256 * 4096;
+  config.num_hosts = 2;
+  config.arch = Architecture::kNaive;
+  const uint64_t ram_cache = 64 * 33 + 128 * 8;      // 3136
+  const uint64_t flash_cache = 256 * 33 + 512 * 8;   // 12544
+  const uint64_t directory = (8 * 640 + 6) / 7 * 16;  // 732 slots: 11712
+  EXPECT_EQ(config.MetadataBytes(), 2 * (ram_cache + flash_cache) + directory);
+  EXPECT_EQ(config.MetadataBytes(), 43072u);
+  // Unified: one cache over both tiers.
+  config.arch = Architecture::kUnified;
+  EXPECT_EQ(config.MetadataBytes(), 2 * (320 * 33 + 1024 * 8) + directory);
+  // One host keeps no directory.
+  config.arch = Architecture::kNaive;
+  config.num_hosts = 1;
+  EXPECT_EQ(config.MetadataBytes(), ram_cache + flash_cache);
+}
+
 TEST(SimConfig, ViolationsReportEveryBrokenRule) {
   SimConfig config;
   config.num_hosts = 0;
@@ -239,6 +264,15 @@ TEST(ParamsViolations, ReportsBadFlagCombinations) {
     ExperimentParams params;
     params.threads_per_host = 0;
     only(params, "threads per host must be in [1, 65535], got 0");
+  }
+  {
+    // flashsim_cli --hosts=4096 --scale=1 died in std::bad_alloc: its cache
+    // metadata alone is terabytes.
+    ExperimentParams params;
+    params.hosts = 4096;
+    params.scale = 1;
+    ASSERT_GT(BuildSimConfig(params).MetadataBytes(), uint64_t{1} << 42);
+    only(params, "exceeds physical memory");
   }
   {
     ExperimentParams params;

@@ -220,6 +220,52 @@ TEST(Directory, IterationOrderIndependentOfInsertionHistory) {
   EXPECT_TRUE(std::is_sorted(order_a.begin(), order_a.end()));
 }
 
+// The largest legal BlockKey (file 2^24-1, block 2^40-1) is the holders
+// index's empty-slot marker, kept out of band; the directory must treat it
+// like any other block in both holder-set modes.
+TEST(Directory, AllOnesKeyWorksInInlineAndSlotMode) {
+  const BlockKey all_ones = MakeBlockKey(kMaxFileId, kMaxBlockInFile);
+  ASSERT_EQ(all_ones, ~0ULL);
+  for (const int num_hosts : {8, 64, 65, 200}) {
+    Directory dir(num_hosts);
+    dir.Reserve(16);
+    const int last = num_hosts - 1;
+    EXPECT_FALSE(dir.SoleHolder(0, all_ones));
+    dir.NoteCached(last, all_ones);
+    dir.NoteCached(last, 3);  // a neighbouring ordinary key
+    EXPECT_TRUE(dir.SoleHolder(last, all_ones)) << num_hosts;
+    EXPECT_FALSE(dir.SoleHolder(0, all_ones));
+    dir.NoteCached(0, all_ones);
+    EXPECT_FALSE(dir.SoleHolder(last, all_ones));
+    EXPECT_EQ(dir.holder_count(all_ones), 2);
+    std::vector<int> visited;
+    dir.ForEachHolder(all_ones, [&](int host) { visited.push_back(host); });
+    EXPECT_EQ(visited, (std::vector<int>{0, last})) << num_hosts;
+
+    const Directory::StaleSet stale = dir.OnBlockWrite(0, all_ones, /*measured=*/true);
+    EXPECT_EQ(stale.count(), 1);
+    EXPECT_TRUE(stale.Contains(last));
+    EXPECT_FALSE(stale.Contains(0));
+    EXPECT_EQ(dir.invalidations(), 1u);
+
+    dir.NoteDropped(last, all_ones);
+    EXPECT_TRUE(dir.SoleHolder(0, all_ones));
+    dir.NoteDropped(0, all_ones);
+    EXPECT_EQ(dir.holder_count(all_ones), 0);
+    EXPECT_FALSE(dir.IsCachedBy(0, all_ones));
+    visited.clear();
+    dir.ForEachHolder(all_ones, [&](int host) { visited.push_back(host); });
+    EXPECT_TRUE(visited.empty());
+    EXPECT_FALSE(dir.OnBlockWrite(0, all_ones, /*measured=*/true).any());
+    // The ordinary key was untouched throughout, and a dropped slot-mode
+    // entry is recycled for the next block.
+    EXPECT_TRUE(dir.SoleHolder(last, 3));
+    dir.NoteCached(1, all_ones);
+    EXPECT_TRUE(dir.SoleHolder(1, all_ones));
+    EXPECT_EQ(dir.index_rehashes(), 0u);
+  }
+}
+
 TEST(DirectoryDeathTest, RejectsOutOfRangeHostCounts) {
   EXPECT_DEATH(Directory dir(Directory::kMaxHosts + 1), "CHECK failed");
   EXPECT_DEATH(Directory dir(0), "CHECK failed");

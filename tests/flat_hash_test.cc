@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "src/util/rng.h"
 
@@ -82,12 +83,19 @@ TEST(FlatHashMap, BackwardShiftKeepsProbeChainsIntact) {
   EXPECT_EQ(map.size(), 2048u);
 }
 
-TEST(FlatHashMap, RandomizedAgainstStdUnorderedMap) {
-  FlatHashMap<uint64_t> map;
+// The empty-slot marker, and the largest legal BlockKey (file 2^24-1,
+// block 2^40-1), which the map keeps out of band.
+constexpr uint64_t kAllOnes = ~0ULL;
+
+// Randomized insert/erase/find against std::unordered_map over keys drawn
+// from [0, key_range) plus the all-ones key.
+void CheckAgainstReference(FlatHashMap<uint64_t>& map, uint64_t key_range, uint64_t seed,
+                           int steps) {
   std::unordered_map<uint64_t, uint64_t> reference;
-  Rng rng(99);
-  for (int step = 0; step < 200000; ++step) {
-    const uint64_t key = rng.NextBounded(500);
+  Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const uint64_t draw = rng.NextBounded(key_range + 1);
+    const uint64_t key = draw == key_range ? kAllOnes : draw;
     switch (rng.NextBounded(3)) {
       case 0: {
         const uint64_t value = rng.Next();
@@ -111,8 +119,174 @@ TEST(FlatHashMap, RandomizedAgainstStdUnorderedMap) {
         break;
       }
     }
+    ASSERT_EQ(map.size(), reference.size()) << "step " << step;
   }
-  EXPECT_EQ(map.size(), reference.size());
+  size_t visits = 0;
+  map.ForEach([&](uint64_t key, uint64_t& value) {
+    ++visits;
+    auto it = reference.find(key);
+    ASSERT_NE(it, reference.end()) << key;
+    EXPECT_EQ(value, it->second) << key;
+  });
+  EXPECT_EQ(visits, reference.size());
+}
+
+TEST(FlatHashMap, RandomizedAgainstStdUnorderedMap) {
+  FlatHashMap<uint64_t> map;
+  CheckAgainstReference(map, 500, 99, 200000);
+}
+
+TEST(FlatHashMap, RandomizedAgainstStdUnorderedMapAtReservedSizes) {
+  // Key ranges around each reserved size keep the table near its 7/8 load
+  // limit, where probe chains are longest and wrap past the last slot.
+  for (const size_t n : {1u, 6u, 7u, 13u, 100u, 1000u, 4097u}) {
+    FlatHashMap<uint64_t> map;
+    map.Reserve(n);
+    CheckAgainstReference(map, n, 1000 + n, 50000);
+  }
+}
+
+TEST(FlatHashMap, AllOnesKeyIsAnOrdinaryKey) {
+  FlatHashMap<uint64_t> map;
+  EXPECT_EQ(map.Find(kAllOnes), nullptr);
+  EXPECT_FALSE(map.Erase(kAllOnes));
+  map.Insert(kAllOnes, 5);
+  map.Insert(1, 10);
+  EXPECT_EQ(map.size(), 2u);
+  ASSERT_NE(map.Find(kAllOnes), nullptr);
+  EXPECT_EQ(*map.Find(kAllOnes), 5u);
+  map.Insert(kAllOnes, 6);  // overwrite
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map[kAllOnes], 6u);
+  map[kAllOnes] |= 1;
+  EXPECT_EQ(*map.Find(kAllOnes), 7u);
+  int all_ones_visits = 0;
+  size_t visits = 0;
+  map.ForEach([&](uint64_t key, uint64_t& value) {
+    ++visits;
+    if (key == kAllOnes) {
+      ++all_ones_visits;
+      EXPECT_EQ(value, 7u);
+    }
+  });
+  EXPECT_EQ(all_ones_visits, 1);
+  EXPECT_EQ(visits, 2u);
+  EXPECT_TRUE(map.Erase(kAllOnes));
+  EXPECT_FALSE(map.Erase(kAllOnes));
+  EXPECT_EQ(map.Find(kAllOnes), nullptr);
+  EXPECT_EQ(map.size(), 1u);
+  // operator[] default-constructs it afresh after the erase.
+  EXPECT_EQ(map[kAllOnes], 0u);
+  EXPECT_EQ(map.size(), 2u);
+  map.Clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.Find(kAllOnes), nullptr);
+  EXPECT_EQ(map.Find(1), nullptr);
+  visits = 0;
+  map.ForEach([&](uint64_t, uint64_t&) { ++visits; });
+  EXPECT_EQ(visits, 0u);
+}
+
+TEST(FlatHashMap, ReserveSizesTheTableExactly) {
+  for (const size_t n : {20u, 21u, 100u, 1000u, 4097u, 100000u}) {
+    FlatHashMap<int> map;
+    map.Reserve(n);
+    EXPECT_EQ(map.capacity(), (8 * n + 6) / 7) << n;
+    EXPECT_EQ(FlatHashMap<int>::TableBytes(n), 16 * map.capacity()) << n;
+  }
+  // Within the initial table's limit (13 of 16 slots), Reserve is a no-op.
+  FlatHashMap<int> small;
+  small.Reserve(13);
+  EXPECT_EQ(small.capacity(), 16u);
+}
+
+TEST(FlatHashMap, ReservedMapGrowsExactlyOncePastItsBound) {
+  for (const size_t n : {14u, 21u, 100u, 1000u, 4097u}) {
+    FlatHashMap<uint64_t> map;
+    map.Reserve(n);
+    const size_t capacity = map.capacity();
+    // The all-ones key counts toward the bound like any other.
+    map.Insert(kAllOnes, 1);
+    for (uint64_t k = 1; k < n; ++k) {
+      map.Insert(k, k);
+      map[k] += 1;  // touching a present key never grows
+    }
+    EXPECT_EQ(map.size(), n);
+    EXPECT_EQ(map.growth_rehashes(), 0u) << n;
+    EXPECT_EQ(map.capacity(), capacity) << n;
+    map.Insert(n, n);
+    EXPECT_EQ(map.growth_rehashes(), 1u) << n;
+    EXPECT_EQ(map.capacity(), 2 * capacity) << n;
+    // The doubled table holds 2n - 1 before it grows again.
+    for (uint64_t k = n + 1; k < 2 * n - 1; ++k) {
+      map.Insert(k, k);
+    }
+    EXPECT_EQ(map.size(), 2 * n - 1);
+    EXPECT_EQ(map.growth_rehashes(), 1u) << n;
+    EXPECT_EQ(*map.Find(kAllOnes), 1u);
+    for (uint64_t k = 1; k < n; ++k) {
+      ASSERT_EQ(*map.Find(k), k + 1) << k;
+    }
+  }
+}
+
+// Home slot as the map computes it: the high word of Mix64(key) * slots.
+size_t HomeOf(uint64_t key, size_t slots) {
+  return static_cast<size_t>((static_cast<unsigned __int128>(Mix64(key)) * slots) >> 64);
+}
+
+TEST(FlatHashMap, ProbeChainsAndBackwardShiftWrapPastTheLastSlot) {
+  for (const size_t n : {20u, 100u, 999u}) {
+    FlatHashMap<uint64_t> map;
+    map.Reserve(n);
+    const size_t slots = map.capacity();
+    // Keys homed in the last two slots: their chain runs off the end and
+    // continues at slot 0. Keys homed at slot 0 and 1 then queue behind it.
+    std::vector<uint64_t> tail_keys;
+    std::vector<uint64_t> head_keys;
+    for (uint64_t k = 0; tail_keys.size() < 4 || head_keys.size() < 3; ++k) {
+      const size_t home = HomeOf(k, slots);
+      if (home + 2 >= slots && tail_keys.size() < 4) {
+        tail_keys.push_back(k);
+      } else if (home <= 1 && head_keys.size() < 3) {
+        head_keys.push_back(k);
+      }
+    }
+    std::unordered_map<uint64_t, uint64_t> reference;
+    for (const uint64_t k : tail_keys) {
+      map.Insert(k, k * 3);
+      reference[k] = k * 3;
+    }
+    for (const uint64_t k : head_keys) {
+      map.Insert(k, k * 3);
+      reference[k] = k * 3;
+    }
+    // Erase from the front of the wrapped chain, one key at a time, and
+    // check every survivor is still reachable after each backward shift.
+    std::vector<uint64_t> order = tail_keys;
+    order.insert(order.end(), head_keys.begin(), head_keys.end());
+    for (const uint64_t victim : order) {
+      ASSERT_TRUE(map.Erase(victim)) << victim;
+      reference.erase(victim);
+      EXPECT_EQ(map.Find(victim), nullptr);
+      for (const auto& [key, value] : reference) {
+        ASSERT_NE(map.Find(key), nullptr) << "n=" << n << " key " << key;
+        EXPECT_EQ(*map.Find(key), value);
+      }
+      EXPECT_EQ(map.size(), reference.size());
+    }
+    // Refill in the opposite order and erase from the chain's middle.
+    for (auto it = order.rbegin(); it != order.rend(); ++it) {
+      map.Insert(*it, *it);
+    }
+    for (size_t i = 1; i < order.size(); i += 2) {
+      ASSERT_TRUE(map.Erase(order[i]));
+    }
+    for (size_t i = 0; i < order.size(); ++i) {
+      EXPECT_EQ(map.Contains(order[i]), i % 2 == 0) << "n=" << n << " i=" << i;
+    }
+    EXPECT_EQ(map.growth_rehashes(), 0u);
+  }
 }
 
 TEST(FlatHashMap, ForEachVisitsEveryEntryOnce) {

@@ -237,6 +237,48 @@ std::vector<std::string> FtlRow(const SweepPoint& point, const ExperimentResult&
           Table::Cell(m.ftl_gc_relocations)};
 }
 
+// A wide fleet booting one shared image (examples/boot_storm.cpp's shape,
+// 128 desktops x 2 threads, unified): past the directory's 64-host inline
+// ceiling, so its holder sets live in slot mode, and 256 threads' trace
+// backlogs fill and drain. Writes into the image invalidate other desktops'
+// copies, and the directory protocol prices them, so the rows carry
+// invalidations and coherence messages.
+Sweep WideFleetSweep() {
+  ExperimentParams base;
+  base.scale = 2048;
+  base.hosts = 128;
+  base.threads_per_host = 2;
+  base.arch = Architecture::kUnified;
+  base.working_set_gib = 4.0;
+  base.shared_working_set = true;
+  base.working_set_io_fraction = 0.95;
+  base.volume_multiplier = 4.0 * base.hosts;
+  std::vector<Sweep::AxisValue> write_axis;
+  for (const int write_pct : {0, 5}) {
+    write_axis.push_back({Table::Cell(static_cast<int64_t>(write_pct)),
+                          [write_pct](ExperimentParams& p) {
+                            p.write_fraction = write_pct / 100.0;
+                          }});
+  }
+  Sweep sweep(base);
+  sweep.AddAxis("write_pct", std::move(write_axis))
+      .AddAxis("coherence", CoherenceAxis({CoherenceModel::kPerfect, CoherenceModel::kDirectory}));
+  return sweep;
+}
+
+std::vector<std::string> WideFleetRow(const SweepPoint& point, const ExperimentResult& result) {
+  const Metrics& m = result.metrics;
+  return {point.label(0),
+          point.label(1),
+          Table::Cell(m.mean_read_us(), 2),
+          Table::Cell(m.mean_write_us(), 2),
+          Table::Cell(100.0 * m.ram_hit_rate(), 1),
+          Table::Cell(100.0 * m.flash_hit_rate(), 1),
+          Table::Cell(m.invalidations),
+          Table::Cell(m.coherence.lookups),
+          Table::Cell(m.coherence.invalidation_messages)};
+}
+
 std::map<std::string, uint64_t> LoadGoldenDigests() {
   const std::string path = std::string(FLASHSIM_SOURCE_DIR) + "/tests/golden/digests.txt";
   std::ifstream in(path);
@@ -368,6 +410,20 @@ TEST(GoldenDigest, FtlDigestPinned) {
   }
 }
 
+// The wide fleet (slot-mode directory, hundreds of backlogs), serial and
+// on 4 workers.
+TEST(GoldenDigest, WideFleetDigestPinned) {
+  const std::map<std::string, uint64_t> golden = LoadGoldenDigests();
+  auto it = golden.find("boot_storm_scale2048_hosts128");
+  ASSERT_NE(it, golden.end())
+      << "boot_storm_scale2048_hosts128 missing from tests/golden/digests.txt";
+  const Sweep sweep = WideFleetSweep();
+  for (const int jobs : {1, 4}) {
+    EXPECT_EQ(DigestSweep(sweep, jobs, WideFleetRow), it->second)
+        << "wide fleet jobs=" << jobs << " diverged from the pinned digest";
+  }
+}
+
 // Regeneration helper, skipped in normal runs.
 TEST(GoldenDigest, DISABLED_PrintDigests) {
   for (const SweepCase& c : GoldenCases()) {
@@ -382,6 +438,8 @@ TEST(GoldenDigest, DISABLED_PrintDigests) {
                   DigestSweep(OneHostCoherenceSweep(), 1, OneHostCoherenceRow)));
   std::printf("fig02_scale2048_ftl %016llx\n",
               static_cast<unsigned long long>(DigestSweep(FtlSweep(), 1, FtlRow)));
+  std::printf("boot_storm_scale2048_hosts128 %016llx\n",
+              static_cast<unsigned long long>(DigestSweep(WideFleetSweep(), 1, WideFleetRow)));
 }
 
 }  // namespace
