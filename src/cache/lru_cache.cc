@@ -1,8 +1,30 @@
 #include "src/cache/lru_cache.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <new>
+
 #include "src/cache/replacement.h"
 
 namespace flashsim {
+namespace {
+
+// Index tables are mapped from the OS and unmapped when replaced. Through
+// malloc, glibc's dynamic mmap threshold rises past the first table freed,
+// so later tables came from the arena and each replaced one stayed
+// resident (DESIGN.md §8).
+void* AllocTable(size_t bytes) {
+  void* table = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (table == MAP_FAILED) {
+    throw std::bad_alloc();
+  }
+  return table;
+}
+
+void FreeTable(void* table, size_t bytes) { munmap(table, bytes); }
+
+}  // namespace
 
 const char* ReplacementPolicyName(ReplacementPolicy policy) {
   switch (policy) {
@@ -40,13 +62,14 @@ LruBlockCache::LruBlockCache(std::string name, uint64_t ram_slots, uint64_t flas
   hot_ = std::make_unique_for_overwrite<HotSlot[]>(n);
   flags_ = std::make_unique<uint8_t[]>(n);
   cold_ = std::make_unique_for_overwrite<ColdSlot[]>(n);
-  const size_t entries = IndexEntries(capacity_);
-  index_.assign(entries, IndexEntry{0, kInvalidSlot});
-  index_mask_ = entries - 1;
   policy_ = MakeEvictionPolicy(replacement, this);
+  // Last, so that nothing after it can throw and leak the table.
+  index_ = static_cast<IndexEntry*>(AllocTable(kMinIndexEntries * sizeof(IndexEntry)));
+  std::fill_n(index_, kMinIndexEntries, IndexEntry{0, kInvalidSlot});
+  index_mask_ = kMinIndexEntries - 1;
 }
 
-LruBlockCache::~LruBlockCache() = default;
+LruBlockCache::~LruBlockCache() { FreeTable(index_, index_entries() * sizeof(IndexEntry)); }
 
 uint64_t LruBlockCache::MetadataBytes(uint64_t capacity) {
   return capacity * (sizeof(HotSlot) + sizeof(uint8_t) + sizeof(ColdSlot)) +
@@ -61,13 +84,27 @@ size_t LruBlockCache::PosOfSlot(uint32_t slot) const {
   return i;
 }
 
-void LruBlockCache::IndexInsert(BlockKey key, uint32_t slot) {
-  const uint32_t tag = Tag(key);
-  size_t i = tag & index_mask_;
+void LruBlockCache::IndexPlace(IndexEntry entry) {
+  size_t i = entry.tag & index_mask_;
   while (index_[i].slot != kInvalidSlot) {
     i = (i + 1) & index_mask_;
   }
-  index_[i] = IndexEntry{tag, slot};
+  index_[i] = entry;
+}
+
+void LruBlockCache::GrowIndex() {
+  IndexEntry* old = index_;
+  const size_t old_entries = index_entries();
+  const size_t entries = 2 * old_entries;
+  index_ = static_cast<IndexEntry*>(AllocTable(entries * sizeof(IndexEntry)));
+  std::fill_n(index_, entries, IndexEntry{0, kInvalidSlot});
+  index_mask_ = entries - 1;
+  for (size_t i = 0; i < old_entries; ++i) {
+    if (old[i].slot != kInvalidSlot) {
+      IndexPlace(old[i]);
+    }
+  }
+  FreeTable(old, old_entries * sizeof(IndexEntry));
 }
 
 void LruBlockCache::IndexEraseAt(size_t pos) {
@@ -219,7 +256,10 @@ uint32_t LruBlockCache::Insert(BlockKey key, bool dirty, std::optional<EvictedBl
   hot_[slot].key = key;
   flags_[slot] = kInUseFlag;
   ++size_;
-  IndexInsert(key, slot);
+  if (2 * size_ > index_entries()) {
+    GrowIndex();
+  }
+  IndexPlace(IndexEntry{Tag(key), slot});
   LruPushFront(slot);
   policy_->OnInsert(slot);
   if (dirty) {
@@ -283,10 +323,15 @@ void LruBlockCache::CheckInvariants() const {
   }
   FLASHSIM_CHECK(counted == size_);
   FLASHSIM_CHECK(lru_tail_ == prev);
+  // The table is sized to its live blocks: at most half full, never past
+  // the full cache's size.
+  FLASHSIM_CHECK(2 * size_ <= index_entries());
+  FLASHSIM_CHECK(index_entries() <= IndexEntries(capacity_));
   // Every index entry names a distinct resident slot under its key's tag
   // (distinctness follows from the count: each resident slot was found).
   uint64_t indexed = 0;
-  for (const IndexEntry& entry : index_) {
+  for (size_t i = 0; i < index_entries(); ++i) {
+    const IndexEntry entry = index_[i];
     if (entry.slot == kInvalidSlot) {
       continue;
     }

@@ -13,8 +13,9 @@
 // and a 16-byte cold record (dirty-list links and dirtied-at time) that is
 // allocated without initialisation and read only while the slot is dirty,
 // so a tier that never dirties never faults its pages in. The block index
-// is a fixed-size linear-probing table of 8-byte {hash tag, slot} entries
-// at most half full; capacity is fixed, so it never rehashes.
+// is a linear-probing table of 8-byte {hash tag, slot} entries at most half
+// full; it doubles with the live blocks, from kMinIndexEntries up to the
+// full cache's IndexEntries(capacity), re-homing entries by their tags.
 #ifndef FLASHSIM_SRC_CACHE_LRU_CACHE_H_
 #define FLASHSIM_SRC_CACHE_LRU_CACHE_H_
 
@@ -90,10 +91,26 @@ class LruBlockCache {
   LruBlockCache(LruBlockCache&&) = delete;
   LruBlockCache& operator=(LruBlockCache&&) = delete;
 
-  // Bytes a cache of `capacity` slots allocates for its slot records
+  // Bytes a full cache of `capacity` slots allocates for its slot records
   // (hot, flags, cold) and its block index: the per-block sizes of
-  // DESIGN.md §8, summed by SimConfig::MetadataBytes.
+  // DESIGN.md §8, summed by SimConfig::MetadataBytes. A worst case: the
+  // index is that large only once the cache has filled.
   static uint64_t MetadataBytes(uint64_t capacity);
+
+  // Index entries of a full cache of `capacity` slots: the smallest power of
+  // two at least 2 x capacity (and at least kMinIndexEntries), so the table
+  // stays at most half full.
+  static size_t IndexEntries(uint64_t capacity) {
+    size_t entries = kMinIndexEntries;
+    while (entries < 2 * capacity) {
+      entries <<= 1;
+    }
+    return entries;
+  }
+  // Index entries allocated now: kMinIndexEntries at construction, doubled
+  // before an insert would leave the table more than half full, never more
+  // than IndexEntries(capacity()).
+  size_t index_entries() const { return index_mask_ + 1; }
 
   uint64_t capacity() const { return capacity_; }
   uint64_t size() const { return size_; }
@@ -229,22 +246,13 @@ class LruBlockCache {
     uint32_t slot;  // kInvalidSlot marks an empty entry
   };
 
+  static constexpr size_t kMinIndexEntries = 8;
   static constexpr uint8_t kInUseFlag = 1;
   static constexpr uint8_t kDirtyFlag = 2;
   static constexpr uint8_t kReferencedFlag = 4;  // CLOCK reference bit
   static constexpr size_t kNoPos = SIZE_MAX;
 
   static uint32_t Tag(BlockKey key) { return static_cast<uint32_t>(Mix64(key)); }
-
-  // Index entries for `capacity` slots: at most half full, so probe runs
-  // stay short; capacity is fixed, so the table never grows.
-  static size_t IndexEntries(uint64_t capacity) {
-    size_t entries = 8;
-    while (entries < 2 * capacity) {
-      entries <<= 1;
-    }
-    return entries;
-  }
 
   // Index position of `key`, or kNoPos.
   size_t FindPos(BlockKey key) const {
@@ -262,7 +270,11 @@ class LruBlockCache {
   // Index position of resident `slot`, found by slot id from its key's
   // home position: no key comparisons.
   size_t PosOfSlot(uint32_t slot) const;
-  void IndexInsert(BlockKey key, uint32_t slot);
+  // Stores `entry` at the first empty position from its tag's home.
+  void IndexPlace(IndexEntry entry);
+  // Doubles the index, re-homing every entry from its stored tag in one
+  // sequential pass over the old table; reads no slot record.
+  void GrowIndex();
   // Backward-shift deletion: pulls displaced followers into the hole, so no
   // tombstones accumulate. Reads only tags, never keys.
   void IndexEraseAt(size_t pos);
@@ -281,7 +293,7 @@ class LruBlockCache {
   std::unique_ptr<HotSlot[]> hot_;
   std::unique_ptr<uint8_t[]> flags_;
   std::unique_ptr<ColdSlot[]> cold_;
-  std::vector<IndexEntry> index_;
+  IndexEntry* index_ = nullptr;  // index_mask_ + 1 entries
   size_t index_mask_ = 0;
   uint32_t lru_head_ = kInvalidSlot;  // MRU end
   uint32_t lru_tail_ = kInvalidSlot;  // LRU end

@@ -63,19 +63,17 @@ class Directory {
   void NoteCached(int host, BlockKey key);
   void NoteDropped(int host, BlockKey key);
 
-  // Pre-sizes the holders index (and, in slot mode, the mask pool).
-  // `blocks` = the most blocks that can be cached anywhere at once (the sum
-  // of all hosts' cache capacities), the exact upper bound on live entries.
-  void Reserve(uint64_t blocks) {
-    holders_.Reserve(static_cast<size_t>(blocks));
-    if (words_ > 1) {
-      pool_.reserve(static_cast<size_t>(blocks) * words_);
-    }
-  }
+  // Pre-sizes the holders index. `blocks` = the most blocks that can be
+  // cached anywhere at once (the sum of all hosts' cache capacities), the
+  // exact upper bound on live entries. Slot mode's mask pool is not
+  // reserved: it grows as blocks are first cached, since one mask per bound
+  // block (blocks x ceil(num_hosts/64) words) can exceed what the machine
+  // will allocate even when the blocks actually held fit.
+  void Reserve(uint64_t blocks) { holders_.Reserve(static_cast<size_t>(blocks)); }
 
   // Bytes of the holders index Reserve(blocks) allocates and writes:
-  // 16-byte slots, ceil(8 * blocks / 7) of them. (Slot mode's mask pool is
-  // written only as blocks are first cached.)
+  // 16-byte slots, ceil(8 * blocks / 7) of them. (Slot mode's mask pool
+  // costs the distinct blocks held, as they are first cached.)
   static uint64_t TableBytes(uint64_t blocks) { return FlatHashMap<uint64_t>::TableBytes(blocks); }
 
   // Load-triggered rehashes of the holders index (0 when Reserve held).

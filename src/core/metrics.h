@@ -65,9 +65,9 @@ struct Metrics {
   CoherenceCounters coherence;
 
   // Load-triggered hash rehashes observed across the run's directory and
-  // FTL maps (cache indexes are fixed-size and cannot rehash). The
-  // simulation pre-sizes every map from SimConfig, so this should stay 0; a
-  // nonzero value flags a pre-sizing regression.
+  // FTL maps. The simulation pre-sizes both from SimConfig, so this should
+  // stay 0; a nonzero value flags a pre-sizing regression. Cache indexes
+  // are not counted: they grow with their live blocks by design.
   uint64_t index_rehashes = 0;
 
   // End-of-run snapshots.

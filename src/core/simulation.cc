@@ -532,8 +532,8 @@ Metrics Simulation::Run(TraceSource& source) {
   // protocol's wire-packet total (always zero under perfect).
   metrics_.invalidation_messages = metrics_.coherence.invalidation_messages;
   metrics_.coherence_model = config_.coherence;
-  // Cache indexes are fixed-size tables that cannot rehash; the directory
-  // and FTL maps can.
+  // The directory and FTL maps, pre-sized from SimConfig. Cache indexes are
+  // not counted: they double with their live blocks by design (DESIGN.md §8).
   metrics_.index_rehashes = directory_->index_rehashes();
   uint64_t ftl_host_writes = 0;
   uint64_t ftl_programs = 0;

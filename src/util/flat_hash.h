@@ -4,8 +4,9 @@
 // tables. std::unordered_map's chained nodes cost a pointer chase per
 // probe; this flat linear-probing table with tombstone-free backward-shift
 // deletion is ~4x faster in the access loop and keeps memory proportional
-// to live entries. (The cache's own block index is a fixed-size table of
-// 8-byte entries inside LruBlockCache, DESIGN.md §8.)
+// to live entries. (The cache's own block index is a table of 8-byte
+// entries inside LruBlockCache that doubles with its live blocks, DESIGN.md
+// §8.)
 //
 // A slot is 16 bytes, {key, value}: an empty slot holds the reserved key
 // kEmptyKey, and the one legal key equal to it (the all-ones BlockKey,

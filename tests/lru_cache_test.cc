@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <list>
+#include <algorithm>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/check/oracle.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -195,11 +197,17 @@ TEST(LruCache, ForEachIteratesMruToLru) {
 // Low 32 bits of the index hash: an entry's tag and, masked, its home.
 uint32_t IndexTag(uint64_t key) { return static_cast<uint32_t>(Mix64(key)); }
 
-// The first two keys >= 1 whose index tags are equal, by a deterministic
-// birthday search (a collision is expected within ~2^16 keys).
-std::pair<uint64_t, uint64_t> KeysWithEqualTags() {
+// The first two keys >= 1 whose index tags are equal and have every bit of
+// `low_bits` set, by a deterministic birthday search (a collision is
+// expected within ~2^16 qualifying keys). Equal tags share a home in every
+// table size; with low_bits = 2^k - 1 that home is the last entry of every
+// table of up to 2^k entries.
+std::pair<uint64_t, uint64_t> KeysWithEqualTags(uint32_t low_bits = 0) {
   std::unordered_map<uint32_t, uint64_t> seen;
   for (uint64_t key = 1;; ++key) {
+    if ((IndexTag(key) & low_bits) != low_bits) {
+      continue;
+    }
     const auto [it, inserted] = seen.emplace(IndexTag(key), key);
     if (!inserted) {
       return {it->second, key};
@@ -239,9 +247,10 @@ TEST(LruCache, KeysWithEqualTagsStayDistinct) {
 }
 
 TEST(LruCache, EraseAcrossTableWrapKeepsSurvivorsFindable) {
-  // A capacity-4 cache keeps an 8-entry index, so homes are tag & 7. Keys
-  // homed at the last entry spill past the end into entries 0, 1, ...;
-  // erasing the first of them must shift the wrapped followers back.
+  // A capacity-4 cache's index starts at 8 entries and, holding at most 4
+  // blocks, never doubles, so homes are tag & 7. Keys homed at the last
+  // entry spill past the end into entries 0, 1, ...; erasing the first of
+  // them must shift the wrapped followers back.
   constexpr uint32_t kMask = 7;
   std::vector<uint64_t> last_home;
   uint64_t first_home = 0;
@@ -261,6 +270,7 @@ TEST(LruCache, EraseAcrossTableWrapKeepsSurvivorsFindable) {
     for (const uint64_t key : keys) {
       cache.Insert(key, false, &evicted);
     }
+    ASSERT_EQ(cache.index_entries(), kMask + 1);
     cache.CheckInvariants();
     ASSERT_TRUE(cache.Remove(victim));
     for (const uint64_t key : keys) {
@@ -274,6 +284,55 @@ TEST(LruCache, EraseAcrossTableWrapKeepsSurvivorsFindable) {
       EXPECT_NE(cache.Lookup(key), kInvalidSlot);
     }
     cache.CheckInvariants();
+  }
+}
+
+TEST(LruCache, DoublingRehomesAChainThatWrapsPastTheEnd) {
+  // a and b share a tag whose low four bits are all set: both home at
+  // entry 7 of the starting 8-entry table and at entry 15 of the 16-entry
+  // table it doubles into, so one of them wraps past the end in both. The
+  // other keys also home at entry 7, so the chain runs 7, 0, 1, 2 when the
+  // fifth insert doubles the table.
+  const auto [a, b] = KeysWithEqualTags(15);
+  ASSERT_EQ(IndexTag(a), IndexTag(b));
+  std::vector<uint64_t> keys = {a, b};
+  for (uint64_t key = 1; keys.size() < 5; ++key) {
+    if ((IndexTag(key) & 7) == 7 && key != a && key != b) {
+      keys.push_back(key);
+    }
+  }
+  // Erasing either equal-tag key after the doubling must pull whatever
+  // wrapped behind it back across the end.
+  for (const uint64_t victim : {a, b}) {
+    LruBlockCache cache("c", 64);
+    std::optional<EvictedBlock> evicted;
+    for (size_t i = 0; i < 4; ++i) {
+      cache.Insert(keys[i], i == 1, &evicted, 5);
+    }
+    ASSERT_EQ(cache.index_entries(), 8u);
+    cache.CheckInvariants();
+    cache.Insert(keys[4], false, &evicted);
+    ASSERT_EQ(cache.index_entries(), 16u);
+    for (const uint64_t key : keys) {
+      const uint32_t slot = cache.Lookup(key);
+      ASSERT_NE(slot, kInvalidSlot) << "key " << key;
+      EXPECT_EQ(cache.key_of(slot), key);
+    }
+    EXPECT_EQ(cache.dirtied_at(cache.Lookup(b)), 5);
+    cache.CheckInvariants();
+    ASSERT_TRUE(cache.Remove(victim));
+    std::vector<BlockKey> expected_order;  // MRU to LRU: insertion order reversed
+    for (auto it = keys.rbegin(); it != keys.rend(); ++it) {
+      EXPECT_EQ(cache.Lookup(*it) != kInvalidSlot, *it != victim) << "victim " << victim;
+      if (*it != victim) {
+        expected_order.push_back(*it);
+      }
+    }
+    cache.CheckInvariants();
+    // The doubling moved no block in LRU order.
+    std::vector<BlockKey> order;
+    cache.ForEach([&](BlockKey key, Medium, bool) { order.push_back(key); });
+    EXPECT_EQ(order, expected_order);
   }
 }
 
@@ -309,112 +368,183 @@ TEST(LruCache, ReusedSlotReportsNewBlocksDirtyState) {
   cache.CheckInvariants();
 }
 
-TEST(LruCache, RandomizedAgainstReferenceLru) {
-  // Reference model: std::list as LRU order, map for dirty state, and a
-  // list of (key, dirtied_at) as the dirty order.
-  constexpr uint64_t kCapacity = 64;
-  LruBlockCache cache("c", kCapacity);
-  std::list<uint64_t> ref_order;  // front = MRU
-  std::unordered_map<uint64_t, bool> ref_dirty;
-  std::list<std::pair<uint64_t, SimTime>> ref_dirty_order;  // front = oldest
-  Rng rng(1234);
+// One randomized run of an LruBlockCache against OracleLru, the longhand
+// std::map + std::list model that also replicates its slot order, so each
+// block's medium is checked too. Each Step draws a key in [1, key_space]
+// and an action: access (a hit touches; a miss inserts, dirty on even
+// steps), mark dirty, mark clean, or remove. It applies the action to both,
+// checks the outcome, and audits the cache now and then. The oracle keeps
+// no times, so the run keeps each dirty block's dirtied-at time beside it.
+class ReferenceRun {
+ public:
+  ReferenceRun(uint64_t ram_slots, uint64_t flash_slots, uint64_t key_space, uint64_t seed)
+      : cache_("c", ram_slots, flash_slots),
+        oracle_(ram_slots, flash_slots),
+        key_space_(key_space),
+        rng_(seed) {}
 
-  auto ref_touch = [&](uint64_t key) {
-    ref_order.remove(key);
-    ref_order.push_front(key);
-  };
-  auto ref_clean = [&](uint64_t key) {
-    ref_dirty_order.remove_if([key](const auto& entry) { return entry.first == key; });
-  };
+  const LruBlockCache& cache() const { return cache_; }
+  const OracleLru& oracle() const { return oracle_; }
 
-  for (int step = 0; step < 100000; ++step) {
-    const uint64_t key = rng.NextBounded(200) + 1;
-    const int action = static_cast<int>(rng.NextBounded(4));
+  void Step(int step) {
+    const uint64_t key = rng_.NextBounded(key_space_) + 1;
+    const int action = static_cast<int>(rng_.NextBounded(4));
     const SimTime now = step;
-    const uint32_t slot = cache.Lookup(key);
-    const bool present_ref = ref_dirty.count(key) > 0;
-    ASSERT_EQ(slot != kInvalidSlot, present_ref) << "step " << step;
+    const uint32_t slot = cache_.Lookup(key);
+    const bool present = oracle_.Contains(key);
+    ASSERT_EQ(slot != kInvalidSlot, present) << "step " << step;
+    if (present) {
+      ASSERT_EQ(cache_.medium_of(slot), oracle_.MediumOf(key)) << "step " << step;
+    }
     switch (action) {
       case 0: {  // access (insert or touch)
-        if (slot != kInvalidSlot) {
-          cache.Touch(slot);
-          ref_touch(key);
+        if (present) {
+          cache_.Touch(slot);
+          oracle_.Touch(key);
         } else {
-          // Every other insert arrives dirty.
           const bool dirty = step % 2 == 0;
           std::optional<EvictedBlock> evicted;
-          cache.Insert(key, dirty, &evicted, now);
-          if (ref_order.size() == kCapacity) {
-            const uint64_t victim = ref_order.back();
-            ref_order.pop_back();
-            ASSERT_TRUE(evicted.has_value());
-            ASSERT_EQ(evicted->key, victim) << "step " << step;
-            ASSERT_EQ(evicted->dirty, ref_dirty[victim]);
-            ref_dirty.erase(victim);
-            ref_clean(victim);
-          } else {
-            ASSERT_FALSE(evicted.has_value());
+          cache_.Insert(key, dirty, &evicted, now);
+          std::optional<OracleBlock> victim;
+          oracle_.Insert(key, &victim);
+          ASSERT_EQ(evicted.has_value(), victim.has_value()) << "step " << step;
+          if (victim.has_value()) {
+            ASSERT_EQ(evicted->key, victim->key) << "step " << step;
+            ASSERT_EQ(evicted->medium, victim->medium) << "step " << step;
+            ASSERT_EQ(evicted->dirty, victim->dirty) << "step " << step;
+            dirtied_at_.erase(victim->key);
           }
-          ref_order.push_front(key);
-          ref_dirty[key] = dirty;
           if (dirty) {
-            ref_dirty_order.emplace_back(key, now);
+            MarkDirty(key, now);
           }
         }
         break;
       }
       case 1: {  // dirty
-        if (slot != kInvalidSlot) {
-          cache.MarkDirty(slot, now);
-          if (!ref_dirty[key]) {
-            ref_dirty[key] = true;
-            ref_dirty_order.emplace_back(key, now);
-          }
+        if (present) {
+          cache_.MarkDirty(slot, now);
+          MarkDirty(key, now);
         }
         break;
       }
       case 2: {  // clean
-        if (slot != kInvalidSlot) {
-          cache.MarkClean(slot);
-          ref_dirty[key] = false;
-          ref_clean(key);
+        if (present) {
+          cache_.MarkClean(slot);
+          oracle_.MarkClean(key);
+          dirtied_at_.erase(key);
         }
         break;
       }
       default: {  // invalidate
         EvictedBlock removed;
-        const bool was_removed = cache.Remove(key, &removed);
-        ASSERT_EQ(was_removed, present_ref);
-        if (present_ref) {
+        OracleBlock expected;
+        ASSERT_EQ(cache_.Remove(key, &removed), present) << "step " << step;
+        ASSERT_EQ(oracle_.Remove(key, &expected), present);
+        if (present) {
           ASSERT_EQ(removed.key, key);
-          ASSERT_EQ(removed.dirty, ref_dirty[key]);
-          ref_order.remove(key);
-          ref_dirty.erase(key);
-          ref_clean(key);
+          ASSERT_EQ(removed.medium, expected.medium);
+          ASSERT_EQ(removed.dirty, expected.dirty);
+          dirtied_at_.erase(key);
         }
         break;
       }
     }
-    if (step % 5000 == 0) {
-      cache.CheckInvariants();
+    // Every step while the cache is small, so that an index which stopped
+    // doubling fails its load check before an insert probes a full table.
+    if (cache_.size() <= 16 || step % 5000 == 0) {
+      cache_.CheckInvariants();
     }
     if (step % 97 == 0) {
-      // Dirty order and timestamps, oldest first.
-      using DirtyList = std::vector<std::pair<uint64_t, SimTime>>;
-      DirtyList dirty_now;
-      cache.ForEachDirty([&](BlockKey k, Medium) {
-        dirty_now.emplace_back(k, cache.dirtied_at(cache.Lookup(k)));
-      });
-      const DirtyList expected(ref_dirty_order.begin(), ref_dirty_order.end());
-      ASSERT_EQ(dirty_now, expected) << "step " << step;
+      CheckDirtyOrder(step);
     }
   }
-  cache.CheckInvariants();
-  EXPECT_EQ(cache.size(), ref_order.size());
-  EXPECT_EQ(cache.dirty_count(), ref_dirty_order.size());
-  std::vector<uint64_t> order;
-  cache.ForEach([&](BlockKey k, Medium, bool) { order.push_back(k); });
-  EXPECT_EQ(order, std::vector<uint64_t>(ref_order.begin(), ref_order.end()));
+
+  // Sizes and every block's key, medium and dirty bit, MRU to LRU.
+  void CheckFinalState() const {
+    cache_.CheckInvariants();
+    EXPECT_EQ(cache_.size(), oracle_.size());
+    EXPECT_EQ(cache_.dirty_count(), oracle_.dirty_count());
+    std::vector<OracleBlock> blocks;
+    cache_.ForEach([&](BlockKey k, Medium m, bool dirty) { blocks.push_back({k, m, dirty}); });
+    EXPECT_EQ(blocks, oracle_.SnapshotLru());
+  }
+
+ private:
+  // Re-dirtying keeps the first time, as in the cache.
+  void MarkDirty(uint64_t key, SimTime now) {
+    oracle_.MarkDirty(key);
+    dirtied_at_.emplace(key, now);
+  }
+
+  // Dirty order and timestamps, oldest first per medium (RAM, then flash).
+  void CheckDirtyOrder(int step) const {
+    using DirtyList = std::vector<std::pair<uint64_t, SimTime>>;
+    DirtyList dirty_now;
+    cache_.ForEachDirty([&](BlockKey k, Medium) {
+      dirty_now.emplace_back(k, cache_.dirtied_at(cache_.Lookup(k)));
+    });
+    DirtyList expected;
+    for (const Medium medium : {Medium::kRam, Medium::kFlash}) {
+      for (const BlockKey k : oracle_.SnapshotDirty(medium)) {
+        expected.emplace_back(k, dirtied_at_.at(k));
+      }
+    }
+    ASSERT_EQ(dirty_now, expected) << "step " << step;
+  }
+
+  LruBlockCache cache_;
+  OracleLru oracle_;
+  std::unordered_map<uint64_t, SimTime> dirtied_at_;  // dirty blocks only
+  uint64_t key_space_;
+  Rng rng_;
+};
+
+TEST(LruCache, RandomizedAgainstReferenceLru) {
+  ReferenceRun run(64, 0, 200, 1234);
+  for (int step = 0; step < 100000; ++step) {
+    ASSERT_NO_FATAL_FAILURE(run.Step(step));
+  }
+  run.CheckFinalState();
+}
+
+TEST(LruCache, IndexGrowsWithLiveBlocksAgainstReference) {
+  // The index starts at 8 entries and doubles ten times on its way to the
+  // full cache's 8192. Removes pull the live count towards half the key
+  // space, which is past capacity, so the cache fills and then evicts. A
+  // quarter of the slots are RAM, so the oracle checks where each block
+  // lands as well.
+  constexpr uint64_t kRamSlots = 1024;
+  constexpr uint64_t kCapacity = 4096;
+  ASSERT_EQ(LruBlockCache::IndexEntries(kCapacity), 8192u);
+  ReferenceRun run(kRamSlots, kCapacity - kRamSlots, 3 * kCapacity, 4321);
+  const LruBlockCache& cache = run.cache();
+  ASSERT_EQ(cache.index_entries(), 8u);
+  size_t entries = cache.index_entries();
+  int doublings = 0;
+  uint64_t peak = 0;
+  for (int step = 0; step < 120000; ++step) {
+    ASSERT_NO_FATAL_FAILURE(run.Step(step));
+    peak = std::max(peak, cache.size());
+    if (cache.index_entries() != entries) {
+      ASSERT_EQ(cache.index_entries(), 2 * entries) << "step " << step;
+      entries = cache.index_entries();
+      ++doublings;
+      // Doubled by the insert that would have left it over half full.
+      ASSERT_EQ(cache.size(), entries / 4 + 1) << "step " << step;
+      for (const OracleBlock& block : run.oracle().SnapshotLru()) {
+        const uint32_t slot = cache.Lookup(block.key);
+        ASSERT_NE(slot, kInvalidSlot) << "key " << block.key << " lost at " << entries
+                                      << " entries";
+        ASSERT_EQ(cache.key_of(slot), block.key);
+      }
+      cache.CheckInvariants();
+    }
+  }
+  EXPECT_EQ(doublings, 10);
+  EXPECT_EQ(peak, kCapacity);
+  // A cache that filled ends with the full cache's table.
+  EXPECT_EQ(cache.index_entries(), LruBlockCache::IndexEntries(kCapacity));
+  run.CheckFinalState();
 }
 
 }  // namespace

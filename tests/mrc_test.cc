@@ -4,6 +4,7 @@
 // collector in a simulation must not change a single metric bit.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <list>
 #include <vector>
 
@@ -171,6 +172,66 @@ TEST(MrcCollector, SimulationIntegrationIsByteInvisible) {
     return warm_reads;
   }();
   EXPECT_EQ(observed_reads, read_blocks);
+}
+
+// Mattson's inclusion property, checked against the simulator rather than
+// a second implementation: on one thread of reads into an exact-LRU RAM
+// cache and nothing else, a block hits a cache of c blocks exactly when its
+// stack distance is below c. So the curve of one collect_mrc pass must give
+// every RAM size's hit *count* exactly wherever HitRateCurve is exact
+// (distances below 64 are counted one by one, larger ones in power-of-two
+// buckets), here at powers of two, each size simulated on its own with the
+// read fast path armed.
+TEST(MrcCollector, OnePassPredictsRamHitCountsOfSeparateRuns) {
+  std::vector<TraceRecord> records;
+  Rng rng(71);
+  for (int i = 0; i < 30000; ++i) {
+    TraceRecord r;
+    r.file_id = 1;
+    // Hot, warm and cold ranges, so hits keep rising with RAM size.
+    r.block = rng.NextBool(0.4)   ? rng.NextBounded(48)
+              : rng.NextBool(0.5) ? rng.NextBounded(900)
+                                  : rng.NextBounded(6000);
+    r.block_count = static_cast<uint32_t>(rng.NextBounded(4)) + 1;
+    records.push_back(r);
+  }
+  auto ram_only = [](uint64_t ram_blocks) {
+    SimConfig config;
+    config.arch = Architecture::kLookaside;
+    config.ram_bytes = ram_blocks * config.block_bytes;
+    config.flash_bytes = 0;
+    config.num_hosts = 1;
+    config.threads_per_host = 1;
+    return config;
+  };
+
+  SimConfig pass_config = ram_only(16);
+  pass_config.collect_mrc = true;
+  Simulation pass(pass_config);
+  VectorTraceSource pass_source(records);
+  const Metrics pass_metrics = pass.Run(pass_source);
+  const HitRateCurve& curve = pass.mrc_collector(0)->curve();
+  ASSERT_EQ(curve.total_accesses(), pass_metrics.measured_read_blocks);
+
+  auto predicted_hits = [&](uint64_t ram_blocks) {
+    return static_cast<uint64_t>(std::llround(curve.HitRateAt(ram_blocks) *
+                                              static_cast<double>(curve.total_accesses())));
+  };
+  auto ram_hits = [](const Metrics& m) {
+    return m.read_level_blocks[static_cast<size_t>(HitLevel::kRam)];
+  };
+  EXPECT_EQ(ram_hits(pass_metrics), predicted_hits(16));
+
+  uint64_t previous_hits = 0;
+  for (const uint64_t ram_blocks : {16, 64, 256, 1024, 4096}) {
+    Simulation sim(ram_only(ram_blocks));
+    VectorTraceSource source(records);
+    const Metrics m = sim.Run(source);
+    ASSERT_EQ(m.measured_read_blocks, curve.total_accesses());
+    EXPECT_EQ(ram_hits(m), predicted_hits(ram_blocks)) << ram_blocks << " RAM blocks";
+    EXPECT_GT(ram_hits(m), previous_hits) << "hits did not rise at " << ram_blocks << " RAM blocks";
+    previous_hits = ram_hits(m);
+  }
 }
 
 }  // namespace
