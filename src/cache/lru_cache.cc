@@ -1,30 +1,11 @@
 #include "src/cache/lru_cache.h"
 
-#include <sys/mman.h>
-
 #include <algorithm>
-#include <new>
+#include <utility>
 
 #include "src/cache/replacement.h"
 
 namespace flashsim {
-namespace {
-
-// Index tables are mapped from the OS and unmapped when replaced. Through
-// malloc, glibc's dynamic mmap threshold rises past the first table freed,
-// so later tables came from the arena and each replaced one stayed
-// resident (DESIGN.md §8).
-void* AllocTable(size_t bytes) {
-  void* table = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (table == MAP_FAILED) {
-    throw std::bad_alloc();
-  }
-  return table;
-}
-
-void FreeTable(void* table, size_t bytes) { munmap(table, bytes); }
-
-}  // namespace
 
 const char* ReplacementPolicyName(ReplacementPolicy policy) {
   switch (policy) {
@@ -60,16 +41,15 @@ LruBlockCache::LruBlockCache(std::string name, uint64_t ram_slots, uint64_t flas
   FLASHSIM_CHECK(capacity_ <= kMaxCapacity);
   const size_t n = static_cast<size_t>(capacity_);
   hot_ = std::make_unique_for_overwrite<HotSlot[]>(n);
-  flags_ = std::make_unique<uint8_t[]>(n);
+  flags_ = MappedTable<uint8_t>(n);  // zero: no slot in use
   cold_ = std::make_unique_for_overwrite<ColdSlot[]>(n);
   policy_ = MakeEvictionPolicy(replacement, this);
-  // Last, so that nothing after it can throw and leak the table.
-  index_ = static_cast<IndexEntry*>(AllocTable(kMinIndexEntries * sizeof(IndexEntry)));
-  std::fill_n(index_, kMinIndexEntries, IndexEntry{0, kInvalidSlot});
+  index_ = MappedTable<IndexEntry>(kMinIndexEntries);
+  std::fill(index_.begin(), index_.end(), IndexEntry{0, kInvalidSlot});
   index_mask_ = kMinIndexEntries - 1;
 }
 
-LruBlockCache::~LruBlockCache() { FreeTable(index_, index_entries() * sizeof(IndexEntry)); }
+LruBlockCache::~LruBlockCache() = default;
 
 uint64_t LruBlockCache::MetadataBytes(uint64_t capacity) {
   return capacity * (sizeof(HotSlot) + sizeof(uint8_t) + sizeof(ColdSlot)) +
@@ -93,18 +73,15 @@ void LruBlockCache::IndexPlace(IndexEntry entry) {
 }
 
 void LruBlockCache::GrowIndex() {
-  IndexEntry* old = index_;
-  const size_t old_entries = index_entries();
-  const size_t entries = 2 * old_entries;
-  index_ = static_cast<IndexEntry*>(AllocTable(entries * sizeof(IndexEntry)));
-  std::fill_n(index_, entries, IndexEntry{0, kInvalidSlot});
-  index_mask_ = entries - 1;
-  for (size_t i = 0; i < old_entries; ++i) {
-    if (old[i].slot != kInvalidSlot) {
-      IndexPlace(old[i]);
+  const MappedTable<IndexEntry> old =
+      std::exchange(index_, MappedTable<IndexEntry>(2 * index_entries()));
+  std::fill(index_.begin(), index_.end(), IndexEntry{0, kInvalidSlot});
+  index_mask_ = index_.size() - 1;
+  for (const IndexEntry entry : old) {
+    if (entry.slot != kInvalidSlot) {
+      IndexPlace(entry);
     }
   }
-  FreeTable(old, old_entries * sizeof(IndexEntry));
 }
 
 void LruBlockCache::IndexEraseAt(size_t pos) {
@@ -181,7 +158,7 @@ void LruBlockCache::DirtyPushBack(uint32_t slot) {
 }
 
 void LruBlockCache::Touch(uint32_t slot) {
-  FLASHSIM_DCHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
+  FLASHSIM_DCHECK(slot < capacity_ && in_use(slot));
   if (replacement_ == ReplacementPolicy::kLru) {
     // Devirtualized exact-LRU hit: Touch sits on the certified read fast
     // path (DESIGN.md §13), so the default policy skips the plugin
@@ -288,7 +265,7 @@ bool LruBlockCache::Remove(BlockKey key, EvictedBlock* removed) {
 }
 
 void LruBlockCache::MarkDirty(uint32_t slot, SimTime now) {
-  FLASHSIM_DCHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
+  FLASHSIM_DCHECK(slot < capacity_ && in_use(slot));
   if (dirty(slot)) {
     return;
   }
@@ -300,7 +277,7 @@ void LruBlockCache::MarkDirty(uint32_t slot, SimTime now) {
 }
 
 void LruBlockCache::MarkClean(uint32_t slot) {
-  FLASHSIM_DCHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
+  FLASHSIM_DCHECK(slot < capacity_ && in_use(slot));
   if (!dirty(slot)) {
     return;
   }
@@ -314,7 +291,7 @@ void LruBlockCache::CheckInvariants() const {
   uint64_t counted = 0;
   uint32_t prev = kInvalidSlot;
   for (uint32_t slot = lru_head_; slot != kInvalidSlot; slot = hot_[slot].next) {
-    FLASHSIM_CHECK(slot < capacity_ && (flags_[slot] & kInUseFlag) != 0);
+    FLASHSIM_CHECK(slot < capacity_ && in_use(slot));
     FLASHSIM_CHECK(hot_[slot].prev == prev);
     FLASHSIM_CHECK(Lookup(hot_[slot].key) == slot);
     prev = slot;
@@ -335,7 +312,7 @@ void LruBlockCache::CheckInvariants() const {
     if (entry.slot == kInvalidSlot) {
       continue;
     }
-    FLASHSIM_CHECK(entry.slot < capacity_ && (flags_[entry.slot] & kInUseFlag) != 0);
+    FLASHSIM_CHECK(entry.slot < capacity_ && in_use(entry.slot));
     FLASHSIM_CHECK(entry.tag == Tag(hot_[entry.slot].key));
     ++indexed;
   }
@@ -346,7 +323,7 @@ void LruBlockCache::CheckInvariants() const {
     uint64_t medium_counted = 0;
     uint32_t dprev = kInvalidSlot;
     for (uint32_t slot = dirty_head_[m]; slot != kInvalidSlot; slot = cold_[slot].dirty_next) {
-      FLASHSIM_CHECK((flags_[slot] & kInUseFlag) != 0 && dirty(slot));
+      FLASHSIM_CHECK(in_use(slot) && dirty(slot));
       FLASHSIM_CHECK(static_cast<size_t>(medium_of(slot)) == m);
       FLASHSIM_CHECK(cold_[slot].dirty_prev == dprev);
       dprev = slot;

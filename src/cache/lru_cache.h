@@ -9,10 +9,11 @@
 // periodic syncers flush in O(dirty), not O(capacity).
 //
 // Metadata layout (DESIGN.md §8). Per slot: a 16-byte hot record (key and
-// chain links: everything a lookup, hit, or eviction reads), one flag byte,
-// and a 16-byte cold record (dirty-list links and dirtied-at time) that is
-// allocated without initialisation and read only while the slot is dirty,
-// so a tier that never dirties never faults its pages in. The block index
+// chain links: everything a lookup, hit, or eviction reads), one flag byte
+// (on mapped zero pages, so slots never used cost no memory), and a 16-byte
+// cold record (dirty-list links and dirtied-at time) that is allocated
+// without initialisation and read only while the slot is dirty, so a tier
+// that never dirties never faults its pages in. The block index
 // is a linear-probing table of 8-byte {hash tag, slot} entries at most half
 // full; it doubles with the live blocks, from kMinIndexEntries up to the
 // full cache's IndexEntries(capacity), re-homing entries by their tags.
@@ -29,6 +30,7 @@
 #include "src/sim/sim_time.h"
 #include "src/trace/record.h"
 #include "src/util/assert.h"
+#include "src/util/mapped_table.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -161,6 +163,9 @@ class LruBlockCache {
     return cold_[slot].dirtied_at;
   }
 
+  // Whether `slot` holds a block. A slot never used reads false: the flag
+  // bytes start as zero pages.
+  bool in_use(uint32_t slot) const { return (flags_[slot] & kInUseFlag) != 0; }
   bool dirty(uint32_t slot) const { return (flags_[slot] & kDirtyFlag) != 0; }
   BlockKey key_of(uint32_t slot) const { return hot_[slot].key; }
   Medium medium_of(uint32_t slot) const {
@@ -289,11 +294,12 @@ class LruBlockCache {
   uint64_t capacity_ = 0;
   ReplacementPolicy replacement_ = ReplacementPolicy::kLru;
   std::unique_ptr<EvictionPolicy> policy_;
-  // Per-slot state; a slot's records are written when it is first used.
+  // Per-slot state; a slot's records are written when it is first used
+  // (the flag bytes are mapped zero pages, so they read as 0 until then).
   std::unique_ptr<HotSlot[]> hot_;
-  std::unique_ptr<uint8_t[]> flags_;
+  MappedTable<uint8_t> flags_;
   std::unique_ptr<ColdSlot[]> cold_;
-  IndexEntry* index_ = nullptr;  // index_mask_ + 1 entries
+  MappedTable<IndexEntry> index_;  // index_mask_ + 1 entries
   size_t index_mask_ = 0;
   uint32_t lru_head_ = kInvalidSlot;  // MRU end
   uint32_t lru_tail_ = kInvalidSlot;  // LRU end

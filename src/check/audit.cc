@@ -6,8 +6,9 @@
 
 namespace flashsim {
 
-InvariantAuditor::InvariantAuditor(Architecture arch, int num_hosts)
+InvariantAuditor::InvariantAuditor(Architecture arch, int num_hosts, CoherenceModel coherence)
     : arch_(arch),
+      coherence_(coherence),
       reads_issued_(static_cast<size_t>(num_hosts), 0),
       writes_issued_(static_cast<size_t>(num_hosts), 0) {
   FLASHSIM_CHECK(num_hosts >= 1);
@@ -65,6 +66,15 @@ void InvariantAuditor::AuditStructure(int host, const CacheStack& stack,
       FLASHSIM_CHECK(directory->IsCachedBy(host, key));
     });
   };
+  // Under a modeled protocol a dirty copy is the block's only copy.
+  const auto check_dirty_sole = [&](const LruBlockCache& cache) {
+    if (directory == nullptr || coherence_ == CoherenceModel::kPerfect) {
+      return;
+    }
+    cache.ForEachDirty([&](BlockKey key, Medium) {
+      FLASHSIM_CHECK(directory->SoleHolder(host, key));
+    });
+  };
   switch (arch_) {
     case Architecture::kNaive:
     case Architecture::kLookaside: {
@@ -91,6 +101,8 @@ void InvariantAuditor::AuditStructure(int host, const CacheStack& stack,
         // Flash never holds dirty data (§3.3, Mercury).
         FLASHSIM_CHECK(flash.dirty_count() == 0);
       }
+      check_dirty_sole(ram);
+      check_dirty_sole(flash);
       break;
     }
     case Architecture::kUnified: {
@@ -100,6 +112,7 @@ void InvariantAuditor::AuditStructure(int host, const CacheStack& stack,
       FLASHSIM_CHECK(unified.RamResident() + unified.FlashResident() ==
                      unified.cache().size());
       check_registered(unified.cache());
+      check_dirty_sole(unified.cache());
       break;
     }
   }

@@ -14,6 +14,10 @@
 //   all             — each cache's LRU chain, block index, and dirty lists
 //       agree (LruBlockCache::CheckInvariants), and the consistency
 //       directory registers every resident block;
+//   modeled coherence (directory, lease) — a block a host holds dirty has
+//       no other holder: a write drops every stale copy and a read miss
+//       reconciles a remote dirty copy first (under perfect coherence reads
+//       never reconcile, so a reader may hold a clean copy beside it);
 //   accounting      — reads issued == ram_hits + flash_hits + filer_reads,
 //       filer_writebacks == sync_filer_writes + writer.enqueued(),
 //       writer.enqueued() == writer.completed() + writer.pending(), and
@@ -39,6 +43,7 @@
 #include "src/arch/cache_stack.h"
 #include "src/arch/stack_factory.h"
 #include "src/backend/storage_backend.h"
+#include "src/consistency/coherence.h"
 #include "src/consistency/directory.h"
 #include "src/device/background_writer.h"
 #include "src/device/filer.h"
@@ -47,7 +52,7 @@ namespace flashsim {
 
 class InvariantAuditor {
  public:
-  InvariantAuditor(Architecture arch, int num_hosts);
+  InvariantAuditor(Architecture arch, int num_hosts, CoherenceModel coherence);
 
   // Records that the stack on `host` completed one application block
   // operation; the accounting checks balance stack counters against these.
@@ -61,7 +66,8 @@ class InvariantAuditor {
   // O(resident) structural audit for one host: cache-internal bookkeeping,
   // the architecture invariant, and — when `directory` is non-null — that
   // every block this host's union cache holds is registered to it in the
-  // directory. Aborts on violation.
+  // directory and, under a modeled coherence protocol, that every block it
+  // holds dirty has it as its sole holder. Aborts on violation.
   void AuditStructure(int host, const CacheStack& stack, const Directory* directory);
 
   struct HostRefs {
@@ -85,6 +91,7 @@ class InvariantAuditor {
 
  private:
   Architecture arch_;
+  CoherenceModel coherence_;
   std::vector<uint64_t> reads_issued_;   // application blocks, per host
   std::vector<uint64_t> writes_issued_;  // application blocks, per host
   uint64_t counter_audits_ = 0;

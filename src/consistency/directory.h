@@ -71,9 +71,10 @@ class Directory {
   // will allocate even when the blocks actually held fit.
   void Reserve(uint64_t blocks) { holders_.Reserve(static_cast<size_t>(blocks)); }
 
-  // Bytes of the holders index Reserve(blocks) allocates and writes:
-  // 16-byte slots, ceil(8 * blocks / 7) of them. (Slot mode's mask pool
-  // costs the distinct blocks held, as they are first cached.)
+  // Bytes of the holders index Reserve(blocks) maps: 16-byte slots,
+  // ceil(8 * blocks / 7) of them, on zero pages that become resident as
+  // entries reach them. (Slot mode's mask pool costs the distinct blocks
+  // held, as they are first cached.)
   static uint64_t TableBytes(uint64_t blocks) { return FlatHashMap<uint64_t>::TableBytes(blocks); }
 
   // Load-triggered rehashes of the holders index (0 when Reserve held).

@@ -87,12 +87,15 @@ struct SimConfig {
 
   // Estimated bytes of the run's cache metadata, the part that grows with
   // cache size and fleet width: every host's cache slot records and block
-  // indexes, plus the directory's holders index when hosts > 1. A worst
-  // case for the cache indexes only: they grow with the blocks cached and
-  // reach the size counted here only in caches that fill. It leaves out
-  // the directory's slot-mode mask pool (hosts > 64), which grows by
-  // ceil(hosts/64) x 8 bytes for each distinct block cached and so can
-  // outgrow the estimate when hosts hold mostly distinct blocks.
+  // indexes, plus the directory's holders index when hosts > 1. It counts
+  // every reservation with every reserved page touched: the cache indexes
+  // at full size (they grow with the blocks cached and reach it only in
+  // caches that fill), and the holders index and flag bytes in full,
+  // although their zero pages become resident only as entries reach
+  // them. It leaves out the directory's slot-mode mask pool (hosts > 64),
+  // which grows by ceil(hosts/64) x 8 bytes for each distinct block cached
+  // and so can outgrow the estimate when hosts hold mostly distinct
+  // blocks.
   // Violations() refuses runs whose estimate exceeds the machine's
   // physical memory.
   uint64_t MetadataBytes() const;

@@ -52,7 +52,8 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   }
 #endif
   if (config_.audit_stride > 0) {
-    auditor_ = std::make_unique<InvariantAuditor>(config_.arch, config_.num_hosts);
+    auditor_ =
+        std::make_unique<InvariantAuditor>(config_.arch, config_.num_hosts, config_.coherence);
   }
   // The serial fast path coexists with the auditor by not arming: the
   // auditor must observe every record through the full event path (its

@@ -26,20 +26,29 @@ std::unique_ptr<TraceFileWriter> TraceFileWriter::Create(const std::string& path
 }
 
 TraceFileWriter::TraceFileWriter(std::FILE* file, TraceFormat format)
-    : file_(file), format_(format) {}
-
-TraceFileWriter::~TraceFileWriter() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
+    : file_(file), format_(format) {
+  if (format_ == TraceFormat::kBinary) {
+    buffer_ = std::make_unique_for_overwrite<unsigned char[]>(kBufferBytes);
   }
+}
+
+TraceFileWriter::~TraceFileWriter() { Close(); }
+
+void TraceFileWriter::FlushBuffer() {
+  if (buffered_ != 0 && std::fwrite(buffer_.get(), 1, buffered_, file_) != buffered_) {
+    failed_ = true;
+  }
+  buffered_ = 0;
 }
 
 void TraceFileWriter::Write(const TraceRecord& record) {
   FLASHSIM_CHECK(file_ != nullptr);
   if (format_ == TraceFormat::kBinary) {
-    unsigned char buf[kTraceBinaryRecordSize];
-    EncodeTraceRecord(record, buf);
-    std::fwrite(buf, 1, kTraceBinaryRecordSize, file_);
+    if (buffered_ + kTraceBinaryRecordSize > kBufferBytes) {
+      FlushBuffer();
+    }
+    EncodeTraceRecord(record, buffer_.get() + buffered_);
+    buffered_ += kTraceBinaryRecordSize;
   } else {
     std::fprintf(file_, "%c %u %u %u %llu %u%s\n",
                  record.op == TraceOp::kWrite ? 'W' : 'R', record.host, record.thread,
@@ -51,12 +60,14 @@ void TraceFileWriter::Write(const TraceRecord& record) {
 
 bool TraceFileWriter::Close() {
   if (file_ == nullptr) {
-    return true;
+    return !failed_;
   }
+  FlushBuffer();
   const bool ok = std::fflush(file_) == 0;
   const bool closed = std::fclose(file_) == 0;
   file_ = nullptr;
-  return ok && closed;
+  failed_ = failed_ || !ok || !closed;
+  return !failed_;
 }
 
 }  // namespace flashsim

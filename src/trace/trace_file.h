@@ -11,6 +11,8 @@
 #ifndef FLASHSIM_SRC_TRACE_TRACE_FILE_H_
 #define FLASHSIM_SRC_TRACE_TRACE_FILE_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -24,9 +26,13 @@ enum class TraceFormat {
   kBinary,
 };
 
-// Writes records to a trace file in the chosen format.
+// Writes records to a trace file in the chosen format. Binary records are
+// encoded into a kBufferBytes block that goes to the file in one write when
+// full, in Close(), and in the destructor; text lines go through stdio.
 class TraceFileWriter {
  public:
+  static constexpr size_t kBufferBytes = 64 * 1024;
+
   static std::unique_ptr<TraceFileWriter> Create(const std::string& path, TraceFormat format,
                                                  std::string* error);
 
@@ -36,7 +42,7 @@ class TraceFileWriter {
   TraceFileWriter& operator=(const TraceFileWriter&) = delete;
 
   void Write(const TraceRecord& record);
-  // Flushes and closes; returns false on I/O error.
+  // Flushes and closes; returns false on any I/O error since Create.
   bool Close();
 
   uint64_t records_written() const { return records_written_; }
@@ -44,8 +50,15 @@ class TraceFileWriter {
  private:
   TraceFileWriter(std::FILE* file, TraceFormat format);
 
+  // Writes the buffered binary records (none in text mode); a short write
+  // latches failed_.
+  void FlushBuffer();
+
   std::FILE* file_ = nullptr;
   TraceFormat format_ = TraceFormat::kText;
+  std::unique_ptr<unsigned char[]> buffer_;  // binary only, kBufferBytes
+  size_t buffered_ = 0;
+  bool failed_ = false;
   uint64_t records_written_ = 0;
 };
 

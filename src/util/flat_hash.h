@@ -8,45 +8,49 @@
 // entries inside LruBlockCache that doubles with its live blocks, DESIGN.md
 // §8.)
 //
-// A slot is 16 bytes, {key, value}: an empty slot holds the reserved key
-// kEmptyKey, and the one legal key equal to it (the all-ones BlockKey,
-// file 2^24-1 block 2^40-1) is kept out of band. A key's home slot is a
-// multiply-shift reduction of Mix64(key), so the table can be any size:
-// Reserve(n) allocates exactly ceil(8n/7) slots.
+// A slot is 16 bytes, {key, value}: an empty slot is all zero bytes (key
+// kEmptyKey = 0, value V()), and the one legal key equal to it (block 0 of
+// file 0) is kept out of band. Tables come from MappedTable, so a fresh
+// table is untouched zero pages that already read as empty: Reserve and
+// growth write only the entries they place, and a reserved page becomes
+// resident only when an entry or a probe reaches it. A key's home slot is
+// a multiply-shift reduction of Mix64(key), so the table can be any size:
+// Reserve(n) maps exactly ceil(8n/7) slots.
 #ifndef FLASHSIM_SRC_UTIL_FLAT_HASH_H_
 #define FLASHSIM_SRC_UTIL_FLAT_HASH_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
-#include <vector>
 
+#include "src/util/mapped_table.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
 
-// Maps uint64_t -> V. V must be default-constructible, cheap to move, and
-// at most 8 bytes. Not thread-safe; the simulator is single-threaded by
-// design.
+// Maps uint64_t -> V. V must be an arithmetic type of at most 8 bytes, so
+// that its all-zero bytes are V(). Move-only (a moved-from map may only be
+// destroyed or assigned to). Not thread-safe; the simulator is
+// single-threaded by design.
 template <typename V>
 class FlatHashMap {
+  static_assert(std::is_arithmetic_v<V>, "an empty slot's zero bytes must read as V()");
+
  public:
-  FlatHashMap() {
-    Rehash(kInitialCapacity);
-    max_size_ = GrowthLimit(kInitialCapacity);
-  }
+  FlatHashMap() : slots_(kInitialCapacity), max_size_(GrowthLimit(kInitialCapacity)) {}
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   // Slots in the table (the out-of-band key takes none).
   size_t capacity() const { return slots_.size(); }
 
-  // Bytes of the table Reserve(n) allocates on a fresh map.
+  // Bytes of the table Reserve(n) maps on a fresh map.
   static uint64_t TableBytes(uint64_t n) { return ReservedSlots(n) * sizeof(Slot); }
 
   // Makes room for n entries without a growth rehash: the table becomes
   // exactly ceil(8n/7) slots (7/8 maximum load) and holds n entries before
-  // the next growth.
+  // the next growth. Writes only the entries already held.
   void Reserve(size_t n) {
     if (n <= max_size_) {
       return;
@@ -195,11 +199,11 @@ class FlatHashMap {
   }
 
  private:
-  static constexpr uint64_t kEmptyKey = ~0ULL;
+  static constexpr uint64_t kEmptyKey = 0;
 
   struct Slot {
-    uint64_t key = kEmptyKey;
-    V value{};
+    uint64_t key;
+    V value;
   };
   static_assert(sizeof(Slot) == 16, "a slot must stay 16 bytes: V at most 8");
 
@@ -232,9 +236,10 @@ class FlatHashMap {
     max_size_ = GrowthLimit(slots_.size());
   }
 
+  // Moves every entry into a fresh table of `new_capacity` slots, which
+  // reads as empty without being written.
   void Rehash(size_t new_capacity) {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(new_capacity, Slot{});
+    MappedTable<Slot> old = std::exchange(slots_, MappedTable<Slot>(new_capacity));
     for (Slot& s : old) {
       if (s.key != kEmptyKey) {
         size_t i = Home(s.key);
@@ -246,7 +251,7 @@ class FlatHashMap {
     }
   }
 
-  std::vector<Slot> slots_;
+  MappedTable<Slot> slots_;
   // Entries (the out-of-band key included) the table holds before the
   // next growth rehash.
   size_t max_size_ = 0;

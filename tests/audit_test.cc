@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
+#include "src/consistency/coherence.h"
+#include "src/consistency/rig_transport.h"
 #include "src/core/simulation.h"
 #include "src/tracegen/generator.h"
 #include "src/util/units.h"
@@ -152,7 +157,7 @@ TEST(AuditDeathTest, StructuralAuditCatchesInjectedSubsetBug) {
         StackHarness h(Architecture::kNaive, 32, 40, WritebackPolicy::kPeriodic1,
                        WritebackPolicy::kNone);
         static_cast<SubsetStackBase&>(h.stack()).test_only_break_subset_eviction();
-        InvariantAuditor auditor(Architecture::kNaive, 1);
+        InvariantAuditor auditor(Architecture::kNaive, 1, CoherenceModel::kPerfect);
         RunHotColdReads(h, [&] { auditor.AuditStructure(0, h.stack(), nullptr); });
       },
       "CHECK failed");
@@ -163,9 +168,112 @@ TEST(AuditDeathTest, StructuralAuditCatchesInjectedSubsetBug) {
 TEST(AuditDeathTest, SameLoopWithoutBugPasses) {
   StackHarness h(Architecture::kNaive, 32, 40, WritebackPolicy::kPeriodic1,
                  WritebackPolicy::kNone);
-  InvariantAuditor auditor(Architecture::kNaive, 1);
+  InvariantAuditor auditor(Architecture::kNaive, 1, CoherenceModel::kPerfect);
   RunHotColdReads(h, [&] { auditor.AuditStructure(0, h.stack(), nullptr); });
   EXPECT_EQ(auditor.structure_audits(), 2048u);
+}
+
+// Two hosts wired as the simulator wires them (HostRig, RigTransport and
+// the directory) under the lease protocol. RAM never writes back, so a
+// written block stays dirty.
+struct LeaseNet {
+  static constexpr int kHosts = 2;
+
+  LeaseNet()
+      : timing(MakeTiming()),
+        backend(timing, /*num_shards=*/1, ShardStrategy::kHash, /*seed=*/3),
+        directory(kHosts) {
+    StackConfig config;
+    config.ram_blocks = 8;
+    config.flash_blocks = 32;
+    config.ram_policy = WritebackPolicy::kNone;
+    for (int h = 0; h < kHosts; ++h) {
+      hosts.push_back(std::make_unique<HostRig>(Architecture::kUnified, config, timing,
+                                                /*block_bytes=*/4096, queue, backend));
+    }
+    transport = std::make_unique<RigTransport>(hosts, backend, directory);
+    protocol = MakeCoherenceProtocol(MakeCoherenceParams(CoherenceModel::kLease, kHosts, timing),
+                                     &directory, transport.get());
+  }
+
+  static TimingModel MakeTiming() {
+    TimingModel timing;
+    timing.filer_fast_read_rate = 1.0;  // deterministic
+    return timing;
+  }
+
+  SimTime Read(int host, BlockKey key, SimTime now) {
+    HitLevel level = HitLevel::kRam;
+    return hosts[static_cast<size_t>(host)]->stack->Read(
+        protocol->BeforeRead(host, key, now), key, &level);
+  }
+  SimTime Write(int host, BlockKey key, SimTime now) {
+    const SimTime t = hosts[static_cast<size_t>(host)]->stack->Write(now, key);
+    return protocol->OnWrite(host, key, t, /*measured=*/true);
+  }
+
+  // Host 1 reads (taking a live lease), then host 0 writes and reads the
+  // same block; the auditor checks both hosts after every step.
+  void ReadThenWrite(InvariantAuditor& auditor) {
+    SimTime now = 0;
+    for (BlockKey key = 0; key < 4; ++key) {
+      now = Read(1, key, now);
+      Audit(auditor);
+      now = Write(0, key, now);
+      Audit(auditor);
+      now = Read(0, key, now);
+      Audit(auditor);
+      queue.RunUntil(now);
+    }
+  }
+
+  void Audit(InvariantAuditor& auditor) {
+    for (int h = 0; h < kHosts; ++h) {
+      auditor.AuditStructure(h, *hosts[static_cast<size_t>(h)]->stack, &directory);
+    }
+  }
+
+  // Devices keep references into the timing model; it must outlive them.
+  TimingModel timing;
+  EventQueue queue;
+  StorageBackend backend;
+  Directory directory;
+  std::vector<std::unique_ptr<HostRig>> hosts;
+  std::unique_ptr<RigTransport> transport;
+  std::unique_ptr<CoherenceProtocol> protocol;
+};
+
+// The armed lease seam skips the break of a live lease, so the reader keeps
+// its copy while the writer holds the block dirty: the structural audit
+// must catch the dirty copy's co-holder.
+TEST(AuditDeathTest, DirtyCopyWithACoHolderFailsUnderModeledCoherence) {
+  EXPECT_DEATH(
+      {
+        LeaseNet net;
+        net.protocol->test_only_break_protocol();
+        InvariantAuditor auditor(Architecture::kUnified, LeaseNet::kHosts, CoherenceModel::kLease);
+        net.ReadThenWrite(auditor);
+      },
+      "CHECK failed: directory->SoleHolder");
+}
+
+// The same steps without the seam: the write breaks the lease and drops the
+// reader's copy, so every audit passes. Under perfect coherence the check
+// is off: there reads never reconcile, and a clean copy may sit beside a
+// dirty one.
+TEST(AuditDeathTest, DirtyCopyIsTheSoleCopyWithoutTheSeam) {
+  LeaseNet net;
+  InvariantAuditor auditor(Architecture::kUnified, LeaseNet::kHosts, CoherenceModel::kLease);
+  net.ReadThenWrite(auditor);
+  EXPECT_EQ(auditor.structure_audits(), 4u * 3u * LeaseNet::kHosts);
+  EXPECT_GT(net.protocol->totals().lease_breaks, 0u);
+
+  LeaseNet armed;
+  armed.protocol->test_only_break_protocol();
+  InvariantAuditor perfect(Architecture::kUnified, LeaseNet::kHosts, CoherenceModel::kPerfect);
+  armed.ReadThenWrite(perfect);
+  EXPECT_EQ(armed.directory.holder_count(0), 2);
+  EXPECT_TRUE(armed.hosts[0]->stack->HoldsDirty(0));
 }
 
 }  // namespace

@@ -220,50 +220,64 @@ TEST(Directory, IterationOrderIndependentOfInsertionHistory) {
   EXPECT_TRUE(std::is_sorted(order_a.begin(), order_a.end()));
 }
 
-// The largest legal BlockKey (file 2^24-1, block 2^40-1) is the holders
-// index's empty-slot marker, kept out of band; the directory must treat it
-// like any other block in both holder-set modes.
-TEST(Directory, AllOnesKeyWorksInInlineAndSlotMode) {
-  const BlockKey all_ones = MakeBlockKey(kMaxFileId, kMaxBlockInFile);
-  ASSERT_EQ(all_ones, ~0ULL);
+// Runs one block through every holder-set operation in both modes, beside
+// a neighbouring ordinary key.
+void CheckKeyInInlineAndSlotMode(BlockKey key) {
   for (const int num_hosts : {8, 64, 65, 200}) {
     Directory dir(num_hosts);
     dir.Reserve(16);
     const int last = num_hosts - 1;
-    EXPECT_FALSE(dir.SoleHolder(0, all_ones));
-    dir.NoteCached(last, all_ones);
+    EXPECT_FALSE(dir.SoleHolder(0, key));
+    dir.NoteCached(last, key);
     dir.NoteCached(last, 3);  // a neighbouring ordinary key
-    EXPECT_TRUE(dir.SoleHolder(last, all_ones)) << num_hosts;
-    EXPECT_FALSE(dir.SoleHolder(0, all_ones));
-    dir.NoteCached(0, all_ones);
-    EXPECT_FALSE(dir.SoleHolder(last, all_ones));
-    EXPECT_EQ(dir.holder_count(all_ones), 2);
+    EXPECT_TRUE(dir.SoleHolder(last, key)) << num_hosts;
+    EXPECT_FALSE(dir.SoleHolder(0, key));
+    dir.NoteCached(0, key);
+    EXPECT_FALSE(dir.SoleHolder(last, key));
+    EXPECT_EQ(dir.holder_count(key), 2);
     std::vector<int> visited;
-    dir.ForEachHolder(all_ones, [&](int host) { visited.push_back(host); });
+    dir.ForEachHolder(key, [&](int host) { visited.push_back(host); });
     EXPECT_EQ(visited, (std::vector<int>{0, last})) << num_hosts;
 
-    const Directory::StaleSet stale = dir.OnBlockWrite(0, all_ones, /*measured=*/true);
+    const Directory::StaleSet stale = dir.OnBlockWrite(0, key, /*measured=*/true);
     EXPECT_EQ(stale.count(), 1);
     EXPECT_TRUE(stale.Contains(last));
     EXPECT_FALSE(stale.Contains(0));
     EXPECT_EQ(dir.invalidations(), 1u);
 
-    dir.NoteDropped(last, all_ones);
-    EXPECT_TRUE(dir.SoleHolder(0, all_ones));
-    dir.NoteDropped(0, all_ones);
-    EXPECT_EQ(dir.holder_count(all_ones), 0);
-    EXPECT_FALSE(dir.IsCachedBy(0, all_ones));
+    dir.NoteDropped(last, key);
+    EXPECT_TRUE(dir.SoleHolder(0, key));
+    dir.NoteDropped(0, key);
+    EXPECT_EQ(dir.holder_count(key), 0);
+    EXPECT_FALSE(dir.IsCachedBy(0, key));
     visited.clear();
-    dir.ForEachHolder(all_ones, [&](int host) { visited.push_back(host); });
+    dir.ForEachHolder(key, [&](int host) { visited.push_back(host); });
     EXPECT_TRUE(visited.empty());
-    EXPECT_FALSE(dir.OnBlockWrite(0, all_ones, /*measured=*/true).any());
+    EXPECT_FALSE(dir.OnBlockWrite(0, key, /*measured=*/true).any());
     // The ordinary key was untouched throughout, and a dropped slot-mode
     // entry is recycled for the next block.
     EXPECT_TRUE(dir.SoleHolder(last, 3));
-    dir.NoteCached(1, all_ones);
-    EXPECT_TRUE(dir.SoleHolder(1, all_ones));
+    dir.NoteCached(1, key);
+    EXPECT_TRUE(dir.SoleHolder(1, key));
     EXPECT_EQ(dir.index_rehashes(), 0u);
   }
+}
+
+// The largest legal BlockKey (file 2^24-1, block 2^40-1) is an ordinary
+// key of the holders index; the directory must treat it like any other
+// block in both holder-set modes.
+TEST(Directory, AllOnesKeyWorksInInlineAndSlotMode) {
+  const BlockKey all_ones = MakeBlockKey(kMaxFileId, kMaxBlockInFile);
+  ASSERT_EQ(all_ones, ~0ULL);
+  CheckKeyInInlineAndSlotMode(all_ones);
+}
+
+// Block 0 of file 0 is the key the holders index keeps out of band, since
+// 0 marks its empty slots.
+TEST(Directory, ZeroKeyWorksInInlineAndSlotMode) {
+  const BlockKey zero = MakeBlockKey(0, 0);
+  ASSERT_EQ(zero, 0u);
+  CheckKeyInInlineAndSlotMode(zero);
 }
 
 TEST(DirectoryDeathTest, RejectsOutOfRangeHostCounts) {

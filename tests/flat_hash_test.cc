@@ -1,11 +1,18 @@
 #include "src/util/flat_hash.h"
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cstdint>
+#include <fstream>
+#include <string>
+#include <type_traits>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "src/util/mapped_table.h"
 #include "src/util/rng.h"
 
 namespace flashsim {
@@ -83,12 +90,13 @@ TEST(FlatHashMap, BackwardShiftKeepsProbeChainsIntact) {
   EXPECT_EQ(map.size(), 2048u);
 }
 
-// The empty-slot marker, and the largest legal BlockKey (file 2^24-1,
-// block 2^40-1), which the map keeps out of band.
+// The largest legal BlockKey (file 2^24-1, block 2^40-1): an ordinary key,
+// kept in the table like any other.
 constexpr uint64_t kAllOnes = ~0ULL;
 
 // Randomized insert/erase/find against std::unordered_map over keys drawn
-// from [0, key_range) plus the all-ones key.
+// from [0, key_range) plus the all-ones key. Key 0, the empty-slot marker
+// the map keeps out of band, is in every range.
 void CheckAgainstReference(FlatHashMap<uint64_t>& map, uint64_t key_range, uint64_t seed,
                            int steps) {
   std::unordered_map<uint64_t, uint64_t> reference;
@@ -187,6 +195,53 @@ TEST(FlatHashMap, AllOnesKeyIsAnOrdinaryKey) {
   EXPECT_EQ(visits, 0u);
 }
 
+// Block 0 of file 0 is the empty-slot marker's key: the map keeps it out
+// of band, and every operation must treat it like any other key.
+TEST(FlatHashMap, ZeroKeyIsKeptOutOfBand) {
+  FlatHashMap<uint64_t> map;
+  const size_t capacity = map.capacity();
+  EXPECT_EQ(map.Find(0), nullptr);
+  EXPECT_FALSE(map.Contains(0));
+  EXPECT_FALSE(map.Erase(0));
+  map.Insert(0, 5);
+  map.Insert(1, 10);
+  EXPECT_EQ(map.size(), 2u);
+  ASSERT_NE(map.Find(0), nullptr);
+  EXPECT_EQ(*map.Find(0), 5u);
+  map.Insert(0, 6);  // overwrite
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(map[0], 6u);
+  map[0] |= 1;
+  EXPECT_EQ(*map.Find(0), 7u);
+  EXPECT_EQ(*map.Find(1), 10u);
+  // Out of band: the key takes no slot, and no slot reads as holding it.
+  EXPECT_EQ(map.capacity(), capacity);
+  int zero_visits = 0;
+  size_t visits = 0;
+  map.ForEach([&](uint64_t key, uint64_t& value) {
+    ++visits;
+    if (key == 0) {
+      ++zero_visits;
+      EXPECT_EQ(value, 7u);
+    }
+  });
+  EXPECT_EQ(zero_visits, 1);
+  EXPECT_EQ(visits, 2u);
+  EXPECT_TRUE(map.Erase(0));
+  EXPECT_FALSE(map.Erase(0));
+  EXPECT_EQ(map.Find(0), nullptr);
+  EXPECT_EQ(map.size(), 1u);
+  EXPECT_EQ(*map.Find(1), 10u);
+  // operator[] default-constructs it afresh after the erase.
+  EXPECT_EQ(map[0], 0u);
+  EXPECT_EQ(map.size(), 2u);
+  map.Clear();
+  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.Find(0), nullptr);
+  EXPECT_EQ(map.Find(1), nullptr);
+  EXPECT_EQ(map.capacity(), capacity);
+}
+
 TEST(FlatHashMap, ReserveSizesTheTableExactly) {
   for (const size_t n : {20u, 21u, 100u, 1000u, 4097u, 100000u}) {
     FlatHashMap<int> map;
@@ -200,13 +255,15 @@ TEST(FlatHashMap, ReserveSizesTheTableExactly) {
   EXPECT_EQ(small.capacity(), 16u);
 }
 
-TEST(FlatHashMap, ReservedMapGrowsExactlyOncePastItsBound) {
+// Fills a map reserved for n with `special` and keys 1..n-1, then checks
+// that one more key grows it exactly once. Key 0 (out of band) and the
+// all-ones key (in band) count toward the bound like any other.
+void CheckGrowsExactlyOncePastItsBound(uint64_t special) {
   for (const size_t n : {14u, 21u, 100u, 1000u, 4097u}) {
     FlatHashMap<uint64_t> map;
     map.Reserve(n);
     const size_t capacity = map.capacity();
-    // The all-ones key counts toward the bound like any other.
-    map.Insert(kAllOnes, 1);
+    map.Insert(special, 1);
     for (uint64_t k = 1; k < n; ++k) {
       map.Insert(k, k);
       map[k] += 1;  // touching a present key never grows
@@ -223,11 +280,16 @@ TEST(FlatHashMap, ReservedMapGrowsExactlyOncePastItsBound) {
     }
     EXPECT_EQ(map.size(), 2 * n - 1);
     EXPECT_EQ(map.growth_rehashes(), 1u) << n;
-    EXPECT_EQ(*map.Find(kAllOnes), 1u);
+    EXPECT_EQ(*map.Find(special), 1u) << special;
     for (uint64_t k = 1; k < n; ++k) {
       ASSERT_EQ(*map.Find(k), k + 1) << k;
     }
   }
+}
+
+TEST(FlatHashMap, ReservedMapGrowsExactlyOncePastItsBound) {
+  CheckGrowsExactlyOncePastItsBound(kAllOnes);
+  CheckGrowsExactlyOncePastItsBound(0);
 }
 
 // Home slot as the map computes it: the high word of Mix64(key) * slots.
@@ -324,6 +386,152 @@ TEST(FlatHashMap, ReserveDoesNotLoseEntries) {
     map.Insert(k + 1000, static_cast<int>(k));
   }
   EXPECT_EQ(map.size(), 1001u);
+}
+
+TEST(FlatHashMap, MoveConstructionAndAssignmentCarryEveryEntry) {
+  static_assert(!std::is_copy_constructible_v<FlatHashMap<uint64_t>>);
+  static_assert(!std::is_copy_assignable_v<FlatHashMap<uint64_t>>);
+  static_assert(std::is_nothrow_move_constructible_v<FlatHashMap<uint64_t>>);
+  static_assert(std::is_nothrow_move_assignable_v<FlatHashMap<uint64_t>>);
+  const auto check = [](const FlatHashMap<uint64_t>& map, size_t n) {
+    ASSERT_EQ(map.size(), n + 2);
+    ASSERT_NE(map.Find(0), nullptr);
+    EXPECT_EQ(*map.Find(0), 100u);
+    ASSERT_NE(map.Find(kAllOnes), nullptr);
+    EXPECT_EQ(*map.Find(kAllOnes), 200u);
+    for (uint64_t k = 1; k <= n; ++k) {
+      ASSERT_NE(map.Find(k), nullptr) << k;
+      EXPECT_EQ(*map.Find(k), 3 * k);
+    }
+  };
+  FlatHashMap<uint64_t> a;
+  a.Reserve(1000);
+  a.Insert(0, 100);
+  a.Insert(kAllOnes, 200);
+  for (uint64_t k = 1; k <= 500; ++k) {
+    a.Insert(k, 3 * k);
+  }
+  const size_t capacity = a.capacity();
+  FlatHashMap<uint64_t> b(std::move(a));
+  check(b, 500);
+  EXPECT_EQ(b.capacity(), capacity);
+
+  FlatHashMap<uint64_t> c;
+  c.Insert(7, 7);
+  c = std::move(b);
+  check(c, 500);
+  // The moved-into map keeps working, growth included.
+  for (uint64_t k = 501; k <= 2000; ++k) {
+    c.Insert(k, 3 * k);
+  }
+  check(c, 2000);
+  // A moved-from map may be assigned to and then used again.
+  a = std::move(c);
+  check(a, 2000);
+  EXPECT_TRUE(a.Erase(0));
+  EXPECT_EQ(a.Find(0), nullptr);
+}
+
+// The lease tables' shape: one map per host in a vector, which moves every
+// map each time it reallocates.
+TEST(FlatHashMap, VectorOfMapsGrowsByMoving) {
+  std::vector<FlatHashMap<uint64_t>> maps(3);
+  for (size_t m = 0; m < 40; ++m) {
+    if (m >= maps.size()) {
+      maps.emplace_back();
+    }
+    for (uint64_t k = 0; k < 50 + m; ++k) {
+      maps[m][k * 7 + m] = k + m;
+    }
+  }
+  ASSERT_EQ(maps.size(), 40u);
+  for (size_t m = 0; m < maps.size(); ++m) {
+    ASSERT_EQ(maps[m].size(), 50 + m) << m;
+    for (uint64_t k = 0; k < 50 + m; ++k) {
+      ASSERT_NE(maps[m].Find(k * 7 + m), nullptr) << m << " " << k;
+      EXPECT_EQ(*maps[m].Find(k * 7 + m), k + m);
+    }
+  }
+  EXPECT_EQ(*maps[0].Find(0), 0u);  // map 0 holds key 0, out of band
+  maps.erase(maps.begin());
+  EXPECT_EQ(maps[0].size(), 51u);
+  EXPECT_EQ(*maps[0].Find(1), 1u);
+}
+
+size_t PageBytes() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
+
+// Pages of [begin, begin + bytes) that mincore reports resident. It counts
+// a page mapped to the shared zero page by a read as resident, so callers
+// bound residency after writes, not after lookups.
+size_t ResidentPages(const void* begin, size_t bytes) {
+  std::vector<unsigned char> pages((bytes + PageBytes() - 1) / PageBytes());
+  EXPECT_EQ(mincore(const_cast<void*>(begin), bytes, pages.data()), 0);
+  size_t resident = 0;
+  for (const unsigned char page : pages) {
+    resident += page & 1;
+  }
+  return resident;
+}
+
+// Transparent huge pages in "always" mode back a first write with a whole
+// huge page, so residency is no longer counted in base pages.
+bool HugePagesAlways() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  std::getline(in, mode);
+  return mode.find("[always]") != std::string::npos;
+}
+
+TEST(MappedTable, FreshTableReadsZeroWithoutBecomingResident) {
+  if (HugePagesAlways()) {
+    GTEST_SKIP() << "transparent huge pages are in always mode";
+  }
+  constexpr size_t kEntries = size_t{1} << 20;  // 8 MiB
+  MappedTable<uint64_t> table(kEntries);
+  ASSERT_EQ(table.size(), kEntries);
+  ASSERT_EQ(reinterpret_cast<uintptr_t>(table.begin()) % PageBytes(), 0u);
+  EXPECT_EQ(ResidentPages(table.begin(), kEntries * sizeof(uint64_t)), 0u);
+  table[kEntries / 2] = 7;
+  EXPECT_EQ(ResidentPages(table.begin(), kEntries * sizeof(uint64_t)), 1u);
+  EXPECT_EQ(table[0], 0u);
+  EXPECT_EQ(table[kEntries - 1], 0u);
+  MappedTable<uint64_t> moved(std::move(table));
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.begin(), nullptr);
+  EXPECT_EQ(moved[kEntries / 2], 7u);
+  EXPECT_EQ(MappedTable<uint64_t>(0).begin(), nullptr);
+}
+
+// A reservation is address space: Reserve writes nothing, and each insert
+// makes resident only the page its probe ends on (two when the probe
+// crosses a page boundary).
+TEST(FlatHashMap, ReservedTablePagesBecomeResidentOnlyWhenEntriesReachThem) {
+  if (HugePagesAlways()) {
+    GTEST_SKIP() << "transparent huge pages are in always mode";
+  }
+  FlatHashMap<uint64_t> map;
+  map.Reserve(1000000);
+  const size_t slots = map.capacity();
+  const size_t table_bytes = 16 * slots;
+  // The first entry of an empty table sits at its home slot, which locates
+  // the table from the entry's value (the slot's second word).
+  const uint64_t first = 12345;
+  map.Insert(first, 1);
+  const uintptr_t table =
+      reinterpret_cast<uintptr_t>(map.Find(first)) - 8 - 16 * HomeOf(first, slots);
+  ASSERT_EQ(table % PageBytes(), 0u);
+  // One page: the reservation itself wrote nothing.
+  EXPECT_EQ(ResidentPages(reinterpret_cast<const void*>(table), table_bytes), 1u);
+  Rng rng(5);
+  constexpr size_t kInserts = 200;
+  for (size_t i = 1; i < kInserts; ++i) {
+    map.Insert(rng.Next() | 1, i);
+  }
+  const size_t resident = ResidentPages(reinterpret_cast<const void*>(table), table_bytes);
+  EXPECT_GE(resident, 1u);
+  EXPECT_LE(resident, 2 * kInserts);
+  EXPECT_LT(resident, table_bytes / PageBytes() / 10);
+  EXPECT_EQ(map.growth_rehashes(), 0u);
 }
 
 }  // namespace

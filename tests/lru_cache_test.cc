@@ -1,8 +1,11 @@
 #include "src/cache/lru_cache.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <fstream>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -545,6 +548,53 @@ TEST(LruCache, IndexGrowsWithLiveBlocksAgainstReference) {
   // A cache that filled ends with the full cache's table.
   EXPECT_EQ(cache.index_entries(), LruBlockCache::IndexEntries(kCapacity));
   run.CheckFinalState();
+}
+
+TEST(LruCache, FreshSlotsReadAsNotInUse) {
+  LruBlockCache cache("c", 300, 700, ReplacementPolicy::kClock);
+  for (uint32_t slot = 0; slot < 1000; ++slot) {
+    ASSERT_FALSE(cache.in_use(slot)) << slot;
+    ASSERT_FALSE(cache.dirty(slot)) << slot;
+    ASSERT_FALSE(cache.referenced(slot)) << slot;
+  }
+  const uint32_t a = cache.Insert(1, true, nullptr);
+  const uint32_t b = cache.Insert(2, false, nullptr);
+  EXPECT_TRUE(cache.in_use(a));
+  EXPECT_TRUE(cache.dirty(a));
+  EXPECT_TRUE(cache.in_use(b));
+  EXPECT_FALSE(cache.dirty(b));
+  ASSERT_TRUE(cache.Remove(1));
+  EXPECT_FALSE(cache.in_use(a));
+  EXPECT_FALSE(cache.dirty(a));
+  for (uint32_t slot = 2; slot < 1000; ++slot) {
+    ASSERT_FALSE(cache.in_use(slot)) << slot;
+  }
+  cache.CheckInvariants();
+}
+
+// This process's resident bytes (the second field of /proc/self/statm).
+int64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  int64_t size_pages = 0;
+  int64_t resident_pages = 0;
+  statm >> size_pages >> resident_pages;
+  return resident_pages * static_cast<int64_t>(sysconf(_SC_PAGESIZE));
+}
+
+// The flag bytes are mapped zero pages and the slot records are allocated
+// without initialisation, so a large cache that has used only its first
+// slots keeps the rest of its flag array out of memory.
+TEST(LruCache, UnusedSlotsLeaveTheFlagArrayNonResident) {
+  constexpr uint64_t kCapacity = uint64_t{1} << 25;  // 32 MiB of flag bytes
+  const int64_t before = ResidentBytes();
+  LruBlockCache cache("big", kCapacity / 4, kCapacity - kCapacity / 4);
+  for (BlockKey key = 0; key < 1000; ++key) {
+    cache.Insert(key, key % 2 == 0, nullptr);
+  }
+  const int64_t grown = ResidentBytes() - before;
+  EXPECT_LT(grown, static_cast<int64_t>(kCapacity / 8)) << "grew by " << grown << " bytes";
+  EXPECT_EQ(cache.size(), 1000u);
+  EXPECT_FALSE(cache.in_use(static_cast<uint32_t>(kCapacity - 1)));
 }
 
 }  // namespace

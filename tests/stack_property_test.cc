@@ -27,7 +27,7 @@ TEST_P(StackPropertyTest, RandomChurnPreservesInvariants) {
   const PropertyCase& c = GetParam();
   StackHarness h(c.arch, c.ram_blocks, c.flash_blocks, c.ram_policy, c.flash_policy,
                  c.replacement, c.admission);
-  InvariantAuditor auditor(c.arch, 1);
+  InvariantAuditor auditor(c.arch, 1, CoherenceModel::kPerfect);
   Rng rng(0xfeedULL + static_cast<uint64_t>(c.arch) * 131 + c.ram_blocks +
           static_cast<uint64_t>(c.replacement) * 7919);
   SimTime t = 0;

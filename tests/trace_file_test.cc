@@ -5,10 +5,13 @@
 
 #include <csignal>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "src/trace/codec.h"
 #include "src/trace/fast_source.h"
 #include "src/util/rng.h"
 
@@ -294,6 +297,56 @@ TEST_F(TraceFileTest, CountsRecordsWritten) {
   EXPECT_EQ(writer->records_written(), 2u);
   writer->Close();
   std::remove(path.c_str());
+}
+
+// Binary records are written a buffer at a time: a trace spanning several
+// buffers (and ending mid-buffer) must be byte for byte the magic followed
+// by each record's own encoding, and read back record for record.
+TEST_F(TraceFileTest, BufferedBinaryWritesMatchPerRecordEncoding) {
+  const std::string path = TempPath("buffered.trace");
+  const auto records = SampleRecords(10000);
+  ASSERT_GT(records.size() * kTraceBinaryRecordSize, 3 * TraceFileWriter::kBufferBytes);
+  WriteTrace(path, TraceFormat::kBinary, records);
+
+  std::string expected(kTraceBinaryMagic, kTraceBinaryMagicLen);
+  for (const TraceRecord& r : records) {
+    unsigned char encoded[kTraceBinaryRecordSize];
+    EncodeTraceRecord(r, encoded);
+    expected.append(reinterpret_cast<const char*>(encoded), kTraceBinaryRecordSize);
+  }
+  std::ifstream in(path, std::ios::binary);
+  const std::string written((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(written.size(), expected.size());
+  EXPECT_TRUE(written == expected);
+
+  std::string error;
+  auto reader = OpenTraceSource(path, &error);
+  ASSERT_NE(reader, nullptr) << error;
+  TraceRecord r;
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE(reader->Next(&r)) << i;
+    ASSERT_EQ(r, records[i]) << i;
+  }
+  EXPECT_FALSE(reader->Next(&r));
+  std::remove(path.c_str());
+}
+
+// A write that the device refuses (here /dev/full) is latched: Close()
+// reports it even though every Write call returned normally.
+TEST_F(TraceFileTest, FailedWriteMakesCloseReturnFalse) {
+  if (access("/dev/full", W_OK) != 0) {
+    GTEST_SKIP() << "no /dev/full";
+  }
+  for (const size_t n : {size_t{10}, size_t{10000}}) {
+    std::string error;
+    auto writer = TraceFileWriter::Create("/dev/full", TraceFormat::kBinary, &error);
+    ASSERT_NE(writer, nullptr) << error;
+    for (const TraceRecord& r : SampleRecords(static_cast<int>(n))) {
+      writer->Write(r);
+    }
+    EXPECT_FALSE(writer->Close()) << n;
+    EXPECT_FALSE(writer->Close()) << n;  // and keeps reporting it
+  }
 }
 
 }  // namespace
