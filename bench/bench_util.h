@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -50,10 +49,10 @@ struct BenchOptions {
   // are written after the sweep; the other points are untouched.
   std::string stats_json;
   std::string trace_out;
-  int64_t sample_stride_ms = 0;
+  SimDuration sample_stride_ns = 0;
 
   bool TelemetryRequested() const {
-    return !stats_json.empty() || !trace_out.empty() || sample_stride_ms > 0;
+    return !stats_json.empty() || !trace_out.empty() || sample_stride_ns > 0;
   }
 
   // Collector set for an armed point, derived from the output flags.
@@ -61,7 +60,7 @@ struct BenchOptions {
     obs::TelemetryConfig telemetry;
     telemetry.histograms = !stats_json.empty();
     telemetry.spans = !trace_out.empty();
-    telemetry.sample_stride_ns = sample_stride_ms * kMillisecond;
+    telemetry.sample_stride_ns = sample_stride_ns;
     return telemetry;
   }
 
@@ -90,13 +89,8 @@ class BenchFlags {
                       &options_.stats_json);
     parser_.AddString("trace_out", "write first point's Chrome trace JSON to PATH",
                       &options_.trace_out);
-    parser_.AddCustom("sample_stride", "N", "telemetry sampling stride (sim-ms, 0 = off)",
-                      [this](const std::string& value) {
-                        char* end = nullptr;
-                        options_.sample_stride_ms =
-                            static_cast<int64_t>(std::strtod(value.c_str(), &end));
-                        return end != nullptr && *end == '\0' && !value.empty();
-                      });
+    parser_.AddDuration("sample_stride", "telemetry sampling stride (sim-ms, 0 = off)",
+                        kMillisecond, /*whole_units=*/true, &options_.sample_stride_ns);
   }
 
   FlagParser& parser() { return parser_; }

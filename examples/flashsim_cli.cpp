@@ -49,11 +49,13 @@ namespace {
 struct CliOptions {
   ExperimentParams params;
   std::string trace_path;
-  int64_t series_ms = 0;
+  // Percent flags, applied to params after parsing.
+  double write_pct = 0.0;
+  double prefetch_pct = 0.0;
+  SimDuration series_window_ns = 0;
   bool json = false;
   std::string stats_json_path;
   std::string trace_out_path;
-  int64_t sample_stride_ms = 0;
 };
 
 void RegisterFlags(FlagParser& parser, CliOptions* options) {
@@ -119,43 +121,19 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
   parser.AddDouble("flash-gib", "flash cache GiB", &params.flash_gib);
   parser.AddDouble("ws-gib", "working set GiB", &params.working_set_gib);
   parser.AddDouble("filer-tib", "file server TiB", &params.filer_tib);
-  parser.AddCustom("write-pct", "N", "write percentage", [&params](const std::string& value) {
-    char* end = nullptr;
-    params.write_fraction = std::strtod(value.c_str(), &end) / 100.0;
-    return end != nullptr && *end == '\0' && !value.empty();
-  });
-  parser.AddCustom("prefetch-pct", "N", "filer fast-read rate (%)",
-                   [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.filer_fast_read_rate =
-                         std::strtod(value.c_str(), &end) / 100.0;
-                     return end != nullptr && *end == '\0' && !value.empty();
-                   });
-  parser.AddCustom("flash-read-us", "N", "flash read latency (us)",
-                   [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.flash_read_ns =
-                         static_cast<SimDuration>(std::strtod(value.c_str(), &end) * 1000.0);
-                     return end != nullptr && *end == '\0' && !value.empty();
-                   });
-  parser.AddCustom("flash-write-us", "N", "flash write latency (us)",
-                   [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.flash_write_ns =
-                         static_cast<SimDuration>(std::strtod(value.c_str(), &end) * 1000.0);
-                     return end != nullptr && *end == '\0' && !value.empty();
-                   });
+  options->write_pct = 100.0 * params.write_fraction;
+  parser.AddDouble("write-pct", "write percentage", &options->write_pct);
+  options->prefetch_pct = 100.0 * params.timing.filer_fast_read_rate;
+  parser.AddDouble("prefetch-pct", "filer fast-read rate (%)", &options->prefetch_pct);
+  parser.AddDuration("flash-read-us", "flash read latency (us)", kMicrosecond,
+                     /*whole_units=*/false, &params.timing.flash_read_ns);
+  parser.AddDuration("flash-write-us", "flash write latency (us)", kMicrosecond,
+                     /*whole_units=*/false, &params.timing.flash_write_ns);
   parser.AddInt("hosts", "number of hosts", &params.hosts);
   parser.AddInt("threads", "threads per host", &params.threads_per_host);
   parser.AddInt("filers", "filer shards in the storage backend", &params.num_filers);
-  parser.AddCustom("flash-noise", "SIGMA",
-                   "mean-one lognormal flash latency noise (0 = off)",
-                   [&params](const std::string& value) {
-                     char* end = nullptr;
-                     params.timing.flash_noise_sigma = std::strtod(value.c_str(), &end);
-                     return end != nullptr && *end == '\0' && !value.empty() &&
-                            params.timing.flash_noise_sigma >= 0.0;
-                   });
+  parser.AddDouble("flash-noise", "mean-one lognormal flash latency noise sigma (0 = off)",
+                   &params.timing.flash_noise_sigma);
   parser.AddCustom("shard-strategy", "hash|modulo", "block -> filer shard routing",
                    [&params](const std::string& value) {
                      const auto strategy = ParseShardStrategy(value);
@@ -167,13 +145,8 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                    });
   parser.AddUint64("scale", "capacity scale divisor", &params.scale);
   parser.AddUint64("seed", "workload seed", &params.seed);
-  parser.AddCustom("series-ms", "N", "read-latency time series window (ms)",
-                   [options](const std::string& value) {
-                     char* end = nullptr;
-                     options->series_ms =
-                         static_cast<int64_t>(std::strtod(value.c_str(), &end));
-                     return end != nullptr && *end == '\0' && !value.empty();
-                   });
+  parser.AddDuration("series-ms", "read-latency time series window (ms)", kMillisecond,
+                     /*whole_units=*/true, &options->series_window_ns);
   parser.AddCustom("persistent", "", "doubled flash writes (recoverable cache)",
                    [&params](const std::string&) {
                      params.timing.persistent_flash = true;
@@ -192,13 +165,8 @@ void RegisterFlags(FlagParser& parser, CliOptions* options) {
                    &options->stats_json_path);
   parser.AddString("trace_out", "write Chrome trace_event JSON to PATH (- = stdout)",
                    &options->trace_out_path);
-  parser.AddCustom("sample_stride", "N", "telemetry sampling stride (sim-ms, 0 = off)",
-                   [options](const std::string& value) {
-                     char* end = nullptr;
-                     options->sample_stride_ms =
-                         static_cast<int64_t>(std::strtod(value.c_str(), &end));
-                     return end != nullptr && *end == '\0' && !value.empty();
-                   });
+  parser.AddDuration("sample_stride", "telemetry sampling stride (sim-ms, 0 = off)",
+                     kMillisecond, /*whole_units=*/true, &params.telemetry.sample_stride_ns);
 }
 
 void PrintMetrics(const Metrics& m) {
@@ -281,6 +249,8 @@ int main(int argc, char** argv) {
   FlagParser parser;
   RegisterFlags(parser, &options);
   parser.ParseOrExit(argc, argv);
+  options.params.write_fraction = options.write_pct / 100.0;
+  options.params.timing.filer_fast_read_rate = options.prefetch_pct / 100.0;
   // Every flag combination is checked before anything is built: a bad one
   // is a usage error (exit 2), never an abort.
   const std::vector<std::string> problems =
@@ -303,21 +273,19 @@ int main(int argc, char** argv) {
   }
 
   std::unique_ptr<TimeSeriesRecorder> series;
-  if (options.series_ms > 0) {
-    series = std::make_unique<TimeSeriesRecorder>(options.series_ms * kMillisecond);
+  if (options.series_window_ns > 0) {
+    series = std::make_unique<TimeSeriesRecorder>(options.series_window_ns);
     options.params.read_latency_series = series.get();
   }
 
   // Arm telemetry from the output flags: a stats file wants histograms, a
-  // trace file wants spans, a stride arms the sampler.
+  // trace file wants spans; --sample_stride set the sampler's stride
+  // directly (a stride <= 0 leaves it off).
   if (!options.stats_json_path.empty()) {
     options.params.telemetry.histograms = true;
   }
   if (!options.trace_out_path.empty()) {
     options.params.telemetry.spans = true;
-  }
-  if (options.sample_stride_ms > 0) {
-    options.params.telemetry.sample_stride_ns = options.sample_stride_ms * kMillisecond;
   }
 
   // A "-" output path streams a JSON document to stdout; the human-readable
@@ -382,7 +350,7 @@ int main(int argc, char** argv) {
 
   if (series != nullptr) {
     std::printf("\nread latency time series (%lld ms windows):\n",
-                static_cast<long long>(options.series_ms));
+                static_cast<long long>(options.series_window_ns / kMillisecond));
     Table table({"window_start_s", "mean_read_us", "samples"});
     for (size_t w = 0; w < series->num_windows(); ++w) {
       if (series->window(w).count() == 0) {

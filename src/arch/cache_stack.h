@@ -87,6 +87,10 @@ class ResidencyListener {
 //
 // holds regardless of which path (policy write-through, syncer flush, or
 // eviction-triggered writeback) issued the block.
+//
+// The counters are shard-agnostic. Per-shard filer traffic is counted
+// once, by the filer shards themselves (Metrics::filer_shards), and the
+// auditor's AuditGlobal ties the shards' sums to these counters.
 struct StackCounters {
   uint64_t ram_hits = 0;
   uint64_t flash_hits = 0;
@@ -105,21 +109,7 @@ struct StackCounters {
   // holds its mirror filter to both counters.
   uint64_t flash_admission_rejects = 0;
 
-  // Per-shard routing breakdown of filer_reads / filer_writebacks; sized to
-  // the backend's shard count when sharding is on, empty on the single-filer
-  // path. Excluded from equality: the differential oracle compares counters
-  // against a shard-agnostic model, and routing metadata is not behavior.
-  std::vector<uint64_t> shard_reads;
-  std::vector<uint64_t> shard_writes;
-
-  bool operator==(const StackCounters& o) const {
-    return ram_hits == o.ram_hits && flash_hits == o.flash_hits &&
-           filer_reads == o.filer_reads && sync_ram_evictions == o.sync_ram_evictions &&
-           sync_flash_evictions == o.sync_flash_evictions &&
-           flash_installs == o.flash_installs && filer_writebacks == o.filer_writebacks &&
-           sync_filer_writes == o.sync_filer_writes &&
-           flash_admission_rejects == o.flash_admission_rejects;
-  }
+  bool operator==(const StackCounters&) const = default;
 };
 
 struct StackConfig {
@@ -141,12 +131,7 @@ class CacheStack {
         ram_dev_(&ram_dev),
         flash_dev_(&flash_dev),
         remote_(&remote),
-        writer_(&writer) {
-    if (remote.num_shards() > 1) {
-      counters_.shard_reads.resize(static_cast<size_t>(remote.num_shards()), 0);
-      counters_.shard_writes.resize(static_cast<size_t>(remote.num_shards()), 0);
-    }
-  }
+        writer_(&writer) {}
   virtual ~CacheStack() = default;
 
   CacheStack(const CacheStack&) = delete;
@@ -240,19 +225,6 @@ class CacheStack {
   void NotifyDropped(BlockKey key) {
     if (listener_ != nullptr) {
       listener_->OnDropped(key);
-    }
-  }
-
-  // Attribute a filer read/writeback to its routing shard. No-ops on the
-  // single-filer path, where the breakdown vectors stay empty.
-  void NoteShardRead(BlockKey key) {
-    if (!counters_.shard_reads.empty()) {
-      ++counters_.shard_reads[static_cast<size_t>(remote_->ShardOf(key))];
-    }
-  }
-  void NoteShardWrite(BlockKey key) {
-    if (!counters_.shard_writes.empty()) {
-      ++counters_.shard_writes[static_cast<size_t>(remote_->ShardOf(key))];
     }
   }
 

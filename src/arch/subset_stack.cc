@@ -134,7 +134,6 @@ SimTime SubsetStackBase::Read(SimTime now, BlockKey key, HitLevel* level) {
   bool fast = true;
   SimTime t = remote_->Read(now, key, &fast);
   ++counters_.filer_reads;
-  NoteShardRead(key);
   if (HasFlash() && MayInstallInFlash(key)) {
     // The flash probe above missed and nothing since installed the block.
     uint32_t fslot = kInvalidSlot;
@@ -159,7 +158,6 @@ SimTime SubsetStackBase::Write(SimTime now, BlockKey key) {
       // No caching at all: synchronous filer write.
       ++counters_.filer_writebacks;
       ++counters_.sync_filer_writes;
-      NoteShardWrite(key);
       return remote_->Write(t, key);
     }
     return WriteWithoutRam(t, key);
@@ -221,7 +219,6 @@ SimTime SubsetStackBase::InstallInFlash(SimTime t, BlockKey key, uint32_t* slot_
       ++counters_.sync_flash_evictions;
       ++counters_.filer_writebacks;
       ++counters_.sync_filer_writes;
-      NoteShardWrite(evicted->key);
       t = remote_->Write(t, evicted->key);
     }
     flash_dev_->Trim(evicted->key);
@@ -268,7 +265,6 @@ SimTime SubsetStackBase::InstallInRam(SimTime t, BlockKey key, uint32_t* slot_ou
 SimTime SubsetStackBase::WritebackFromRam(SimTime t, BlockKey key, bool requester_waits) {
   if (!HasFlash()) {
     ++counters_.filer_writebacks;
-    NoteShardWrite(key);
     if (requester_waits) {
       ++counters_.sync_filer_writes;
       return remote_->Write(t, key);
@@ -337,7 +333,6 @@ SimTime NaiveStack::ApplyFlashArrival(SimTime t, BlockKey key, uint32_t slot,
   switch (config_.flash_policy) {
     case WritebackPolicy::kSync:
       ++counters_.filer_writebacks;
-      NoteShardWrite(key);
       if (requester_waits) {
         ++counters_.sync_filer_writes;
         return remote_->Write(t, key);
@@ -346,7 +341,6 @@ SimTime NaiveStack::ApplyFlashArrival(SimTime t, BlockKey key, uint32_t slot,
       return t;
     case WritebackPolicy::kAsync:
       ++counters_.filer_writebacks;
-      NoteShardWrite(key);
       writer_->EnqueueFilerWrite(t, /*then_flash=*/false, key);
       return t;
     default:
@@ -382,7 +376,6 @@ std::optional<SimTime> NaiveStack::FlushOneFlashBlock(SimTime now, SimTime dirti
   flash_.MarkClean(slot);
   ++counters_.filer_writebacks;
   ++counters_.sync_filer_writes;
-  NoteShardWrite(key);
   return remote_->Write(now, key);
 }
 
@@ -393,7 +386,6 @@ SimTime LookasideStack::WritebackFromRamToBelow(SimTime t, BlockKey key, bool re
   // Writes go directly from RAM to the filer; the flash copy is refreshed
   // only after the filer write completes, so flash never holds dirty data.
   ++counters_.filer_writebacks;
-  NoteShardWrite(key);
   if (!requester_waits) {
     // Without admission filtering RAM ⊆ flash guarantees the flash copy
     // exists, so the refresh is unconditional; a filter can leave the block
@@ -418,7 +410,6 @@ SimTime LookasideStack::WritebackFromRamToBelow(SimTime t, BlockKey key, bool re
 SimTime LookasideStack::WriteWithoutRam(SimTime t, BlockKey key) {
   ++counters_.filer_writebacks;
   ++counters_.sync_filer_writes;
-  NoteShardWrite(key);
   t = remote_->Write(t, key);
   if (!MayInstallInFlash(key)) {
     return t;

@@ -38,7 +38,6 @@ SimTime UnifiedStack::InsertBlock(SimTime t, BlockKey key, uint32_t* slot_out) {
       ++counters_.sync_flash_evictions;
       ++counters_.filer_writebacks;
       ++counters_.sync_filer_writes;
-      NoteShardWrite(evicted->key);
       t = remote_->Write(t, evicted->key);
     }
     flash_dev_->Trim(evicted->key);
@@ -75,7 +74,6 @@ SimTime UnifiedStack::Read(SimTime now, BlockKey key, HitLevel* level) {
   bool fast = true;
   SimTime t = remote_->Read(now, key, &fast);
   ++counters_.filer_reads;
-  NoteShardRead(key);
   if (AdmitInsert(key)) {
     t = InsertBlock(t, key, &slot);
   }
@@ -105,7 +103,6 @@ SimTime UnifiedStack::Write(SimTime now, BlockKey key) {
       // dirty data, the write goes synchronously to the filer.
       ++counters_.filer_writebacks;
       ++counters_.sync_filer_writes;
-      NoteShardWrite(key);
       return remote_->Write(t, key);
     }
   } else {
@@ -124,12 +121,10 @@ SimTime UnifiedStack::Write(SimTime now, BlockKey key) {
     case WritebackPolicy::kSync:
       ++counters_.filer_writebacks;
       ++counters_.sync_filer_writes;
-      NoteShardWrite(key);
       t = remote_->Write(t, key);
       break;
     case WritebackPolicy::kAsync:
       ++counters_.filer_writebacks;
-      NoteShardWrite(key);
       writer_->EnqueueFilerWrite(t, /*then_flash=*/false, key);
       break;
     default:
@@ -149,7 +144,6 @@ std::optional<SimTime> UnifiedStack::FlushOneOf(SimTime now, Medium medium,
   cache_.MarkClean(slot);
   ++counters_.filer_writebacks;
   ++counters_.sync_filer_writes;
-  NoteShardWrite(key);
   return remote_->Write(now, key);
 }
 

@@ -1,4 +1,4 @@
-// Online miss-ratio-curve collection (DESIGN.md §14).
+// Miss-ratio curves: a Mattson reference model (DESIGN.md §14).
 //
 // ShadowLru computes the exact Mattson stack distance of every access in
 // O(log n): the reuse distance of a read equals the number of *distinct*
@@ -15,10 +15,11 @@
 // curve at any cache size falls out as a cumulative sum. The curve is
 // monotone nondecreasing in cache size by construction (mrc_test pins it).
 //
-// The collector observes the *application* read stream, not any one tier,
-// so one curve answers "what hit rate would an exact-LRU cache of size c
-// get" for every c at once — the cache-sizing question §7 of the paper
-// answers with one full simulation per point.
+// The collector is fed the *application* read stream of a trace, not any
+// one tier's accesses, and the simulator never calls it: one curve answers
+// "what hit rate would an exact-LRU cache of size c get" for every c at
+// once — the cache-sizing question §7 of the paper answers with one full
+// simulation per point (mrc_test checks the two agree).
 #ifndef FLASHSIM_SRC_CACHE_MRC_H_
 #define FLASHSIM_SRC_CACHE_MRC_H_
 
@@ -88,11 +89,10 @@ class HitRateCurve {
   uint64_t cold_ = 0;
 };
 
-// One per host: distances from the shadow stack feed the curve.
+// Distances from the shadow stack feed the curve.
 class MrcCollector {
  public:
   void OnRead(BlockKey key) { curve_.Record(shadow_.Access(key)); }
-  const ShadowLru& shadow() const { return shadow_; }
   const HitRateCurve& curve() const { return curve_; }
 
  private:

@@ -171,10 +171,6 @@ class SlruPolicy final : public EvictionPolicy {
   // promoting — the classic segment-promotion off-by-one.
   void set_test_break(bool on) override { test_break_promotion_ = on; }
 
-  uint64_t protected_count() const { return prot_count_; }
-  uint64_t probationary_count() const { return prob_count_; }
-  uint64_t protected_cap() const { return protected_cap_; }
-
  private:
   enum Segment : uint8_t { kProbationary = 0, kProtected = 1 };
   std::vector<uint8_t> seg_;

@@ -35,22 +35,6 @@ void InvariantAuditor::AuditCounters(int host, const CacheStack& stack,
   FLASHSIM_CHECK(writer.started() <= writer.enqueued());
   // Dirty blocks are resident blocks.
   FLASHSIM_CHECK(stack.DirtyBlocks() <= stack.RamResident() + stack.FlashResident());
-  // When the stack keeps per-shard routing breakdowns, they must partition
-  // the aggregate counters exactly.
-  if (!c.shard_reads.empty()) {
-    uint64_t shard_reads = 0;
-    for (const uint64_t n : c.shard_reads) {
-      shard_reads += n;
-    }
-    FLASHSIM_CHECK(shard_reads == c.filer_reads);
-  }
-  if (!c.shard_writes.empty()) {
-    uint64_t shard_writes = 0;
-    for (const uint64_t n : c.shard_writes) {
-      shard_writes += n;
-    }
-    FLASHSIM_CHECK(shard_writes == c.filer_writebacks);
-  }
 }
 
 void InvariantAuditor::AuditStructure(int host, const CacheStack& stack,

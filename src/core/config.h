@@ -44,13 +44,6 @@ struct SimConfig {
   // naive writeback path requires every RAM block to hold a flash slot.
   AdmissionPolicy admission = AdmissionPolicy::kAll;
 
-  // Arm the per-host shadow-LRU miss-ratio-curve collector (src/cache/mrc.h).
-  // The collector must observe every application read in dispatch order, so
-  // arming it disables the serial read fast path; simulation results are
-  // unchanged (the collector only watches the access stream, it never
-  // mutates cache state).
-  bool collect_mrc = false;
-
   TimingModel timing;
 
   // Coherence protocol (DESIGN.md §15), the one axis that prices

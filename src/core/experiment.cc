@@ -86,7 +86,6 @@ SimConfig BuildSimConfig(const ExperimentParams& params) {
   config.flash_policy = params.flash_policy;
   config.replacement = params.replacement;
   config.admission = params.admission;
-  config.collect_mrc = params.collect_mrc;
   config.timing = params.timing;
   config.coherence = params.coherence;
   config.seed = params.seed;

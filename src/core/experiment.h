@@ -38,9 +38,6 @@ struct ExperimentParams {
   WritebackPolicy flash_policy = WritebackPolicy::kAsync;
   ReplacementPolicy replacement = ReplacementPolicy::kLru;
   AdmissionPolicy admission = AdmissionPolicy::kAll;
-  // Arm the shadow-LRU miss-ratio-curve collector (disables the serial read
-  // fast path; results are otherwise unchanged).
-  bool collect_mrc = false;
   TimingModel timing;
 
   int hosts = 1;

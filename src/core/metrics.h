@@ -35,8 +35,6 @@ struct ShardMetrics {
   // Coherence control messages this shard serviced (DESIGN.md §15); zero
   // under the default perfect model.
   uint64_t control_messages = 0;
-
-  bool operator==(const ShardMetrics&) const = default;
 };
 
 struct Metrics {

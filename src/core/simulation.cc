@@ -58,16 +58,10 @@ Simulation::Simulation(const SimConfig& config) : config_(config) {
   // The serial fast path coexists with the auditor by not arming: the
   // auditor must observe every record through the full event path (its
   // per-record counter checks and stride bookkeeping are part of the
-  // schedule it audits). The MRC collector likewise needs every read to
-  // flow through ExecuteOp. A modeled coherence protocol likewise disarms
-  // the path: any read may first pay protocol traffic, so no read is
-  // provably host-local.
-  serial_fast_path_ = auditor_ == nullptr && !config_.collect_mrc && !coherence_active_;
-  if (config_.collect_mrc) {
-    for (int h = 0; h < config_.num_hosts; ++h) {
-      mrc_.push_back(std::make_unique<MrcCollector>());
-    }
-  }
+  // schedule it audits). A modeled coherence protocol likewise disarms the
+  // path: any read may first pay protocol traffic, so no read is provably
+  // host-local.
+  serial_fast_path_ = auditor_ == nullptr && !coherence_active_;
   if (config_.telemetry.any()) {
     ArmTelemetry();
   }
@@ -193,9 +187,6 @@ SimTime Simulation::ExecuteOp(SimTime now, const TraceRecord& record) {
       auditor_->OnBlockOp(host_id, record.op == TraceOp::kRead);
     }
     if (record.op == TraceOp::kRead) {
-      if (!mrc_.empty()) {
-        mrc_[static_cast<size_t>(host_id)]->OnRead(key);
-      }
       if (coherence_active_) {
         // Protocol work first: directory lookup round trip on a miss,
         // remote-Dirty reconciliation, lease renewal. Silent (t unchanged)
@@ -557,14 +548,6 @@ Metrics Simulation::Run(TraceSource& source) {
     metrics_.stack_totals.filer_writebacks += c.filer_writebacks;
     metrics_.stack_totals.sync_filer_writes += c.sync_filer_writes;
     metrics_.stack_totals.flash_admission_rejects += c.flash_admission_rejects;
-    if (!c.shard_reads.empty()) {
-      metrics_.stack_totals.shard_reads.resize(c.shard_reads.size(), 0);
-      metrics_.stack_totals.shard_writes.resize(c.shard_writes.size(), 0);
-      for (size_t s = 0; s < c.shard_reads.size(); ++s) {
-        metrics_.stack_totals.shard_reads[s] += c.shard_reads[s];
-        metrics_.stack_totals.shard_writes[s] += c.shard_writes[s];
-      }
-    }
     metrics_.writebacks_enqueued += host->writer.enqueued();
     metrics_.writebacks_completed += host->writer.completed();
     metrics_.writebacks_in_flight += host->writer.pending();

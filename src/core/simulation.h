@@ -21,7 +21,6 @@
 #include "src/arch/cache_stack.h"
 #include "src/arch/host_rig.h"
 #include "src/backend/storage_backend.h"
-#include "src/cache/mrc.h"
 #include "src/check/audit.h"
 #include "src/consistency/coherence.h"
 #include "src/consistency/directory.h"
@@ -61,7 +60,6 @@ class Simulation : private EventHandler {
   Filer& filer(int shard = 0) { return backend_->shard(shard); }
   StorageBackend& backend() { return *backend_; }
   const StorageBackend& backend() const { return *backend_; }
-  int num_filer_shards() const { return backend_->num_shards(); }
   const SimConfig& config() const { return config_; }
   const Directory& directory() const { return *directory_; }
   // The run's coherence protocol (DESIGN.md §15); always non-null after
@@ -80,11 +78,6 @@ class Simulation : private EventHandler {
   // Non-null when SimConfig::audit_stride (or FLASHSIM_AUDIT) enabled the
   // invariant auditor for this run.
   const InvariantAuditor* auditor() const { return auditor_.get(); }
-  // Non-null iff SimConfig::collect_mrc armed the host's shadow-LRU
-  // miss-ratio-curve collector.
-  const MrcCollector* mrc_collector(int host) const {
-    return mrc_.empty() ? nullptr : mrc_[static_cast<size_t>(host)].get();
-  }
 
   // Audits every host's cache structures; aborts on violation.
   void CheckInvariants() const;
@@ -188,9 +181,9 @@ class Simulation : private EventHandler {
   PooledQueues<TraceRecord> backlog_;
   bool source_exhausted_ = false;
   int live_threads_ = 0;
-  // Serial fast path armed for this run: no per-record observer (the
-  // auditor and the MRC collector must see every op through the full event
-  // path), no modeled coherence protocol, and no test_only_disable_fast_path.
+  // Serial fast path armed for this run: no auditor (it must see every op
+  // through the full event path), no modeled coherence protocol, and no
+  // test_only_disable_fast_path.
   bool serial_fast_path_ = false;
   std::vector<bool> ram_syncer_busy_;    // per host: syncer thread mid-flush
   std::vector<bool> flash_syncer_busy_;  // per host
@@ -200,8 +193,6 @@ class Simulation : private EventHandler {
   bool ran_ = false;
   std::unique_ptr<InvariantAuditor> auditor_;
   uint64_t records_since_structural_audit_ = 0;
-  // Per-host shadow-LRU MRC collectors; empty unless SimConfig::collect_mrc.
-  std::vector<std::unique_ptr<MrcCollector>> mrc_;
 
   // Telemetry state; all empty/null when SimConfig::telemetry is off.
   std::unique_ptr<obs::Telemetry> telemetry_;

@@ -83,14 +83,6 @@ class Filer {
   uint64_t queued_requests() const { return servers_.queued_requests(); }
   SimDuration max_wait() const { return servers_.max_wait(); }
 
-  void Reset() {
-    servers_.Reset();
-    fast_reads_ = 0;
-    slow_reads_ = 0;
-    writes_ = 0;
-    control_messages_ = 0;
-  }
-
  private:
   const TimingModel* timing_;
   Rng rng_;

@@ -84,8 +84,6 @@ class FlashDevice {
   SimDuration busy_time() const { return resource_.busy_time(); }
   const MultiResource& resource() const { return resource_; }
 
-  void Reset() { resource_.Reset(); }
-
  private:
   // Maps a cache block key to its logical page, allocating on first write.
   uint64_t LpnForWrite(BlockKey key);

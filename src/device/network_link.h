@@ -64,11 +64,6 @@ class NetworkLink {
   const Resource& to_filer() const { return to_filer_; }
   const Resource& from_filer() const { return from_filer_; }
 
-  void Reset() {
-    to_filer_.Reset();
-    from_filer_.Reset();
-  }
-
  private:
   const TimingModel* timing_;
   uint32_t block_bytes_;

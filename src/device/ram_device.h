@@ -38,7 +38,6 @@ class RamDevice {
   void set_probe(obs::DeviceProbe* probe) { probe_ = probe; }
 
   uint64_t accesses() const { return accesses_; }
-  void Reset() { accesses_ = 0; }
 
  private:
   const TimingModel* timing_;

@@ -1,5 +1,8 @@
 #include "src/harness/flags.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -10,16 +13,36 @@ namespace flashsim {
 
 namespace {
 
+// Unsigned decimal. strtoull would accept a sign (negating "-1" to
+// 2^64 - 1) and saturate on overflow, so a value must start with a digit
+// and fit in 64 bits.
 bool ParseUint64Value(const std::string& text, uint64_t* out) {
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0]))) {
+    return false;
+  }
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || errno == ERANGE) {
+    return false;
+  }
+  *out = static_cast<uint64_t>(value);
+  return true;
+}
+
+// Signed decimal within int's range.
+bool ParseIntValue(const std::string& text, int* out) {
   if (text.empty()) {
     return false;
   }
   char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
+  errno = 0;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || errno == ERANGE || value < INT_MIN ||
+      value > INT_MAX) {
     return false;
   }
-  *out = static_cast<uint64_t>(value);
+  *out = static_cast<int>(value);
   return true;
 }
 
@@ -33,6 +56,32 @@ bool ParseDoubleValue(const std::string& text, double* out) {
     return false;
   }
   *out = value;
+  return true;
+}
+
+// See FlagParser::AddDuration.
+bool ParseDurationValue(const std::string& text, int64_t unit_ns, bool whole_units,
+                        int64_t* out) {
+  double value = 0.0;
+  if (!ParseDoubleValue(text, &value)) {
+    return false;
+  }
+  // The cast below truncates toward zero and is defined only strictly
+  // between -2^63 and 2^63; NaN and the infinities fail this test too.
+  constexpr double kLimit = 9223372036854775808.0;
+  const double scaled = whole_units ? value : value * static_cast<double>(unit_ns);
+  if (!(scaled > -kLimit && scaled < kLimit)) {
+    return false;
+  }
+  const int64_t truncated = static_cast<int64_t>(scaled);
+  if (!whole_units) {
+    *out = truncated;
+    return true;
+  }
+  if (std::llabs(truncated) > INT64_MAX / unit_ns) {
+    return false;
+  }
+  *out = truncated * unit_ns;
   return true;
 }
 
@@ -61,14 +110,7 @@ void FlagParser::AddInt(const std::string& name, const std::string& help, int* o
   flag.value_hint = "N";
   flag.help = help;
   flag.takes_value = true;
-  flag.handler = [out](const std::string& value) {
-    uint64_t parsed = 0;
-    if (!ParseUint64Value(value, &parsed)) {
-      return false;
-    }
-    *out = static_cast<int>(parsed);
-    return true;
-  };
+  flag.handler = [out](const std::string& value) { return ParseIntValue(value, out); };
   Register(std::move(flag));
 }
 
@@ -89,6 +131,19 @@ void FlagParser::AddDouble(const std::string& name, const std::string& help, dou
   flag.help = help;
   flag.takes_value = true;
   flag.handler = [out](const std::string& value) { return ParseDoubleValue(value, out); };
+  Register(std::move(flag));
+}
+
+void FlagParser::AddDuration(const std::string& name, const std::string& help, int64_t unit_ns,
+                             bool whole_units, int64_t* out_ns) {
+  Flag flag;
+  flag.name = name;
+  flag.value_hint = "N";
+  flag.help = help;
+  flag.takes_value = true;
+  flag.handler = [unit_ns, whole_units, out_ns](const std::string& value) {
+    return ParseDurationValue(value, unit_ns, whole_units, out_ns);
+  };
   Register(std::move(flag));
 }
 

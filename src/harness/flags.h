@@ -22,9 +22,18 @@ namespace flashsim {
 class FlagParser {
  public:
   void AddBool(const std::string& name, const std::string& help, bool* out);
+  // Integer flags take a decimal that fits the type: AddInt's may carry a
+  // '-', AddUint64's may not.
   void AddInt(const std::string& name, const std::string& help, int* out);
   void AddUint64(const std::string& name, const std::string& help, uint64_t* out);
   void AddDouble(const std::string& name, const std::string& help, double* out);
+  // A time flag: a decimal count of `unit_ns` nanoseconds, stored in *out_ns
+  // as nanoseconds. With `whole_units` the value is truncated to whole
+  // units before scaling (--series-ms=1.5 is 1 ms), else the nanosecond
+  // product is truncated (--flash-read-us=0.0015 is 1 ns). A value that is
+  // not finite, or whose nanoseconds do not fit int64, is a bad value.
+  void AddDuration(const std::string& name, const std::string& help, int64_t unit_ns,
+                   bool whole_units, int64_t* out_ns);
   void AddString(const std::string& name, const std::string& help, std::string* out);
   // Escape hatch for flags with custom syntax (enums, policies). The
   // handler returns false to reject the value.

@@ -26,10 +26,6 @@ int ResolveJobs(int jobs) {
 
 ParallelRunner::ParallelRunner(int jobs) : jobs_(ResolveJobs(jobs)) {}
 
-std::vector<ExperimentResult> ParallelRunner::Run(const std::vector<SweepPoint>& points) const {
-  return Run(points, DefaultRun);
-}
-
 std::vector<ExperimentResult> ParallelRunner::Run(const Sweep& sweep) const {
   return Run(sweep.Expand(), DefaultRun);
 }

@@ -31,7 +31,6 @@ class ParallelRunner {
 
   // Runs every point; result i corresponds to points[i]. Blocks until all
   // points complete.
-  std::vector<ExperimentResult> Run(const std::vector<SweepPoint>& points) const;
   std::vector<ExperimentResult> Run(const std::vector<SweepPoint>& points,
                                     const RunFn& fn) const;
 

@@ -25,7 +25,6 @@ enum class OutputFormat {
 
 // Accepts "table"/"aligned", "csv", "json".
 std::optional<OutputFormat> ParseOutputFormat(const std::string& name);
-const char* OutputFormatName(OutputFormat format);
 
 // Renders the table in the requested format.
 void EmitTable(const Table& table, OutputFormat format, std::ostream& os);
@@ -35,10 +34,9 @@ void EmitTable(const Table& table, OutputFormat format, std::ostream& os);
 JsonValue TableToJson(const Table& table);
 
 // Full-fidelity Metrics snapshot: every counter exactly, latency recorders
-// with their complete accumulator state and sparse histogram buckets.
-// MetricsFromJson(MetricsToJson(m)) reproduces m (see harness_test).
+// with their complete accumulator state and sparse histogram buckets,
+// written once per run.
 JsonValue MetricsToJson(const Metrics& metrics);
-std::optional<Metrics> MetricsFromJson(const JsonValue& json);
 
 // Writes {"metrics": ..., "telemetry": ...} to `path` ("-" = stdout). The
 // telemetry key is present only when `telemetry` is non-null. Returns false

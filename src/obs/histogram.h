@@ -3,25 +3,22 @@
 //
 // Reuses LatencyHistogram's bucket geometry (8 linear sub-buckets per
 // octave, 512 buckets over the full int64 range) but keeps every
-// accumulator — count, sum, min, max, buckets — as an integer. That makes
-// Merge exactly associative and commutative: merging a set of histograms in
-// any order yields bit-identical state, which is what lets a --jobs=N sweep
-// aggregate per-run telemetry into byte-identical output (DESIGN.md §10).
+// accumulator — count, sum, min, max, buckets — as an integer, so its JSON
+// is a pure function of the recorded values (DESIGN.md §10).
 //
 // Staged recording (DESIGN.md §13): Record is one store into a fixed
 // staging array; values drain into the buckets at capacity or whenever any
-// reader needs the state (count/min/max/quantiles/serialize/merge all flush
-// first). Every accumulator is order-independent, so the observable state
-// at every read point is exactly what adding each value as it came would
-// have produced — staging moves the arithmetic off the hot path, it never
-// changes the answer (tests/telemetry_test.cc checks it against that
-// longhand).
+// reader needs the state (count, sum, min, max, mean, the quantiles,
+// buckets() and ToJson all flush first). Every accumulator is
+// order-independent, so the observable state at every read point is
+// exactly what adding each value as it came would have produced — staging
+// moves the arithmetic off the hot path, it never changes the answer
+// (tests/telemetry_test.cc checks it against that longhand).
 #ifndef FLASHSIM_SRC_OBS_HISTOGRAM_H_
 #define FLASHSIM_SRC_OBS_HISTOGRAM_H_
 
 #include <array>
 #include <cstdint>
-#include <string>
 
 #include "src/util/json.h"
 #include "src/util/stats.h"
@@ -67,9 +64,6 @@ class Histogram {
     staged_count_ = 0;
   }
 
-  // Exact integer merge: commutative and associative.
-  void Merge(const Histogram& other);
-
   uint64_t count() const {
     Flush();
     return buckets_.count();
@@ -98,11 +92,6 @@ class Histogram {
     Flush();
     return buckets_;
   }
-
-  // Canonical text form: "count sum min max i:c,i:c,..." with sparse
-  // buckets in index order. Two histograms with equal state serialize to
-  // the same bytes — the determinism tests' comparison surface.
-  std::string Serialize() const;
 
   // {"count":..,"sum_ns":..,"min_ns":..,"max_ns":..,"mean_us":..,
   //  "p50_us":..,"p90_us":..,"p99_us":..,"p999_us":..,"buckets":[[i,c],..]}

@@ -23,42 +23,6 @@ DeviceProbe* Telemetry::RegisterProbe(std::string histogram_name, int pid,
   return &probes_.back();
 }
 
-const Histogram* Telemetry::FindHistogram(const std::string& name) const {
-  for (const auto& [key, histogram] : histograms_) {
-    if (key == name) {
-      return &histogram;
-    }
-  }
-  return nullptr;
-}
-
-void Telemetry::MergeFrom(const Telemetry& other) {
-  for (const auto& [name, histogram] : other.histograms_) {
-    bool merged = false;
-    for (auto& [key, mine] : histograms_) {
-      if (key == name) {
-        mine.Merge(histogram);
-        merged = true;
-        break;
-      }
-    }
-    if (!merged) {
-      histograms_.emplace_back(name, histogram);
-    }
-  }
-}
-
-std::string Telemetry::SerializeHistograms() const {
-  std::string out;
-  for (const auto& [name, histogram] : histograms_) {
-    out += name;
-    out += ": ";
-    out += histogram.Serialize();
-    out += '\n';
-  }
-  return out;
-}
-
 void Telemetry::RecordSample(const Sample& sample) {
   FLASHSIM_CHECK(sampler_ != nullptr);
   sampler_->Add(sample);

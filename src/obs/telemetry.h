@@ -11,14 +11,13 @@
 //  - device probes: one histogram + optional trace lane group per service
 //    point (RAM access, flash read/write, network directions, filer
 //    read/write), handed to the device as a raw pointer;
-//  - the scoped-span trace writer (Chrome trace_event export);
+//  - the span trace writer (Chrome trace_event export);
 //  - the periodic sampler (sim-time stride snapshots).
 //
 // Determinism contract (DESIGN.md §10): everything recorded is a pure
 // function of the simulated run — no wall-clock, no addresses, no
-// iteration over unordered containers — and Histogram merge is exact
-// integer arithmetic, so per-run telemetry merged in sweep order is
-// byte-identical between --jobs=1 and --jobs=N.
+// iteration over unordered containers — so each run's StatsJson is
+// byte-identical whichever worker ran it, under --jobs=1 or --jobs=N.
 #ifndef FLASHSIM_SRC_OBS_TELEMETRY_H_
 #define FLASHSIM_SRC_OBS_TELEMETRY_H_
 
@@ -95,8 +94,6 @@ class Telemetry {
   DeviceProbe* RegisterProbe(std::string histogram_name, int pid, std::string track_name,
                              int max_lanes);
 
-  const Histogram* FindHistogram(const std::string& name) const;
-
   // Null when the corresponding config knob is off.
   TraceWriter* trace() { return trace_.get(); }
   const TraceWriter* trace() const { return trace_.get(); }
@@ -107,15 +104,6 @@ class Telemetry {
   // the trace as Chrome counter tracks (occupancies raw, hit rates as
   // per-window percentages). Requires the sampler to be armed.
   void RecordSample(const Sample& sample);
-
-  // Merges another run's histograms into this one, matched by name;
-  // histograms only `other` has are appended in its registration order.
-  // Exact integer merge — the sweep-aggregation primitive.
-  void MergeFrom(const Telemetry& other);
-
-  // Canonical text form of every histogram, one "name: state" line in
-  // registration order (the determinism tests' byte-comparison surface).
-  std::string SerializeHistograms() const;
 
   // {"histograms":{name:{...}},"samples":[...],"sample_stride_ms":..,
   //  "spans":{"recorded":..,"dropped":..}} — sampler/spans keys only when

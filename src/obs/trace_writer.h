@@ -1,4 +1,4 @@
-// Scoped-span tracer: records (start, end) spans on named tracks and
+// Span tracer: records (start, end) spans on named tracks and
 // exports Chrome trace_event JSON loadable in chrome://tracing / Perfetto.
 //
 // Tracks mirror the simulator's structure: one process (pid) per host plus
@@ -100,32 +100,6 @@ class TraceWriter {
   uint64_t max_spans_;
   uint64_t group_span_count_ = 0;  // across all groups
   uint64_t spans_dropped_ = 0;
-};
-
-// RAII helper for code that learns a span's completion time mid-scope: the
-// span is emitted at destruction with the last end set (or as a zero-width
-// instant if none was). A null writer makes the whole object a no-op, so
-// call sites need no telemetry-off branches.
-class ScopedSpan {
- public:
-  ScopedSpan(TraceWriter* writer, int track, int name, SimTime start)
-      : writer_(writer), track_(track), name_(name), start_(start), end_(start) {}
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  ~ScopedSpan() {
-    if (writer_ != nullptr) {
-      writer_->AddSpan(track_, name_, start_, end_);
-    }
-  }
-
-  void set_end(SimTime end) { end_ = end; }
-
- private:
-  TraceWriter* writer_;
-  int track_;
-  int name_;
-  SimTime start_;
-  SimTime end_;
 };
 
 }  // namespace obs

@@ -82,17 +82,6 @@ SimTime Resource::Acquire(SimTime now, SimDuration service) {
   return end;
 }
 
-SimTime Resource::PeekCompletion(SimTime now, SimDuration service) const {
-  return FindGap(now, service) + service;
-}
-
-void Resource::Reset() {
-  intervals_.clear();
-  busy_time_ = 0;
-  wait_time_ = 0;
-  requests_ = 0;
-}
-
 MultiResource::MultiResource(std::string name, int servers) : name_(std::move(name)) {
   FLASHSIM_CHECK(servers >= 1);
   free_times_.assign(static_cast<size_t>(servers), 0);
@@ -115,15 +104,6 @@ SimTime MultiResource::Acquire(SimTime now, SimDuration service) {
   }
   ++requests_;
   return start + service;
-}
-
-void MultiResource::Reset() {
-  std::fill(free_times_.begin(), free_times_.end(), 0);
-  busy_time_ = 0;
-  wait_time_ = 0;
-  requests_ = 0;
-  queued_requests_ = 0;
-  max_wait_ = 0;
 }
 
 }  // namespace flashsim

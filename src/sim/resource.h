@@ -41,17 +41,11 @@ class Resource {
   // free for that long; returns the completion time.
   SimTime Acquire(SimTime now, SimDuration service);
 
-  // Completion time if a request arrived now, without booking.
-  SimTime PeekCompletion(SimTime now, SimDuration service) const;
-
   SimDuration busy_time() const { return busy_time_; }
   SimDuration wait_time() const { return wait_time_; }
   uint64_t requests() const { return requests_; }
   size_t booked_intervals() const { return intervals_.size(); }
   const std::string& name() const { return name_; }
-
-  void set_clock(const SimClock* clock) { clock_ = clock; }
-  void Reset();
 
  private:
   struct Interval {
@@ -59,8 +53,7 @@ class Resource {
     SimTime end;
   };
 
-  // Start of the first gap >= now that fits `service`; prunes dead
-  // intervals as a side effect when const_cast-free (Acquire only).
+  // Start of the first gap >= now that fits `service`.
   SimTime FindGap(SimTime now, SimDuration service) const;
   void Prune();
 
@@ -95,8 +88,6 @@ class MultiResource {
   SimDuration max_wait() const { return max_wait_; }
   int servers() const { return static_cast<int>(free_times_.size()); }
   const std::string& name() const { return name_; }
-
-  void Reset();
 
  private:
   std::string name_;

@@ -53,8 +53,6 @@ class SyntheticTraceSource : public TraceSource {
 
   const SyntheticTraceSpec& spec() const { return spec_; }
   uint64_t working_set_blocks() const { return ws_blocks_; }
-  uint64_t total_blocks_target() const { return total_blocks_target_; }
-  uint64_t warmup_blocks_target() const { return warmup_blocks_target_; }
   const WorkingSet& working_set(uint16_t host) const {
     return *working_sets_[spec_.shared_working_set ? 0 : host];
   }

@@ -164,15 +164,6 @@ class FlatHashMap {
     return true;
   }
 
-  void Clear() {
-    for (Slot& s : slots_) {
-      s = Slot{};
-    }
-    has_empty_key_ = false;
-    empty_key_value_ = V();
-    size_ = 0;
-  }
-
   // Calls fn(key, value&) for every live entry in unspecified order.
   template <typename Fn>
   void ForEach(Fn&& fn) {

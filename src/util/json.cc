@@ -10,11 +10,6 @@
 
 namespace flashsim {
 
-bool JsonValue::AsBool() const {
-  FLASHSIM_CHECK(type_ == Type::kBool);
-  return bool_;
-}
-
 int64_t JsonValue::AsInt() const {
   FLASHSIM_CHECK(type_ == Type::kInt);
   return int_;
@@ -71,11 +66,6 @@ const JsonValue* JsonValue::Get(const std::string& key) const {
     }
   }
   return nullptr;
-}
-
-const std::vector<std::pair<std::string, JsonValue>>& JsonValue::members() const {
-  FLASHSIM_CHECK(type_ == Type::kObject);
-  return object_;
 }
 
 namespace {

@@ -1,7 +1,7 @@
 // Minimal JSON value: enough to emit machine-readable sweep results and
-// round-trip Metrics snapshots. Objects preserve insertion order so emitted
-// documents are deterministic; numbers are stored as int64 or double and
-// printed so they parse back bit-identically.
+// Metrics snapshots, and to read a bench baseline back. Objects preserve
+// insertion order so emitted documents are deterministic; numbers are
+// stored as int64 or double and printed so they parse back bit-identically.
 #ifndef FLASHSIM_SRC_UTIL_JSON_H_
 #define FLASHSIM_SRC_UTIL_JSON_H_
 
@@ -39,10 +39,7 @@ class JsonValue {
   }
 
   Type type() const { return type_; }
-  bool is_null() const { return type_ == Type::kNull; }
-  bool is_number() const { return type_ == Type::kInt || type_ == Type::kDouble; }
 
-  bool AsBool() const;
   int64_t AsInt() const;
   uint64_t AsUint() const { return static_cast<uint64_t>(AsInt()); }
   double AsDouble() const;  // ints convert
@@ -57,7 +54,6 @@ class JsonValue {
   // nullptr when absent.
   void Set(const std::string& key, JsonValue value);
   const JsonValue* Get(const std::string& key) const;
-  const std::vector<std::pair<std::string, JsonValue>>& members() const;
 
   // Serializes. indent < 0 yields one line; otherwise pretty-prints with
   // the given indent width.

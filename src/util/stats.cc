@@ -27,43 +27,7 @@ void StreamingStats::Add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void StreamingStats::Merge(const StreamingStats& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const double delta = other.mean_ - mean_;
-  const double n1 = static_cast<double>(count_);
-  const double n2 = static_cast<double>(other.count_);
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  if (other.min_ < min_) {
-    min_ = other.min_;
-  }
-  if (other.max_ > max_) {
-    max_ = other.max_;
-  }
-}
-
 void StreamingStats::Reset() { *this = StreamingStats(); }
-
-StreamingStats StreamingStats::FromState(uint64_t count, double mean, double m2, double min,
-                                         double max, double sum) {
-  StreamingStats stats;
-  stats.count_ = count;
-  stats.mean_ = mean;
-  stats.m2_ = m2;
-  stats.min_ = min;
-  stats.max_ = max;
-  stats.sum_ = sum;
-  return stats;
-}
 
 double StreamingStats::variance() const {
   return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
@@ -86,28 +50,6 @@ int64_t LatencyHistogram::BucketMidpoint(int index) {
 void LatencyHistogram::Add(int64_t value_ns) {
   ++buckets_[static_cast<size_t>(BucketIndex(value_ns))];
   ++count_;
-}
-
-void LatencyHistogram::Merge(const LatencyHistogram& other) {
-  for (size_t i = 0; i < buckets_.size(); ++i) {
-    buckets_[i] += other.buckets_[i];
-  }
-  count_ += other.count_;
-}
-
-void LatencyHistogram::Reset() {
-  buckets_.fill(0);
-  count_ = 0;
-}
-
-LatencyHistogram LatencyHistogram::FromBuckets(
-    const std::array<uint64_t, kNumBuckets>& buckets) {
-  LatencyHistogram histogram;
-  histogram.buckets_ = buckets;
-  for (uint64_t b : buckets) {
-    histogram.count_ += b;
-  }
-  return histogram;
 }
 
 int64_t LatencyHistogram::Quantile(double q) const {

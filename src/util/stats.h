@@ -18,7 +18,6 @@ namespace flashsim {
 class StreamingStats {
  public:
   void Add(double x);
-  void Merge(const StreamingStats& other);
   void Reset();
 
   uint64_t count() const { return count_; }
@@ -29,14 +28,11 @@ class StreamingStats {
   double max() const { return count_ == 0 ? 0.0 : max_; }
   double sum() const { return sum_; }
 
-  // Serialization support (harness JSON sink): raw accumulator state, and
-  // reconstruction from a previously-read state. raw_m2/raw_min/raw_max
-  // return the stored values without the count==0 masking above.
+  // Raw accumulator state for the harness JSON sink: the stored values
+  // without the count==0 masking above.
   double raw_m2() const { return m2_; }
   double raw_min() const { return min_; }
   double raw_max() const { return max_; }
-  static StreamingStats FromState(uint64_t count, double mean, double m2, double min,
-                                  double max, double sum);
 
  private:
   uint64_t count_ = 0;
@@ -90,8 +86,6 @@ class LatencyHistogram {
     count_ += n;
     return stats;
   }
-  void Merge(const LatencyHistogram& other);
-  void Reset();
 
   uint64_t count() const { return count_; }
   // Approximate quantile (q in [0,1]); returns a representative value from
@@ -100,9 +94,8 @@ class LatencyHistogram {
   int64_t p50() const { return Quantile(0.50); }
   int64_t p99() const { return Quantile(0.99); }
 
-  // Serialization support: direct bucket access and reconstruction.
+  // Direct bucket access for serialization.
   const std::array<uint64_t, kNumBuckets>& buckets() const { return buckets_; }
-  static LatencyHistogram FromBuckets(const std::array<uint64_t, kNumBuckets>& buckets);
 
  private:
   static int BucketIndex(int64_t value) {
@@ -131,14 +124,6 @@ class LatencyRecorder {
     stats_.Add(static_cast<double>(latency_ns));
     histogram_.Add(latency_ns);
   }
-  void Merge(const LatencyRecorder& other) {
-    stats_.Merge(other.stats_);
-    histogram_.Merge(other.histogram_);
-  }
-  void Reset() {
-    stats_.Reset();
-    histogram_.Reset();
-  }
 
   uint64_t count() const { return stats_.count(); }
   double mean_ns() const { return stats_.mean(); }
@@ -149,13 +134,6 @@ class LatencyRecorder {
   int64_t quantile_ns(double q) const { return histogram_.Quantile(q); }
   const StreamingStats& stats() const { return stats_; }
   const LatencyHistogram& histogram() const { return histogram_; }
-  static LatencyRecorder FromState(const StreamingStats& stats,
-                                   const LatencyHistogram& histogram) {
-    LatencyRecorder recorder;
-    recorder.stats_ = stats;
-    recorder.histogram_ = histogram;
-    return recorder;
-  }
 
   // "count=… mean=…us p50=…us p99=…us" for logs and reports.
   std::string Summary() const;

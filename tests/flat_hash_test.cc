@@ -186,13 +186,6 @@ TEST(FlatHashMap, AllOnesKeyIsAnOrdinaryKey) {
   // operator[] default-constructs it afresh after the erase.
   EXPECT_EQ(map[kAllOnes], 0u);
   EXPECT_EQ(map.size(), 2u);
-  map.Clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(kAllOnes), nullptr);
-  EXPECT_EQ(map.Find(1), nullptr);
-  visits = 0;
-  map.ForEach([&](uint64_t, uint64_t&) { ++visits; });
-  EXPECT_EQ(visits, 0u);
 }
 
 // Block 0 of file 0 is the empty-slot marker's key: the map keeps it out
@@ -235,10 +228,6 @@ TEST(FlatHashMap, ZeroKeyIsKeptOutOfBand) {
   // operator[] default-constructs it afresh after the erase.
   EXPECT_EQ(map[0], 0u);
   EXPECT_EQ(map.size(), 2u);
-  map.Clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(0), nullptr);
-  EXPECT_EQ(map.Find(1), nullptr);
   EXPECT_EQ(map.capacity(), capacity);
 }
 
@@ -364,17 +353,6 @@ TEST(FlatHashMap, ForEachVisitsEveryEntryOnce) {
   });
   EXPECT_EQ(visits, 100);
   EXPECT_EQ(sum, (100 + 199) * 100 / 2);
-}
-
-TEST(FlatHashMap, ClearEmpties) {
-  FlatHashMap<int> map;
-  map.Insert(1, 1);
-  map.Insert(2, 2);
-  map.Clear();
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(1), nullptr);
-  map.Insert(3, 3);
-  EXPECT_EQ(map.size(), 1u);
 }
 
 TEST(FlatHashMap, ReserveDoesNotLoseEntries) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "src/core/experiment.h"
+#include "src/util/units.h"
 
 namespace flashsim {
 namespace {
@@ -126,60 +129,6 @@ TEST(ParallelRunner, MoreJobsThanPointsIsFine) {
 }
 
 // --- JSON sink -----------------------------------------------------------
-
-TEST(Sinks, MetricsRoundTripThroughJson) {
-  // A real run populates every interesting field: latency recorders with
-  // non-trivial histograms, per-level read counters, stack totals.
-  ExperimentParams params = SmallParams();
-  params.timing.use_ftl = true;  // exercise the FTL fields too
-  const Metrics metrics = RunExperiment(params).metrics;
-  ASSERT_GT(metrics.measured_read_blocks, 0u);
-
-  const JsonValue snapshot = MetricsToJson(metrics);
-  const std::string text = snapshot.Dump(2);
-
-  // Parse the serialized text back (exercising the parser, not just the
-  // in-memory value) and restore.
-  const std::optional<JsonValue> reparsed = JsonValue::Parse(text);
-  ASSERT_TRUE(reparsed.has_value());
-  const std::optional<Metrics> restored = MetricsFromJson(*reparsed);
-  ASSERT_TRUE(restored.has_value());
-
-  // The restored struct re-serializes bit-identically...
-  EXPECT_EQ(MetricsToJson(*restored).Dump(2), text);
-  // ...and the derived quantities agree exactly.
-  EXPECT_EQ(restored->measured_read_blocks, metrics.measured_read_blocks);
-  EXPECT_EQ(restored->stack_totals.filer_writebacks, metrics.stack_totals.filer_writebacks);
-  EXPECT_DOUBLE_EQ(restored->mean_read_us(), metrics.mean_read_us());
-  EXPECT_EQ(restored->read_latency.p50_ns(), metrics.read_latency.p50_ns());
-  EXPECT_EQ(restored->ftl_enabled, metrics.ftl_enabled);
-  EXPECT_DOUBLE_EQ(restored->ftl_write_amplification, metrics.ftl_write_amplification);
-}
-
-TEST(Sinks, ShardedMetricsRoundTripThroughJson) {
-  // A sharded run additionally populates the per-shard filer snapshots and
-  // the stack totals' shard routing vectors; all of it must survive the
-  // serialize -> parse -> restore cycle bit-identically.
-  ExperimentParams params = SmallParams();
-  params.num_filers = 4;
-  const Metrics metrics = RunExperiment(params).metrics;
-  ASSERT_EQ(metrics.filer_shards.size(), 4u);
-  ASSERT_EQ(metrics.stack_totals.shard_reads.size(), 4u);
-
-  const std::string text = MetricsToJson(metrics).Dump(2);
-  const std::optional<JsonValue> reparsed = JsonValue::Parse(text);
-  ASSERT_TRUE(reparsed.has_value());
-  const std::optional<Metrics> restored = MetricsFromJson(*reparsed);
-  ASSERT_TRUE(restored.has_value());
-
-  EXPECT_EQ(MetricsToJson(*restored).Dump(2), text);
-  ASSERT_EQ(restored->filer_shards.size(), metrics.filer_shards.size());
-  for (size_t s = 0; s < metrics.filer_shards.size(); ++s) {
-    EXPECT_EQ(restored->filer_shards[s], metrics.filer_shards[s]) << s;
-  }
-  EXPECT_EQ(restored->stack_totals.shard_reads, metrics.stack_totals.shard_reads);
-  EXPECT_EQ(restored->stack_totals.shard_writes, metrics.stack_totals.shard_writes);
-}
 
 TEST(Sinks, TableToJsonTypesCells) {
   Table table({"name", "count", "ratio"});
@@ -315,6 +264,92 @@ TEST(FlagParser, MalformedValueFailsParse) {
     std::vector<char*> argv = Argv(args);
     EXPECT_FALSE(parser.Parse(static_cast<int>(argv.size()), argv.data()));
   }
+}
+
+// Parses one "--name=value" argument.
+bool ParseOne(FlagParser& parser, std::string arg) {
+  std::vector<std::string> args = {"bench", std::move(arg)};
+  std::vector<char*> argv = Argv(args);
+  return parser.Parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagParser, IntTakesSignedValuesOnlyWithinIntRange) {
+  int hosts = 1;
+  FlagParser parser;
+  parser.AddInt("hosts", "hosts", &hosts);
+  EXPECT_TRUE(ParseOne(parser, "--hosts=-1"));  // left for Violations() to refuse
+  EXPECT_EQ(hosts, -1);
+  EXPECT_TRUE(ParseOne(parser, "--hosts=2147483647"));
+  EXPECT_EQ(hosts, INT_MAX);
+  EXPECT_TRUE(ParseOne(parser, "--hosts=-2147483648"));
+  EXPECT_EQ(hosts, INT_MIN);
+  hosts = 7;
+  // Parsed wide and cast to int, 2^32 + 2 would wrap to 2.
+  for (const char* arg : {"--hosts=4294967298", "--hosts=2147483648", "--hosts=-2147483649",
+                          "--hosts=99999999999999999999"}) {
+    EXPECT_FALSE(ParseOne(parser, arg)) << arg;
+  }
+  EXPECT_EQ(hosts, 7);
+}
+
+TEST(FlagParser, Uint64RejectsASign) {
+  uint64_t scale = 128;
+  FlagParser parser;
+  parser.AddUint64("scale", "divisor", &scale);
+  // strtoull alone reads "-1" as 2^64 - 1.
+  for (const char* arg : {"--scale=-1", "--scale=-0", "--scale=+5"}) {
+    EXPECT_FALSE(ParseOne(parser, arg)) << arg;
+  }
+  EXPECT_EQ(scale, 128u);
+}
+
+TEST(FlagParser, Uint64RejectsOutOfRangeValues) {
+  uint64_t seed = 1;
+  FlagParser parser;
+  parser.AddUint64("seed", "seed", &seed);
+  EXPECT_TRUE(ParseOne(parser, "--seed=18446744073709551615"));
+  EXPECT_EQ(seed, UINT64_MAX);
+  seed = 1;
+  // strtoull alone saturates these to 2^64 - 1.
+  EXPECT_FALSE(ParseOne(parser, "--seed=18446744073709551616"));
+  EXPECT_FALSE(ParseOne(parser, "--seed=99999999999999999999999"));
+  EXPECT_EQ(seed, 1u);
+}
+
+TEST(FlagParser, DurationRefusesNonFiniteAndOutOfRangeValues) {
+  int64_t read_ns = 5;
+  int64_t stride_ns = 5;
+  FlagParser parser;
+  parser.AddDuration("flash-read-us", "us", kMicrosecond, /*whole_units=*/false, &read_ns);
+  parser.AddDuration("sample_stride", "ms", kMillisecond, /*whole_units=*/true, &stride_ns);
+  for (const char* arg : {"--flash-read-us=1e20", "--flash-read-us=-1e20", "--flash-read-us=inf",
+                          "--flash-read-us=nan", "--sample_stride=1e13",
+                          "--sample_stride=-1e13", "--sample_stride=9223372036855",
+                          "--sample_stride=inf"}) {
+    EXPECT_FALSE(ParseOne(parser, arg)) << arg;
+  }
+  EXPECT_EQ(read_ns, 5);
+  EXPECT_EQ(stride_ns, 5);
+}
+
+TEST(FlagParser, DurationTruncatesInRangeValues) {
+  int64_t read_ns = 0;
+  int64_t stride_ns = 0;
+  FlagParser parser;
+  parser.AddDuration("flash-read-us", "us", kMicrosecond, /*whole_units=*/false, &read_ns);
+  parser.AddDuration("sample_stride", "ms", kMillisecond, /*whole_units=*/true, &stride_ns);
+  // Microsecond flags truncate the nanosecond product...
+  EXPECT_TRUE(ParseOne(parser, "--flash-read-us=25.0009"));
+  EXPECT_EQ(read_ns, 25000);
+  EXPECT_TRUE(ParseOne(parser, "--flash-read-us=0.0015"));
+  EXPECT_EQ(read_ns, 1);
+  EXPECT_TRUE(ParseOne(parser, "--flash-read-us=-1"));  // left for Violations() to refuse
+  EXPECT_EQ(read_ns, -1000);
+  // ...millisecond flags truncate to whole milliseconds first.
+  EXPECT_TRUE(ParseOne(parser, "--sample_stride=1.9"));
+  EXPECT_EQ(stride_ns, kMillisecond);
+  EXPECT_TRUE(ParseOne(parser, "--sample_stride=9223372036854"));
+  EXPECT_EQ(stride_ns, 9223372036854 * kMillisecond);
 }
 
 TEST(FlagParser, CustomHandlerRejectionFailsParse) {

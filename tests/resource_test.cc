@@ -67,14 +67,6 @@ TEST(Resource, ZeroServiceIsFree) {
   EXPECT_EQ(r.requests(), 1u);
 }
 
-TEST(Resource, PeekDoesNotBook) {
-  Resource r("r");
-  EXPECT_EQ(r.PeekCompletion(0, 10), 10);
-  EXPECT_EQ(r.PeekCompletion(0, 10), 10);
-  EXPECT_EQ(r.Acquire(0, 10), 10);
-  EXPECT_EQ(r.PeekCompletion(0, 10), 20);
-}
-
 TEST(Resource, PruneDropsIntervalsBehindClock) {
   SimClock clock;
   Resource r("r", &clock);
@@ -85,15 +77,6 @@ TEST(Resource, PruneDropsIntervalsBehindClock) {
   clock.now = 100 * 100;
   r.Acquire(clock.now, 10);
   EXPECT_EQ(r.booked_intervals(), 1u);
-}
-
-TEST(Resource, ResetClearsEverything) {
-  Resource r("r");
-  r.Acquire(0, 100);
-  r.Reset();
-  EXPECT_EQ(r.busy_time(), 0);
-  EXPECT_EQ(r.requests(), 0u);
-  EXPECT_EQ(r.Acquire(0, 10), 10);
 }
 
 TEST(MultiResource, ParallelServersShareLoad) {
@@ -125,8 +108,6 @@ TEST(MultiResource, BusyTimeAccumulates) {
   r.Acquire(0, 20);
   EXPECT_EQ(r.busy_time(), 30);
   EXPECT_EQ(r.requests(), 2u);
-  r.Reset();
-  EXPECT_EQ(r.busy_time(), 0);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Telemetry subsystem tests (src/obs/): histogram bucket geometry and
-// quantile math, exact-integer merge (associative, commutative,
-// byte-identical in any order), the sweep determinism contract (serial vs
-// --jobs=4 aggregation produces the same bytes), the sampler's rate
-// derivation, and the stats JSON surface.
+// quantile math, staged recording against its longhand, the sweep
+// determinism contract (every point's stats JSON is the same bytes serial
+// and under --jobs=4), the sampler's rate derivation, and the stats JSON
+// surface.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +20,6 @@
 #include "src/obs/sampler.h"
 #include "src/obs/telemetry.h"
 #include "src/sim/sim_time.h"
-#include "src/util/rng.h"
 
 namespace flashsim {
 namespace {
@@ -117,81 +116,6 @@ TEST(TelemetryHistogram, QuantilesWithinLogBucketError) {
   EXPECT_NEAR(static_cast<double>(h.p999()), 1000000.0, 1000000.0 * 0.13);
 }
 
-// --- Histogram: merge determinism ------------------------------------------
-
-obs::Histogram RandomHistogram(uint64_t seed, int samples) {
-  obs::Histogram h;
-  Rng rng(seed);
-  for (int i = 0; i < samples; ++i) {
-    h.Record(static_cast<int64_t>(rng.NextBounded(10000000)));
-  }
-  return h;
-}
-
-TEST(TelemetryHistogram, MergeIsCommutative) {
-  const obs::Histogram a = RandomHistogram(1, 500);
-  const obs::Histogram b = RandomHistogram(2, 300);
-  obs::Histogram ab = a;
-  ab.Merge(b);
-  obs::Histogram ba = b;
-  ba.Merge(a);
-  EXPECT_EQ(ab.Serialize(), ba.Serialize());
-}
-
-TEST(TelemetryHistogram, MergeIsAssociative) {
-  const obs::Histogram a = RandomHistogram(3, 400);
-  const obs::Histogram b = RandomHistogram(4, 400);
-  const obs::Histogram c = RandomHistogram(5, 400);
-  obs::Histogram left = a;  // (a + b) + c
-  left.Merge(b);
-  left.Merge(c);
-  obs::Histogram bc = b;  // a + (b + c)
-  bc.Merge(c);
-  obs::Histogram right = a;
-  right.Merge(bc);
-  EXPECT_EQ(left.Serialize(), right.Serialize());
-}
-
-TEST(TelemetryHistogram, AnyMergeOrderYieldsIdenticalBytes) {
-  // Property test: merging the same set of histograms in 20 random orders
-  // always serializes to the same bytes — the guarantee that lets --jobs=N
-  // sweeps aggregate without caring which run finished first.
-  std::vector<obs::Histogram> parts;
-  for (uint64_t s = 0; s < 8; ++s) {
-    parts.push_back(RandomHistogram(100 + s, 200 + static_cast<int>(s) * 37));
-  }
-  obs::Histogram reference;
-  for (const auto& part : parts) {
-    reference.Merge(part);
-  }
-  const std::string expected = reference.Serialize();
-  std::mt19937 shuffler(42);
-  std::vector<size_t> order(parts.size());
-  for (size_t i = 0; i < order.size(); ++i) {
-    order[i] = i;
-  }
-  for (int trial = 0; trial < 20; ++trial) {
-    std::shuffle(order.begin(), order.end(), shuffler);
-    obs::Histogram merged;
-    for (const size_t i : order) {
-      merged.Merge(parts[i]);
-    }
-    EXPECT_EQ(merged.Serialize(), expected) << "trial " << trial;
-  }
-}
-
-TEST(TelemetryHistogram, MergeWithEmptySides) {
-  const obs::Histogram a = RandomHistogram(9, 100);
-  obs::Histogram empty_left;
-  empty_left.Merge(a);
-  EXPECT_EQ(empty_left.Serialize(), a.Serialize());
-  obs::Histogram copy = a;
-  copy.Merge(obs::Histogram());
-  EXPECT_EQ(copy.Serialize(), a.Serialize());
-}
-
-// --- Telemetry registry ----------------------------------------------------
-
 // --- Staged recording (DESIGN.md §13) --------------------------------------
 
 // The longhand a staged histogram must agree with: every value added to a
@@ -240,43 +164,6 @@ TEST(TelemetryHistogram, StagedRecordingMatchesLonghand) {
   ExpectMatchesLonghand(staged, longhand);
 }
 
-TEST(TelemetryHistogram, MergeDrainsStagedValues) {
-  // Staged values on either side are drained before merging; merging into
-  // an empty histogram adopts the other side's state.
-  obs::Histogram merged;
-  obs::Histogram source;
-  source.Record(10);
-  source.Record(20);
-  merged.Merge(source);
-  EXPECT_EQ(merged.count(), 2u);
-
-  obs::Histogram staged;
-  staged.Record(30);  // still staged when the merge happens
-  merged.Record(5);   // and one staged on the receiving side
-  merged.Merge(staged);
-  LonghandHistogram want;
-  for (const int64_t v : {10, 20, 5, 30}) {
-    want.Add(v);
-  }
-  ExpectMatchesLonghand(merged, want);
-}
-
-TEST(Telemetry, MergeFromMatchesByNameAndAppendsUnknown) {
-  obs::TelemetryConfig config;
-  config.histograms = true;
-  obs::Telemetry a(config);
-  obs::Telemetry b(config);
-  a.RegisterHistogram("shared")->Record(100);
-  b.RegisterHistogram("shared")->Record(200);
-  b.RegisterHistogram("only_b")->Record(300);
-  a.MergeFrom(b);
-  ASSERT_NE(a.FindHistogram("shared"), nullptr);
-  EXPECT_EQ(a.FindHistogram("shared")->count(), 2u);
-  EXPECT_EQ(a.FindHistogram("shared")->sum(), 300);
-  ASSERT_NE(a.FindHistogram("only_b"), nullptr);
-  EXPECT_EQ(a.FindHistogram("only_b")->count(), 1u);
-}
-
 // --- Sweep determinism: serial vs parallel aggregation ----------------------
 
 std::vector<Sweep::AxisValue> ArchitectureAxisValues() {
@@ -289,7 +176,7 @@ std::vector<Sweep::AxisValue> ArchitectureAxisValues() {
 }
 
 // Runs the same 6-point sweep with `jobs` workers, telemetry armed on every
-// point, and aggregates each run's histograms in sweep order.
+// point, and concatenates each run's stats JSON in sweep order.
 std::string SweepTelemetryBytes(int jobs) {
   ExperimentParams base;
   base.scale = 4096;
@@ -300,19 +187,17 @@ std::string SweepTelemetryBytes(int jobs) {
       "ws", std::vector<double>{5, 10},
       [](double ws) { return std::to_string(static_cast<int>(ws)); },
       [](ExperimentParams& p, double ws) { p.working_set_gib = ws; });
-  obs::TelemetryConfig config;
-  config.histograms = true;
-  obs::Telemetry merged(config);
+  std::string bytes;
   ParallelRunner runner(jobs);
   runner.RunOrdered(
       sweep.Expand(),
       [](const SweepPoint& point) { return RunExperiment(point.params); },
-      [&merged](const SweepPoint&, const ExperimentResult& result) {
-        if (result.telemetry != nullptr) {
-          merged.MergeFrom(*result.telemetry);
-        }
+      [&bytes](const SweepPoint&, const ExperimentResult& result) {
+        ASSERT_NE(result.telemetry, nullptr);
+        bytes += result.telemetry->StatsJson().Dump();
+        bytes += '\n';
       });
-  return merged.SerializeHistograms();
+  return bytes;
 }
 
 TEST(TelemetryDeterminism, SerialAndParallelSweepsProduceIdenticalHistograms) {
@@ -322,9 +207,9 @@ TEST(TelemetryDeterminism, SerialAndParallelSweepsProduceIdenticalHistograms) {
   EXPECT_EQ(serial, parallel);
   // And the bytes actually carry data: every registered service point plus
   // the per-host op histograms appear.
-  EXPECT_NE(serial.find("h0.op.read:"), std::string::npos);
-  EXPECT_NE(serial.find("h0.flash.read:"), std::string::npos);
-  EXPECT_NE(serial.find("filer.read:"), std::string::npos);
+  EXPECT_NE(serial.find("\"h0.op.read\":"), std::string::npos);
+  EXPECT_NE(serial.find("\"h0.flash.read\":"), std::string::npos);
+  EXPECT_NE(serial.find("\"filer.read\":"), std::string::npos);
 }
 
 TEST(TelemetryDeterminism, RepeatedRunsAreByteIdentical) {
