@@ -134,7 +134,7 @@ BenchRow BenchSimulation(Architecture arch, uint64_t ops,
 //                      sim_fastpath is the telemetry tax
 //   sim_fastpath_slru  fast path under the SLRU plugin — its gap to
 //                      sim_fastpath is the replacement-policy virtual
-//                      dispatch tax on the certified read path (LRU keeps a
+//                      dispatch tax on the serial read fast path (LRU keeps a
 //                      devirtualized inline branch; every other policy pays
 //                      one virtual OnHit per hit). --fastpath_gate fails
 //                      the run if that tax exceeds the given fraction.

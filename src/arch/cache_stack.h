@@ -44,28 +44,6 @@ enum class HitLevel : uint8_t {
 
 const char* HitLevelName(HitLevel level);
 
-// Certified-class verdict for one access (DESIGN.md §13). The serial fast
-// path inlines an access past the event heap only when executing it
-// touches host-local state alone and schedules nothing; ClassifyAccess
-// names which host-local branch of Read/Write the access would take, or
-// kUncertifiable when the access may touch shared state (filer, background
-// writer, directory residency callbacks) or charge an unpredictable path.
-enum class AccessVerdict : uint8_t {
-  kUncertifiable = 0,
-  // Read satisfied from RAM: touch + counter + RAM device charge only.
-  kPureRamHit = 1,
-  // Read satisfied from flash: touch + counter + flash device charge, plus
-  // (subset stacks) a RAM install that provably triggers no writeback and
-  // no residency callback.
-  kFlashHit = 2,
-  // Write that lands on a resident copy whose writeback policy marks dirty
-  // in place (no write-through): touch + device write + MarkDirty only.
-  // The engine additionally requires the consistency directory to show the
-  // issuing host as the block's sole holder before certifying (the stack
-  // cannot see cross-host state).
-  kPrivateWrite = 3,
-};
-
 // Receives block residency transitions for the consistency directory.
 class ResidencyListener {
  public:
@@ -142,30 +120,21 @@ class CacheStack {
   virtual SimTime Read(SimTime now, BlockKey key, HitLevel* level) = 0;
   virtual SimTime Write(SimTime now, BlockKey key) = 0;
 
-  // Classifies the access `op` on `key` right now into the certified-class
-  // verdict above, without mutating anything. The verdict must be exact: a
-  // non-kUncertifiable verdict is a promise that executing the access right
-  // now takes precisely the host-local branch the verdict names. Writes are
-  // classified per single block; the engine never certifies multi-block
-  // writes.
-  virtual AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const = 0;
-
-  // Fused fast-path read (DESIGN.md §13): certifies AND executes from at
-  // most one index probe per tier. If ClassifyAccess would report
-  // kPureRamHit or kFlashHit for a Read of `key` at `now`, performs exactly
-  // that branch of Read — touch, hit counter, device charge, and (subset
-  // stacks, flash hits) the certified silent RAM install — sets *level, and
+  // Serial fast-path read (DESIGN.md §13): a read is inlined past the event
+  // heap only when it is a hit that changes no residency. If Read of `key`
+  // at `now` would be such a hit — a RAM hit on the subset stacks, any hit
+  // on the unified chain (its blocks never migrate) — performs exactly
+  // Read's hit branch (touch, hit counter, device charge), sets *level and
   // returns the completion time; otherwise mutates nothing and returns
   // nullopt (the caller falls back to the full Read on the event path).
-  // Success is equivalent, state and time, to Read reporting *level.
   virtual std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key, HitLevel* level) = 0;
 
   // Multi-block sibling for RAM hits: if blocks [block, block + count) of
   // `file_id` are all RAM-resident, reads them in order exactly as Read
   // would (touch, ram_hits, RAM charge per block, each starting when the
   // previous completes) and returns the last completion; otherwise mutates
-  // nothing and returns nullopt. Each block is probed once: a pure RAM hit
-  // never changes residency, so the slots certified up front stay valid.
+  // nothing and returns nullopt. Each block is probed once: a RAM hit never
+  // changes residency, so the slots found up front stay valid.
   virtual std::optional<SimTime> TryReadRamHits(SimTime now, uint32_t file_id, uint64_t block,
                                                 uint32_t count) = 0;
 
@@ -235,7 +204,7 @@ class CacheStack {
   BackgroundWriter* writer_;
   ResidencyListener* listener_ = nullptr;
   StackCounters counters_;
-  // Reused by TryReadRamHits: the slots it certified before touching any.
+  // Reused by TryReadRamHits: the slots it found before touching any.
   std::vector<uint32_t> run_slots_;
 };
 

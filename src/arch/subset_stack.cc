@@ -24,76 +24,23 @@ bool SubsetStackBase::MayInstallInFlash(BlockKey key) {
   return false;
 }
 
-AccessVerdict SubsetStackBase::ClassifyAccess(TraceOp op, BlockKey key) const {
-  if (op == TraceOp::kWrite) {
-    // Certified branch of Write: a RAM-resident hit whose writeback policy
-    // marks dirty in place — Touch + ram write + MarkDirty, no
-    // write-through, no install, no residency callback.
-    if (!HasRam() || ram_.Lookup(key) == kInvalidSlot) {
-      return AccessVerdict::kUncertifiable;
-    }
-    if (config_.ram_policy == WritebackPolicy::kSync ||
-        config_.ram_policy == WritebackPolicy::kAsync) {
-      return AccessVerdict::kUncertifiable;
-    }
-    return AccessVerdict::kPrivateWrite;
-  }
-  if (HasRam() && ram_.Lookup(key) != kInvalidSlot) {
-    return AccessVerdict::kPureRamHit;
-  }
-  if (!HasFlash() || flash_.Lookup(key) == kInvalidSlot) {
-    return AccessVerdict::kUncertifiable;
-  }
-  // Flash hit. With no RAM tier the read is touch + flash charge only;
-  // otherwise the InstallInRam that follows must take its silent path.
-  return !HasRam() || RamInstallIsSilent() ? AccessVerdict::kFlashHit
-                                           : AccessVerdict::kUncertifiable;
-}
-
-bool SubsetStackBase::RamInstallIsSilent() const {
-  if (ram_.size() < ram_.capacity()) {
-    return true;  // free slot: install without eviction
-  }
-  const uint32_t victim = ram_.eviction_policy().PeekVictim();
-  if (victim == kInvalidSlot || ram_.dirty(victim)) {
-    return false;
-  }
-  // Without an admission filter the install never notifies; with one, it
-  // notifies only when it drops a RAM-only resident.
-  return !admission_.has_value() || flash_.Lookup(ram_.key_of(victim)) != kInvalidSlot;
-}
-
 SimTime SubsetStackBase::ReadRamHit(SimTime now, uint32_t slot) {
   ram_.Touch(slot);
   ++counters_.ram_hits;
   return ram_dev_->Read(now);
 }
 
-SimTime SubsetStackBase::ReadFlashHit(SimTime now, BlockKey key, uint32_t fslot) {
-  flash_.Touch(fslot);
-  ++counters_.flash_hits;
-  const SimTime t = flash_dev_->Read(now);
-  return HasRam() ? InstallInRam(t, key, nullptr) : t;
-}
-
 std::optional<SimTime> SubsetStackBase::TryReadFastPath(SimTime now, BlockKey key,
                                                         HitLevel* level) {
-  if (HasRam()) {
-    const uint32_t slot = ram_.Lookup(key);
-    if (slot != kInvalidSlot) {
-      *level = HitLevel::kRam;
-      return ReadRamHit(now, slot);
-    }
-  }
-  if (!HasFlash()) {
+  if (!HasRam()) {
     return std::nullopt;
   }
-  const uint32_t fslot = flash_.Lookup(key);
-  if (fslot == kInvalidSlot || (HasRam() && !RamInstallIsSilent())) {
+  const uint32_t slot = ram_.Lookup(key);
+  if (slot == kInvalidSlot) {
     return std::nullopt;
   }
-  *level = HitLevel::kFlash;
-  return ReadFlashHit(now, key, fslot);
+  *level = HitLevel::kRam;
+  return ReadRamHit(now, slot);
 }
 
 std::optional<SimTime> SubsetStackBase::TryReadRamHits(SimTime now, uint32_t file_id,
@@ -126,8 +73,11 @@ SimTime SubsetStackBase::Read(SimTime now, BlockKey key, HitLevel* level) {
   if (HasFlash()) {
     const uint32_t fslot = flash_.Lookup(key);
     if (fslot != kInvalidSlot) {
+      flash_.Touch(fslot);
+      ++counters_.flash_hits;
       *level = HitLevel::kFlash;
-      return ReadFlashHit(now, key, fslot);
+      const SimTime t = flash_dev_->Read(now);
+      return HasRam() ? InstallInRam(t, key, nullptr) : t;
     }
   }
   // Miss: fetch from the filer.

@@ -44,17 +44,10 @@ class SubsetStackBase : public CacheStack {
     const uint32_t flash_slot = flash_.Lookup(key);
     return flash_slot != kInvalidSlot && flash_.dirty(flash_slot);
   }
-  // Certified-class verdicts (DESIGN.md §13). A RAM-resident block reads
-  // via Touch + RamDevice::Read only (kPureRamHit). A flash-resident block
-  // reads via flash touch + flash charge + a RAM install; the install is
-  // certified only when it provably triggers no writeback (clean or absent
-  // victim) and no residency callback (victim flash-resident under an
-  // admission filter). A write certifies only on the Touch + ram write +
-  // MarkDirty branch.
-  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const override;
-  // One RAM probe, then on a miss one flash probe; the hit branches are
-  // Read's own (ReadRamHit / ReadFlashHit), so state and time match the
-  // event round trip exactly.
+  // The serial fast path inlines RAM hits only: one RAM probe, then Read's
+  // own RAM-hit branch (ReadRamHit), so state and time match the event
+  // round trip exactly. A flash hit installs the block in RAM, which may
+  // evict, write back or notify the directory, so it takes the event path.
   std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key, HitLevel* level) override;
   std::optional<SimTime> TryReadRamHits(SimTime now, uint32_t file_id, uint64_t block,
                                         uint32_t count) override;
@@ -95,17 +88,8 @@ class SubsetStackBase : public CacheStack {
   // otherwise the filter decides (and a veto is counted).
   bool MayInstallInFlash(BlockKey key);
 
-  // Read's hit branches: touch, hit counter, device charge; a flash hit
-  // then installs the block in RAM (when there is a RAM tier).
+  // Read's RAM-hit branch: touch, hit counter, RAM device charge.
   SimTime ReadRamHit(SimTime now, uint32_t slot);
-  SimTime ReadFlashHit(SimTime now, BlockKey key, uint32_t fslot);
-
-  // Whether InstallInRam right now would take its silent path: no dirty
-  // victim to write back and no residency callback (a free slot, or a clean
-  // victim that PeekVictim predicts exactly and, under an admission filter,
-  // that is also flash-resident). The install's own key must be
-  // flash-resident. Requires HasRam().
-  bool RamInstallIsSilent() const;
 
   // Ensures `key` occupies a flash slot (allocating, evicting the flash LRU
   // block if full). Evicted dirty data — or an evicted block whose RAM copy

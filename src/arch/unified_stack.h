@@ -37,30 +37,10 @@ class UnifiedStack : public CacheStack {
     const uint32_t slot = cache_.Lookup(key);
     return slot != kInvalidSlot && cache_.dirty(slot);
   }
-  // Certified-class verdicts (DESIGN.md §13). Any resident hit is
-  // host-local on the unified chain — blocks never migrate, so a hit is
-  // Touch + counter + the landing medium's device charge, with no install,
-  // eviction, or residency callback. Writes certify on the resident +
-  // MarkDirty-policy branch for either medium (a flash-medium write charges
-  // only the host's own flash timeline).
-  AccessVerdict ClassifyAccess(TraceOp op, BlockKey key) const override {
-    const uint32_t slot = cache_.Lookup(key);
-    if (slot == kInvalidSlot) {
-      return AccessVerdict::kUncertifiable;
-    }
-    if (op == TraceOp::kWrite) {
-      const WritebackPolicy policy = PolicyFor(cache_.medium_of(slot));
-      if (policy == WritebackPolicy::kSync || policy == WritebackPolicy::kAsync) {
-        return AccessVerdict::kUncertifiable;
-      }
-      return AccessVerdict::kPrivateWrite;
-    }
-    return cache_.medium_of(slot) == Medium::kRam ? AccessVerdict::kPureRamHit
-                                                  : AccessVerdict::kFlashHit;
-  }
-  // One probe that certifies and executes: every resident hit is Read's
-  // hit branch — Touch, the medium's hit counter and device charge — which
-  // Read itself runs through this function.
+  // The serial fast path inlines every resident hit: blocks never migrate
+  // on the unified chain, so a hit is Touch + the medium's hit counter and
+  // device charge, with no install, eviction or residency callback. Read
+  // runs its own hit branch through this one probe.
   std::optional<SimTime> TryReadFastPath(SimTime now, BlockKey key, HitLevel* level) override {
     const uint32_t slot = cache_.Lookup(key);
     if (slot == kInvalidSlot) {

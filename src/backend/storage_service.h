@@ -23,22 +23,16 @@ class StorageService {
   // Sets *was_fast (may be null) to whether the filer's read-ahead hit.
   SimTime Read(SimTime now, BlockKey key, bool* was_fast) {
     const SimTime at_filer = link_->SendToFiler(now, /*carries_data=*/false);
-    const SimTime served = shards_[ShardOf(key)].Read(at_filer, was_fast);
+    const SimTime served = shards_[router_->ShardOf(key)].Read(at_filer, was_fast);
     return link_->SendToHost(served, /*carries_data=*/true);
   }
 
   // Writes one block: data packet out, filer write, small ack back.
   SimTime Write(SimTime now, BlockKey key) {
     const SimTime at_filer = link_->SendToFiler(now, /*carries_data=*/true);
-    const SimTime served = shards_[ShardOf(key)].Write(at_filer);
+    const SimTime served = shards_[router_->ShardOf(key)].Write(at_filer);
     return link_->SendToHost(served, /*carries_data=*/false);
   }
-
-  // Routing introspection. ShardOf is stable for the channel's lifetime
-  // (the consistency of every per-shard counter depends on it) and returns
-  // 0 for every key when num_shards() == 1.
-  int num_shards() const { return router_->num_shards(); }
-  int ShardOf(BlockKey key) const { return router_->ShardOf(key); }
 
  private:
   friend class StorageBackend;  // the only way to build one is Connect
@@ -47,7 +41,7 @@ class StorageService {
       : link_(&link), shards_(shards), router_(&router) {}
 
   NetworkLink* link_;
-  Filer* shards_;  // the backend's shard array, indexed by ShardOf
+  Filer* shards_;  // the backend's shard array, indexed by the router's ShardOf
   const ShardRouter* router_;
 };
 

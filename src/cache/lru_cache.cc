@@ -160,7 +160,7 @@ void LruBlockCache::DirtyPushBack(uint32_t slot) {
 void LruBlockCache::Touch(uint32_t slot) {
   FLASHSIM_DCHECK(slot < capacity_ && in_use(slot));
   if (replacement_ == ReplacementPolicy::kLru) {
-    // Devirtualized exact-LRU hit: Touch sits on the certified read fast
+    // Devirtualized exact-LRU hit: Touch sits on the serial read fast
     // path (DESIGN.md §13), so the default policy skips the plugin
     // indirection. Must stay move-for-move identical to LruPolicy::OnHit
     // (DESIGN.md §14); the golden digests pin the equivalence.

@@ -209,13 +209,6 @@ uint32_t LruKPolicy::SelectVictim() {
   return std::get<2>(*order_.begin());
 }
 
-uint32_t LruKPolicy::PeekVictim() const {
-  if (order_.empty()) {
-    return kInvalidSlot;
-  }
-  return std::get<2>(*order_.begin());
-}
-
 void LruKPolicy::CheckInvariants() const {
   FLASHSIM_CHECK(order_.size() == cache().size());
 }

@@ -81,15 +81,6 @@ class EvictionPolicy {
   // return a linked, in-use slot.
   virtual uint32_t SelectVictim() = 0;
 
-  // The slot SelectVictim would return, computed without mutating the chain
-  // or policy state; kInvalidSlot when the prediction is impossible (CLOCK
-  // rotates the chain while selecting). Contract: whenever PeekVictim
-  // returns a slot, an immediately following SelectVictim must return that
-  // slot. The serial fast path uses this to certify evicting flash-hit
-  // installs (DESIGN.md §13); a kInvalidSlot answer only narrows the
-  // certified class, never correctness.
-  virtual uint32_t PeekVictim() const { return kInvalidSlot; }
-
   // Policy-internal bookkeeping audit; aborts on violation. Called from
   // LruBlockCache::CheckInvariants.
   virtual void CheckInvariants() const {}
@@ -110,7 +101,7 @@ std::unique_ptr<EvictionPolicy> MakeEvictionPolicy(ReplacementPolicy policy,
                                                    LruBlockCache* cache);
 
 // Exact LRU: hits move to the MRU end. NOTE: the hit path for kLru is
-// devirtualized inside LruBlockCache::Touch (it sits on the certified read
+// devirtualized inside LruBlockCache::Touch (it sits on the serial read
 // fast path, DESIGN.md §13); OnHit here must stay move-for-move identical
 // to that inline copy, and the golden digests pin the equivalence.
 class LruPolicy final : public EvictionPolicy {
@@ -119,7 +110,6 @@ class LruPolicy final : public EvictionPolicy {
   ReplacementPolicy id() const override { return ReplacementPolicy::kLru; }
   void OnHit(uint32_t slot) override;
   uint32_t SelectVictim() override { return cache().LruSlot(); }
-  uint32_t PeekVictim() const override { return cache().LruSlot(); }
 };
 
 // Insertion order: hits never reorder.
@@ -129,7 +119,6 @@ class FifoPolicy final : public EvictionPolicy {
   ReplacementPolicy id() const override { return ReplacementPolicy::kFifo; }
   void OnHit(uint32_t slot) override { (void)slot; }
   uint32_t SelectVictim() override { return cache().LruSlot(); }
-  uint32_t PeekVictim() const override { return cache().LruSlot(); }
 };
 
 // Second chance: hits set the slot's reference bit; victim selection
@@ -165,7 +154,6 @@ class SlruPolicy final : public EvictionPolicy {
   void OnInsert(uint32_t slot) override;
   void OnRemove(uint32_t slot) override;
   uint32_t SelectVictim() override { return cache().LruSlot(); }
-  uint32_t PeekVictim() const override { return cache().LruSlot(); }
   void CheckInvariants() const override;
   // Seam: probationary hits recirculate to the probationary MRU instead of
   // promoting — the classic segment-promotion off-by-one.
@@ -194,7 +182,6 @@ class LruKPolicy final : public EvictionPolicy {
   void OnInsert(uint32_t slot) override;
   void OnRemove(uint32_t slot) override;
   uint32_t SelectVictim() override;
-  uint32_t PeekVictim() const override;
   void CheckInvariants() const override;
   // Seam: rank victims by most-recent access instead of 2nd-most-recent,
   // silently degrading to timestamp-LRU.

@@ -88,10 +88,9 @@ class Directory {
   StaleSet OnBlockWrite(int host, BlockKey key, bool measured);
 
   bool IsCachedBy(int host, BlockKey key) const;
-  // Whether `host` is the block's one and only holder. The serial fast
-  // path's private-write class (DESIGN.md §13): a sole-holder write
-  // provably invalidates nothing, so PerfectProtocol::OnWrite reduces to
-  // this directory's counters and the write schedules no event.
+  // Whether `host` is the block's one and only holder. The invariant
+  // auditor checks it for every dirty copy under a modeled coherence
+  // protocol, where a dirty copy must be the block's only copy.
   bool SoleHolder(int host, BlockKey key) const;
 
   // Visits every holder of `key` in ascending host order — deterministic in

@@ -80,7 +80,7 @@ void Simulation::ArmTelemetry() {
   }
   for (int h = 0; h < config_.num_hosts; ++h) {
     HostRig& host = *hosts_[static_cast<size_t>(h)];
-    const std::string prefix = "h" + std::to_string(h) + ".";
+    const std::string prefix = std::string("h").append(std::to_string(h)).append(".");
     int pid = 0;
     if (trace != nullptr) {
       pid = trace->RegisterProcess("host" + std::to_string(h));
@@ -217,37 +217,13 @@ SimTime Simulation::ExecuteOp(SimTime now, const TraceRecord& record) {
 
 std::optional<SimTime> Simulation::TryFastExecute(CacheStack& stack, const TraceRecord& record,
                                                   SimTime now, bool measured) {
-  if (record.block_count == 0) {
+  if (record.block_count == 0 || record.op == TraceOp::kWrite) {
     return std::nullopt;
   }
-  if (record.op == TraceOp::kWrite) {
-    // Widened class (DESIGN.md §13): a single-block sole-holder MarkDirty
-    // write schedules nothing and leaves the directory untouched, so
-    // inlining it preserves the event-visible schedule exactly like a pure
-    // RAM hit. Multi-block writes stay on the event path.
-    if (record.block_count != 1) {
-      return std::nullopt;
-    }
-    const int host_id = record.host % config_.num_hosts;
-    const BlockKey key = MakeBlockKey(record.file_id, record.block);
-    // The verdict means the block is resident here, so a lone host is its
-    // sole holder without asking the (empty) directory.
-    if (stack.ClassifyAccess(TraceOp::kWrite, key) != AccessVerdict::kPrivateWrite ||
-        (config_.num_hosts > 1 && !directory_->SoleHolder(host_id, key))) {
-      return std::nullopt;
-    }
-    const SimTime t = stack.Write(now, key);
-    if (measured) {
-      ++metrics_.measured_write_blocks;
-    }
-    // Sole holder: the protocol finds no stale copies, charges nothing, and
-    // returns t unchanged; the directory's write counters still advance.
-    return coherence_->OnWrite(host_id, key, t, measured);
-  }
-  // A single-block read inlines as a RAM hit or as a flash hit whose RAM
-  // install is silent (both schedule nothing: the device charges run inline
-  // at the same simulated time the event path would have used); a
-  // multi-block read only when every block is a RAM hit.
+  // A single-block read inlines when it is a hit that changes no residency
+  // (TryReadFastPath); a multi-block read only when every block is a RAM
+  // hit. Neither schedules anything: the device charges run inline at the
+  // same simulated time the event path would have used.
   HitLevel level = HitLevel::kRam;
   const std::optional<SimTime> done =
       record.block_count == 1

@@ -124,13 +124,12 @@ class Simulation : private EventHandler {
   // Executes one operation starting at `now`; returns its completion time.
   SimTime ExecuteOp(SimTime now, const TraceRecord& record);
 
-  // Serial read fast path (DESIGN.md §13): if `record` provably schedules
-  // nothing — a read that is a pure RAM hit on every block, a single-block
-  // flash hit whose RAM install is silent, or a single-block sole-holder
-  // write that marks dirty in place — executes it starting at `now`,
-  // including the per-block metrics ExecuteOp would have recorded, and
-  // returns its completion time; otherwise mutates nothing and returns
-  // nullopt.
+  // Serial read fast path (DESIGN.md §13): if `record` is a read that hits
+  // without changing residency — a single block that TryReadFastPath
+  // serves, or several blocks that are all RAM hits — executes it starting
+  // at `now`, including the per-block metrics ExecuteOp would have
+  // recorded, and returns its completion time; otherwise (every write
+  // included) mutates nothing and returns nullopt.
   std::optional<SimTime> TryFastExecute(CacheStack& stack, const TraceRecord& record,
                                         SimTime now, bool measured);
 

@@ -66,11 +66,12 @@ bool ParseDurationValue(const std::string& text, int64_t unit_ns, bool whole_uni
   if (!ParseDoubleValue(text, &value)) {
     return false;
   }
-  // The cast below truncates toward zero and is defined only strictly
-  // between -2^63 and 2^63; NaN and the infinities fail this test too.
+  // No time flag has a meaning below zero, and the cast below truncates
+  // toward zero and is defined only below 2^63; NaN and the infinities
+  // fail this test too.
   constexpr double kLimit = 9223372036854775808.0;
   const double scaled = whole_units ? value : value * static_cast<double>(unit_ns);
-  if (!(scaled > -kLimit && scaled < kLimit)) {
+  if (!(scaled >= 0.0 && scaled < kLimit)) {
     return false;
   }
   const int64_t truncated = static_cast<int64_t>(scaled);
@@ -78,7 +79,7 @@ bool ParseDurationValue(const std::string& text, int64_t unit_ns, bool whole_uni
     *out = truncated;
     return true;
   }
-  if (std::llabs(truncated) > INT64_MAX / unit_ns) {
+  if (truncated > INT64_MAX / unit_ns) {
     return false;
   }
   *out = truncated * unit_ns;
@@ -93,71 +94,38 @@ void FlagParser::Register(Flag flag) {
 }
 
 void FlagParser::AddBool(const std::string& name, const std::string& help, bool* out) {
-  Flag flag;
-  flag.name = name;
-  flag.help = help;
-  flag.takes_value = false;
-  flag.handler = [out](const std::string&) {
+  AddCustom(name, "", help, [out](const std::string&) {
     *out = true;
     return true;
-  };
-  Register(std::move(flag));
+  });
 }
 
 void FlagParser::AddInt(const std::string& name, const std::string& help, int* out) {
-  Flag flag;
-  flag.name = name;
-  flag.value_hint = "N";
-  flag.help = help;
-  flag.takes_value = true;
-  flag.handler = [out](const std::string& value) { return ParseIntValue(value, out); };
-  Register(std::move(flag));
+  AddCustom(name, "N", help, [out](const std::string& value) { return ParseIntValue(value, out); });
 }
 
 void FlagParser::AddUint64(const std::string& name, const std::string& help, uint64_t* out) {
-  Flag flag;
-  flag.name = name;
-  flag.value_hint = "N";
-  flag.help = help;
-  flag.takes_value = true;
-  flag.handler = [out](const std::string& value) { return ParseUint64Value(value, out); };
-  Register(std::move(flag));
+  AddCustom(name, "N", help,
+            [out](const std::string& value) { return ParseUint64Value(value, out); });
 }
 
 void FlagParser::AddDouble(const std::string& name, const std::string& help, double* out) {
-  Flag flag;
-  flag.name = name;
-  flag.value_hint = "N";
-  flag.help = help;
-  flag.takes_value = true;
-  flag.handler = [out](const std::string& value) { return ParseDoubleValue(value, out); };
-  Register(std::move(flag));
+  AddCustom(name, "N", help,
+            [out](const std::string& value) { return ParseDoubleValue(value, out); });
 }
 
 void FlagParser::AddDuration(const std::string& name, const std::string& help, int64_t unit_ns,
                              bool whole_units, int64_t* out_ns) {
-  Flag flag;
-  flag.name = name;
-  flag.value_hint = "N";
-  flag.help = help;
-  flag.takes_value = true;
-  flag.handler = [unit_ns, whole_units, out_ns](const std::string& value) {
+  AddCustom(name, "N", help, [unit_ns, whole_units, out_ns](const std::string& value) {
     return ParseDurationValue(value, unit_ns, whole_units, out_ns);
-  };
-  Register(std::move(flag));
+  });
 }
 
 void FlagParser::AddString(const std::string& name, const std::string& help, std::string* out) {
-  Flag flag;
-  flag.name = name;
-  flag.value_hint = "S";
-  flag.help = help;
-  flag.takes_value = true;
-  flag.handler = [out](const std::string& value) {
+  AddCustom(name, "S", help, [out](const std::string& value) {
     *out = value;
     return true;
-  };
-  Register(std::move(flag));
+  });
 }
 
 void FlagParser::AddCustom(const std::string& name, const std::string& value_hint,

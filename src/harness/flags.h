@@ -31,7 +31,8 @@ class FlagParser {
   // as nanoseconds. With `whole_units` the value is truncated to whole
   // units before scaling (--series-ms=1.5 is 1 ms), else the nanosecond
   // product is truncated (--flash-read-us=0.0015 is 1 ns). A value that is
-  // not finite, or whose nanoseconds do not fit int64, is a bad value.
+  // negative, not finite, or whose nanoseconds do not fit int64, is a bad
+  // value.
   void AddDuration(const std::string& name, const std::string& help, int64_t unit_ns,
                    bool whole_units, int64_t* out_ns);
   void AddString(const std::string& name, const std::string& help, std::string* out);

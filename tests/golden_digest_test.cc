@@ -10,10 +10,10 @@
 // scale=512, which keep the test a few seconds on one core instead of
 // minutes. The digest covers the same sweep axes either way.
 //
-// To regenerate after an intentional behavior change:
-//   build/tests/golden_digest_test --gtest_also_run_disabled_tests \
-//       --gtest_filter='*PrintDigests*'
-// and copy the printed lines into tests/golden/digests.txt.
+// To regenerate after an intentional behavior change, run
+//   build/tests/golden_digest_test --gtest_also_run_disabled_tests
+// with --gtest_filter='*PrintDigests*' and copy the printed lines into
+// tests/golden/digests.txt.
 #include <gtest/gtest.h>
 
 #include <cstdint>

@@ -322,10 +322,13 @@ TEST(FlagParser, DurationRefusesNonFiniteAndOutOfRangeValues) {
   FlagParser parser;
   parser.AddDuration("flash-read-us", "us", kMicrosecond, /*whole_units=*/false, &read_ns);
   parser.AddDuration("sample_stride", "ms", kMillisecond, /*whole_units=*/true, &stride_ns);
+  // No time flag has a meaning below zero: a negative value is refused,
+  // not read as "off" or left for SimConfig::Violations().
   for (const char* arg : {"--flash-read-us=1e20", "--flash-read-us=-1e20", "--flash-read-us=inf",
-                          "--flash-read-us=nan", "--sample_stride=1e13",
-                          "--sample_stride=-1e13", "--sample_stride=9223372036855",
-                          "--sample_stride=inf"}) {
+                          "--flash-read-us=nan", "--flash-read-us=-1", "--flash-read-us=-0.0015",
+                          "--sample_stride=1e13", "--sample_stride=-1e13",
+                          "--sample_stride=9223372036855", "--sample_stride=inf",
+                          "--sample_stride=-3", "--sample_stride=-0.5"}) {
     EXPECT_FALSE(ParseOne(parser, arg)) << arg;
   }
   EXPECT_EQ(read_ns, 5);
@@ -343,8 +346,8 @@ TEST(FlagParser, DurationTruncatesInRangeValues) {
   EXPECT_EQ(read_ns, 25000);
   EXPECT_TRUE(ParseOne(parser, "--flash-read-us=0.0015"));
   EXPECT_EQ(read_ns, 1);
-  EXPECT_TRUE(ParseOne(parser, "--flash-read-us=-1"));  // left for Violations() to refuse
-  EXPECT_EQ(read_ns, -1000);
+  EXPECT_FALSE(ParseOne(parser, "--flash-read-us=-1"));  // refused, value kept
+  EXPECT_EQ(read_ns, 1);
   // ...millisecond flags truncate to whole milliseconds first.
   EXPECT_TRUE(ParseOne(parser, "--sample_stride=1.9"));
   EXPECT_EQ(stride_ns, kMillisecond);

@@ -7,10 +7,10 @@
 // overlap, which is what makes each track read as a clean timeline in
 // chrome://tracing / Perfetto.
 //
-// To regenerate after an intentional exporter or timing change:
-//   build/tests/trace_golden_test --gtest_also_run_disabled_tests \
-//       --gtest_filter='*RegenerateGolden*'
-// which rewrites tests/golden/trace_small.json in the source tree.
+// To regenerate after an intentional exporter or timing change, run
+//   build/tests/trace_golden_test --gtest_also_run_disabled_tests
+// with --gtest_filter='*RegenerateGolden*'; it rewrites
+// tests/golden/trace_small.json in the source tree.
 #include <gtest/gtest.h>
 
 #include <algorithm>
