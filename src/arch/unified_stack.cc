@@ -162,24 +162,4 @@ void UnifiedStack::Invalidate(BlockKey key) {
   }
 }
 
-uint64_t UnifiedStack::RamResident() const {
-  uint64_t count = 0;
-  cache_.ForEach([&](BlockKey, Medium medium, bool) {
-    if (medium == Medium::kRam) {
-      ++count;
-    }
-  });
-  return count;
-}
-
-uint64_t UnifiedStack::FlashResident() const {
-  uint64_t count = 0;
-  cache_.ForEach([&](BlockKey, Medium medium, bool) {
-    if (medium == Medium::kFlash) {
-      ++count;
-    }
-  });
-  return count;
-}
-
 }  // namespace flashsim

@@ -58,8 +58,8 @@ class UnifiedStack : public CacheStack {
   }
   std::optional<SimTime> TryReadRamHits(SimTime now, uint32_t file_id, uint64_t block,
                                         uint32_t count) override;
-  uint64_t RamResident() const override;
-  uint64_t FlashResident() const override;
+  uint64_t RamResident() const override { return cache_.size(Medium::kRam); }
+  uint64_t FlashResident() const override { return cache_.size(Medium::kFlash); }
   uint64_t DirtyBlocks() const override { return cache_.dirty_count(); }
   void CheckInvariants() const override { cache_.CheckInvariants(); }
 

@@ -228,11 +228,13 @@ uint32_t LruBlockCache::Insert(BlockKey key, bool dirty, std::optional<EvictedBl
     IndexEraseAt(PosOfSlot(slot));
     LruUnlink(slot);
     --size_;
+    --size_by_medium_[static_cast<size_t>(medium_of(slot))];
   }
 
   hot_[slot].key = key;
   flags_[slot] = kInUseFlag;
   ++size_;
+  ++size_by_medium_[static_cast<size_t>(medium_of(slot))];
   if (2 * size_ > index_entries()) {
     GrowIndex();
   }
@@ -260,6 +262,7 @@ bool LruBlockCache::Remove(BlockKey key, EvictedBlock* removed) {
   LruUnlink(slot);
   flags_[slot] = 0;
   --size_;
+  --size_by_medium_[static_cast<size_t>(medium_of(slot))];
   free_slots_.push_back(slot);
   return true;
 }
@@ -289,6 +292,7 @@ void LruBlockCache::MarkClean(uint32_t slot) {
 
 void LruBlockCache::CheckInvariants() const {
   uint64_t counted = 0;
+  uint64_t counted_by_medium[2] = {0, 0};
   uint32_t prev = kInvalidSlot;
   for (uint32_t slot = lru_head_; slot != kInvalidSlot; slot = hot_[slot].next) {
     FLASHSIM_CHECK(slot < capacity_ && in_use(slot));
@@ -296,9 +300,12 @@ void LruBlockCache::CheckInvariants() const {
     FLASHSIM_CHECK(Lookup(hot_[slot].key) == slot);
     prev = slot;
     ++counted;
+    ++counted_by_medium[static_cast<size_t>(medium_of(slot))];
     FLASHSIM_CHECK(counted <= size_);
   }
   FLASHSIM_CHECK(counted == size_);
+  FLASHSIM_CHECK(counted_by_medium[0] == size_by_medium_[0]);
+  FLASHSIM_CHECK(counted_by_medium[1] == size_by_medium_[1]);
   FLASHSIM_CHECK(lru_tail_ == prev);
   // The table is sized to its live blocks: at most half full, never past
   // the full cache's size.

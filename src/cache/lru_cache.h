@@ -116,6 +116,9 @@ class LruBlockCache {
 
   uint64_t capacity() const { return capacity_; }
   uint64_t size() const { return size_; }
+  // Blocks held in buffers of `medium`: a live count, kept by Insert and
+  // Remove, so the unified stack's per-medium residency costs no walk.
+  uint64_t size(Medium medium) const { return size_by_medium_[static_cast<size_t>(medium)]; }
   uint64_t dirty_count() const { return dirty_count_; }
   const std::string& name() const { return name_; }
 
@@ -310,6 +313,7 @@ class LruBlockCache {
   uint32_t next_unused_ = 0;  // slots [next_unused_, capacity) never used yet
   std::vector<uint32_t> free_slots_;  // slots freed by Remove, reused first
   uint64_t size_ = 0;
+  uint64_t size_by_medium_[2] = {0, 0};
   uint64_t dirty_count_ = 0;
 };
 

@@ -20,7 +20,8 @@
 //       never reconcile, so a reader may hold a clean copy beside it);
 //   accounting      — reads issued == ram_hits + flash_hits + filer_reads,
 //       filer_writebacks == sync_filer_writes + writer.enqueued(),
-//       writer.enqueued() == writer.completed() + writer.pending(), and
+//       writer.started() <= writer.enqueued(), a writer with pending
+//       work has a write in flight (so it idles only once drained), and
 //       globally the backend's filer shards together served exactly
 //       Σ_host (sync_filer_writes + writer.started()) writes and
 //       Σ_host filer_reads reads (with one filer this is the historical

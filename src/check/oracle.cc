@@ -769,7 +769,9 @@ void OracleCoherence::Drop(int host, BlockKey key) {
 
 // A read miss must not fetch around a remote Dirty copy: every other host
 // holding the block dirty pays recall callback + data flush (2 messages)
-// and loses the copy. Longhand mirror of CoherenceProtocol::ReconcileDirty.
+// and loses the copy. Longhand mirror of CoherenceProtocol::ReconcileDirty
+// that probes every host: it does not lean on the one-dirty-copy rule that
+// lets the protocol probe only a block's sole other holder.
 void OracleCoherence::ReconcileDirty(int reader, BlockKey key) {
   for (int other = 0; other < num_hosts_; ++other) {
     if (other == reader || !view_->HoldsDirty(other, key)) {

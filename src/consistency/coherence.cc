@@ -98,29 +98,29 @@ SharingState CoherenceProtocol::StateOf(BlockKey key) const {
 }
 
 SimTime CoherenceProtocol::ReconcileDirty(int reader, BlockKey key, SimTime ready) {
-  // Snapshot first: DropCopy mutates the holder set mid-iteration otherwise.
-  scratch_holders_.clear();
+  // A dirty copy is its block's only copy (every write invalidates the
+  // other holders; the auditor checks it), so only a block with exactly one
+  // other holder can need a recall.
+  int holder = -1;
+  int others = 0;
   directory_->ForEachHolder(key, [&](int host) {
-    if (host != reader && transport_->HoldsDirty(host, key)) {
-      scratch_holders_.push_back(host);
+    if (host != reader) {
+      holder = host;
+      ++others;
     }
   });
-  if (scratch_holders_.empty()) {
+  if (others != 1 || !transport_->HoldsDirty(holder, key)) {
     return ready;
   }
   CoherenceCounters& c = at(reader);
-  SimTime settled = ready;
-  for (const int host : scratch_holders_) {
-    const SimTime recall = transport_->FilerToHost(host, ready, /*carries_data=*/false);
-    const SimTime flush = transport_->HostToFiler(host, recall, /*carries_data=*/true);
-    const SimTime done = transport_->FilerService(key, flush, params_.flush_service_ns);
-    transport_->DropCopy(host, key);
-    OnCopyDropped(host, key);
-    c.invalidation_messages += 2;
-    ++c.dirty_fetches;
-    settled = std::max(settled, done);
-  }
-  return settled;
+  const SimTime recall = transport_->FilerToHost(holder, ready, /*carries_data=*/false);
+  const SimTime flush = transport_->HostToFiler(holder, recall, /*carries_data=*/true);
+  const SimTime done = transport_->FilerService(key, flush, params_.flush_service_ns);
+  transport_->DropCopy(holder, key);
+  OnCopyDropped(holder, key);
+  c.invalidation_messages += 2;
+  ++c.dirty_fetches;
+  return std::max(ready, done);
 }
 
 namespace {

@@ -192,18 +192,19 @@ class CoherenceProtocol {
     (void)key;
   }
 
-  // MESI M->I on remote read: each *other* holder with a dirty copy gets a
+  // MESI M->I on remote read: the *other* holder of a dirty copy gets a
   // recall callback, flushes its version to the filer (data packet + filer
   // write service), and drops the copy, so the reader's subsequent fetch
-  // observes the latest version. Returns the time the last flush settled
-  // (== ready when there was no dirty holder). Stats charge to `reader`.
+  // observes the latest version. A dirty copy is its block's only copy, so
+  // only a block with exactly one other holder is probed. Returns the time
+  // the flush settled (== ready when there was no dirty holder). Stats
+  // charge to `reader`.
   SimTime ReconcileDirty(int reader, BlockKey key, SimTime ready);
 
   const CoherenceParams params_;
   Directory* const directory_;
   CoherenceTransport* const transport_;
   std::vector<CoherenceCounters> per_host_;
-  std::vector<int> scratch_holders_;  // ReconcileDirty iteration snapshot
 };
 
 std::unique_ptr<CoherenceProtocol> MakeCoherenceProtocol(const CoherenceParams& params,

@@ -96,8 +96,8 @@ class Directory {
   // Visits every holder of `key` in ascending host order — deterministic in
   // both inline and slot mode, which the message-generating coherence
   // protocols (coherence.h) depend on for reproducible message schedules.
-  // `fn` must not mutate the directory (snapshot first if it needs to drop
-  // copies mid-iteration; see CoherenceProtocol::ReconcileDirty).
+  // `fn` must not mutate the directory (note the holders first if it needs
+  // to drop copies; see CoherenceProtocol::ReconcileDirty).
   template <typename Fn>
   void ForEachHolder(BlockKey key, Fn&& fn) const {
     const uint64_t* entry = holders_.Find(key);

@@ -88,7 +88,10 @@ struct SimConfig {
   // them. It leaves out the directory's slot-mode mask pool (hosts > 64),
   // which grows by ceil(hosts/64) x 8 bytes for each distinct block cached
   // and so can outgrow the estimate when hosts hold mostly distinct
-  // blocks.
+  // blocks. It also leaves out the background writers' queues (9 bytes per
+  // queued writeback), which grow with the writeback backlog over the
+  // trace, not with cache size: 804,345 entries (7 MiB) on a naive p1/a
+  // run at scale 16.
   // Violations() refuses runs whose estimate exceeds the machine's
   // physical memory.
   uint64_t MetadataBytes() const;

@@ -13,7 +13,7 @@ BackgroundWriter::BackgroundWriter(EventQueue& queue, StorageService& remote,
 }
 
 void BackgroundWriter::EnqueueFilerWrite(SimTime now, bool then_flash, BlockKey key) {
-  pending_.push_back(Pending{then_flash, key});
+  pending_.push_back(0, Pending{key, then_flash});
   ++enqueued_;
   max_pending_ = std::max(max_pending_, pending());
   Pump(now);
@@ -26,9 +26,9 @@ void BackgroundWriter::HandleEvent(SimTime now, uint32_t /*code*/, uint64_t /*ar
 }
 
 void BackgroundWriter::Pump(SimTime now) {
-  while (active_ < window_ && !pending_.empty()) {
-    const Pending item = pending_.front();
-    pending_.pop_front();
+  while (active_ < window_ && !pending_.empty(0)) {
+    const Pending item = pending_.front(0);
+    pending_.pop_front(0);
     ++active_;
     const SimTime done = remote_->Write(now, item.key);
     if (item.then_flash && flash_ != nullptr) {

@@ -22,7 +22,7 @@
 #include "src/trace/record.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/sim_time.h"
-#include "src/util/ring_deque.h"
+#include "src/util/pooled_queues.h"
 
 namespace flashsim {
 
@@ -46,7 +46,7 @@ class BackgroundWriter : public EventHandler {
   // Writebacks whose filer write has been issued (completed or in the
   // window); enqueued() - started() are still queued behind the window.
   uint64_t started() const { return completed_ + static_cast<uint64_t>(active_); }
-  uint64_t pending() const { return pending_.size() + static_cast<uint64_t>(active_); }
+  uint64_t pending() const { return enqueued_ - completed_; }
   uint64_t max_pending() const { return max_pending_; }
   int window() const { return window_; }
 
@@ -56,18 +56,25 @@ class BackgroundWriter : public EventHandler {
   EventQueue* queue_;
   StorageService* remote_;
   FlashDevice* flash_;
-  struct Pending {
-    bool then_flash;
+  // One queued writeback in 9 bytes: BlockKey uses all 64 bits (24 of file,
+  // 40 of block), so the refresh flag cannot ride in the key.
+  struct [[gnu::packed]] Pending {
     BlockKey key;
+    bool then_flash;
   };
+  static_assert(sizeof(Pending) == 9, "a queued writeback must stay 9 bytes");
 
   int window_;
   int active_ = 0;
-  // RingDeque, not std::deque: the queue oscillates between empty and a few
-  // entries, and libstdc++'s deque releases its chunk on empty and
-  // reallocates on the next push — a heap round-trip per writeback burst.
-  // The ring keeps its high-water buffer, so steady state never allocates.
-  RingDeque<Pending> pending_;
+  // One FIFO on the chunk pool the trace backlogs use (DESIGN.md §8): it
+  // pays for its live entries, 64 to a chunk, and never copies them. The
+  // queue grows with the writeback backlog over the trace, not with cache
+  // size: naive p1/a falls behind and peaks at 804,345 queued writebacks at
+  // scale 16 and 1,604,942 at scale 8, while an 8-host directory run
+  // shaped like perfbench's shared_dir_h8 peaks at 225. A drained queue
+  // keeps its last chunk, so a writer that oscillates between empty and a
+  // few entries never allocates.
+  PooledQueues<Pending> pending_{1};
   uint64_t enqueued_ = 0;
   uint64_t completed_ = 0;
   uint64_t max_pending_ = 0;

@@ -3,7 +3,10 @@
 // The simulator's per-thread trace backlogs: thousands of queues whose
 // total occupancy at any moment is far below the sum of their individual
 // peaks, so giving each queue its own ring would pay for every queue's
-// high-water mark at once. Here a queue is a linked list of chunks of
+// high-water mark at once. The background writer's one queue lives here
+// too: it pays for its live entries and never copies them, where a
+// doubling ring kept its old buffer beside the new one while it grew.
+// Here a queue is a linked list of chunks of
 // kChunkRecords records. A chunk that pop_front empties goes back to the
 // pool's free list, except a queue's last chunk, which the drained queue
 // keeps, so a queue oscillating between empty and a few records never

@@ -2,9 +2,12 @@
 // semantics, interleaving fairness with foreground reads.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/backend/storage_backend.h"
 #include "src/device/background_writer.h"
 #include "src/device/filer.h"
+#include "src/device/flash_device.h"
 #include "src/device/network_link.h"
 #include "src/sim/event_queue.h"
 #include "src/util/rng.h"
@@ -12,18 +15,20 @@
 namespace flashsim {
 namespace {
 
-// One host's writer over a one-filer backend. The rig is also an event
-// handler, so tests can issue work at scheduled times: kEnqueue queues
-// `arg` writes, kRead issues one foreground read and notes its completion.
+// One host's writer over a backend of `shards` filers, with a flash device
+// for post-write refreshes. The rig is also an event handler, so tests can
+// issue work at scheduled times: kEnqueue queues `arg` writes, kRead issues
+// one foreground read and notes its completion.
 struct WriterRig : EventHandler {
   enum : uint32_t { kEnqueue, kRead };
 
-  explicit WriterRig(int window) {
+  explicit WriterRig(int window, int shards = 1) {
     timing.filer_fast_read_rate = 1.0;
     link = std::make_unique<NetworkLink>(timing, 4096, queue.clock());
-    backend = std::make_unique<StorageBackend>(timing, 1, ShardStrategy::kHash, 3);
+    backend = std::make_unique<StorageBackend>(timing, shards, ShardStrategy::kHash, 3);
     remote = backend->Connect(*link);
-    writer = std::make_unique<BackgroundWriter>(queue, *remote, nullptr, window);
+    flash = std::make_unique<FlashDevice>(timing);
+    writer = std::make_unique<BackgroundWriter>(queue, *remote, flash.get(), window);
   }
 
   void HandleEvent(SimTime now, uint32_t code, uint64_t arg) override {
@@ -44,6 +49,7 @@ struct WriterRig : EventHandler {
   std::unique_ptr<NetworkLink> link;
   std::unique_ptr<StorageBackend> backend;
   std::unique_ptr<StorageService> remote;
+  std::unique_ptr<FlashDevice> flash;
   std::unique_ptr<BackgroundWriter> writer;
   SimTime read_done = 0;
 };
@@ -119,6 +125,61 @@ TEST(BackgroundWriter, CountsStayConsistentUnderRandomLoad) {
   EXPECT_EQ(rig.writer->completed(), enqueued);
   EXPECT_EQ(rig.writer->pending(), 0u);
   EXPECT_EQ(rig.filer().writes(), enqueued);
+}
+
+// A deep burst (over 150 of the queue's 64-entry chunks) of distinct keys
+// with a mixed refresh flag. The writer issues each filer write, and its
+// flash refresh, when the write leaves the queue, so at every step the
+// writes issued so far must be exactly the first started() writebacks in
+// enqueue order: each shard has served the keys of that prefix the router
+// sends it, and the flash has taken the prefix's flagged refreshes.
+TEST(BackgroundWriter, DeepBurstDrainsInOrderWithItsKeysAndFlags) {
+  constexpr int kShards = 4;
+  constexpr uint64_t kBurst = 10007;
+  WriterRig rig(/*window=*/3, kShards);
+  Rng rng(23);
+  std::vector<BlockKey> keys;
+  std::vector<bool> flagged;
+  for (uint64_t i = 0; i < kBurst; ++i) {
+    // Distinct keys that use the file bits as well as the block bits.
+    const uint32_t file = static_cast<uint32_t>(rng.NextBounded(uint64_t{1} << 24));
+    keys.push_back(MakeBlockKey(file, (uint64_t{1} << 39) | i));
+    flagged.push_back(rng.NextBounded(3) == 0);
+    rig.writer->EnqueueFilerWrite(0, flagged.back(), keys.back());
+  }
+  EXPECT_EQ(rig.writer->max_pending(), kBurst);
+
+  std::vector<uint64_t> expected_writes(kShards, 0);
+  uint64_t expected_refreshes = 0;
+  uint64_t issued = 0;
+  const auto check_prefix = [&] {
+    for (; issued < rig.writer->started(); ++issued) {
+      ++expected_writes[static_cast<size_t>(rig.backend->router().ShardOf(keys[issued]))];
+      expected_refreshes += flagged[issued] ? 1 : 0;
+    }
+    for (int s = 0; s < kShards; ++s) {
+      ASSERT_EQ(rig.backend->shard(s).writes(), expected_writes[static_cast<size_t>(s)])
+          << "shard " << s << " after " << issued << " writes";
+    }
+    ASSERT_EQ(rig.flash->reads_plus_writes(), expected_refreshes) << "after " << issued;
+  };
+  check_prefix();
+  while (!rig.queue.empty()) {
+    rig.queue.RunUntil(rig.queue.HeadTime());
+    check_prefix();
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  EXPECT_EQ(issued, kBurst);
+  EXPECT_EQ(rig.writer->completed(), kBurst);
+  EXPECT_EQ(rig.writer->pending(), 0u);
+  EXPECT_EQ(rig.writer->max_pending(), kBurst);
+  for (int s = 0; s < kShards; ++s) {
+    EXPECT_GT(expected_writes[static_cast<size_t>(s)], 0u) << "shard " << s << " owns no key";
+  }
+  EXPECT_GT(expected_refreshes, 0u);
+  EXPECT_LT(expected_refreshes, kBurst);
 }
 
 TEST(BackgroundWriterDeathTest, RejectsZeroWindow) {

@@ -249,6 +249,58 @@ TEST(CoherenceStateMachine, FollowsMesiTransitions) {
   }
 }
 
+// Forwards to the net's RigTransport and counts the dirty probes.
+class ProbeCountingTransport final : public CoherenceTransport {
+ public:
+  explicit ProbeCountingTransport(CoherenceTransport& inner) : inner_(&inner) {}
+
+  SimTime HostToFiler(int host, SimTime now, bool carries_data) override {
+    return inner_->HostToFiler(host, now, carries_data);
+  }
+  SimTime FilerToHost(int host, SimTime now, bool carries_data) override {
+    return inner_->FilerToHost(host, now, carries_data);
+  }
+  SimTime FilerService(BlockKey key, SimTime arrival, SimDuration service) override {
+    return inner_->FilerService(key, arrival, service);
+  }
+  void DropCopy(int host, BlockKey key) override { inner_->DropCopy(host, key); }
+  bool HoldsCopy(int host, BlockKey key) const override { return inner_->HoldsCopy(host, key); }
+  bool HoldsDirty(int host, BlockKey key) const override {
+    ++dirty_probes;
+    return inner_->HoldsDirty(host, key);
+  }
+
+  mutable uint64_t dirty_probes = 0;
+
+ private:
+  CoherenceTransport* inner_;
+};
+
+// A dirty copy is its block's only copy, so a read miss probes another
+// host's dirty bit only when exactly one other host holds the block.
+TEST(CoherenceReconcile, ProbesOnlyASoleOtherHolder) {
+  for (CoherenceModel model : {CoherenceModel::kDirectory, CoherenceModel::kLease}) {
+    TestNet net(Architecture::kUnified, model, 3);
+    ProbeCountingTransport counting(*net.transport);
+    const std::unique_ptr<CoherenceProtocol> protocol = MakeCoherenceProtocol(
+        MakeCoherenceParams(model, kHosts, net.timing), &net.directory, &counting);
+    const BlockKey key = MakeBlockKey(0, 9);
+    SimTime now = 0;
+    HitLevel level = HitLevel::kRam;
+    const auto read_miss = [&](int host) {
+      const uint64_t before = counting.dirty_probes;
+      now = net.hosts[static_cast<size_t>(host)]->stack->Read(protocol->BeforeRead(host, key, now),
+                                                             key, &level);
+      return counting.dirty_probes - before;
+    };
+    EXPECT_EQ(read_miss(0), 0u) << CoherenceModelName(model) << ": no other holder";
+    EXPECT_EQ(read_miss(1), 1u) << CoherenceModelName(model) << ": one clean holder";
+    EXPECT_EQ(read_miss(2), 0u) << CoherenceModelName(model) << ": two clean holders";
+    EXPECT_EQ(net.directory.holder_count(key), 3);
+    EXPECT_EQ(protocol->totals().dirty_fetches, 0u);
+  }
+}
+
 std::vector<std::unique_ptr<HostRig>> SmallRigs(int num_hosts, const TimingModel& timing,
                                                 EventQueue& queue, StorageBackend& backend) {
   StackConfig config;

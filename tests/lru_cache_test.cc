@@ -169,6 +169,46 @@ TEST(LruCache, PerMediumDirtyLists) {
   cache.CheckInvariants();
 }
 
+// The per-medium live counts the unified stack reports as its residency
+// must match a walk of the chain through fills, evictions (which reuse
+// whichever buffer is LRU), removes and the reuse of removed slots.
+TEST(LruCache, PerMediumSizesMatchAChainWalk) {
+  LruBlockCache cache("c", 16, 48);
+  Rng rng(37);
+  std::vector<BlockKey> resident;
+  uint64_t removes = 0;
+  uint64_t evictions = 0;
+  for (int step = 0; step < 20000; ++step) {
+    const uint64_t op = rng.NextBounded(10);
+    if (op < 2 && !resident.empty()) {
+      const size_t victim = rng.NextBounded(resident.size());
+      ASSERT_TRUE(cache.Remove(resident[victim]));
+      resident[victim] = resident.back();
+      resident.pop_back();
+      ++removes;
+    } else if (op < 4 && !resident.empty()) {
+      cache.Touch(cache.Lookup(resident[rng.NextBounded(resident.size())]));
+    } else {
+      const BlockKey key = rng.Next();
+      std::optional<EvictedBlock> evicted;
+      cache.Insert(key, rng.NextBounded(2) == 0, &evicted, step);
+      resident.push_back(key);
+      if (evicted.has_value()) {
+        resident.erase(std::find(resident.begin(), resident.end(), evicted->key));
+        ++evictions;
+      }
+    }
+    uint64_t walked[2] = {0, 0};
+    cache.ForEach([&](BlockKey, Medium medium, bool) { ++walked[static_cast<size_t>(medium)]; });
+    ASSERT_EQ(cache.size(Medium::kRam), walked[0]) << "step " << step;
+    ASSERT_EQ(cache.size(Medium::kFlash), walked[1]) << "step " << step;
+    ASSERT_EQ(cache.size(), resident.size()) << "step " << step;
+  }
+  EXPECT_GT(removes, 1000u);
+  EXPECT_GT(evictions, 1000u);
+  cache.CheckInvariants();
+}
+
 TEST(LruCache, UnifiedPlacementReusesLruBuffer) {
   // §3.3 unified: new blocks land in the least recently used buffer,
   // whichever medium it is.

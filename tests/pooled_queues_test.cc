@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <vector>
 
 #include "src/trace/record.h"
@@ -139,6 +140,80 @@ TEST(PooledQueues, ChunksCarvedStayWithinPeakTotal) {
   EXPECT_LE(queues.chunks_carved(), bound);
   // The rotating skew is what per-queue rings would pay for.
   EXPECT_GT(sum_of_queue_peaks, 2 * peak_total);
+}
+
+// The background writer's shape: one queue that builds a deep backlog in
+// bursts and drains between them. Chunks spent at the head serve the tail,
+// so the pool carves for the deepest backlog alone: at most one partly
+// filled chunk beyond ⌈peak / 64⌉.
+TEST(PooledQueues, OneDeepQueueCarvesForItsPeak) {
+  PooledQueues<uint64_t> ours(1);
+  std::deque<uint64_t> reference;
+  Rng rng(29);
+  uint64_t next = 0;
+  size_t peak = 0;
+  bool draining = false;
+  while (next < 500000) {
+    // Bursts interleaved with drains: the drains lag until the backlog
+    // passes 120,000 records, then outpace the bursts until it is nearly
+    // empty, so the queue climbs, falls and climbs again.
+    const uint64_t burst = 1 + rng.NextBounded(4000);
+    for (uint64_t i = 0; i < burst; ++i, ++next) {
+      ours.push_back(0, next);
+      reference.push_back(next);
+    }
+    peak = std::max(peak, reference.size());
+    if (reference.size() > 120000) {
+      draining = true;
+    } else if (reference.size() < 1000) {
+      draining = false;
+    }
+    const uint64_t drain = rng.NextBounded(draining ? 8000 : 2000);
+    for (uint64_t i = 0; i < drain && !reference.empty(); ++i) {
+      ASSERT_EQ(ours.front(0), reference.front()) << "record " << reference.front();
+      ours.pop_front(0);
+      reference.pop_front();
+    }
+    ASSERT_EQ(ours.empty(0), reference.empty());
+  }
+  while (!reference.empty()) {
+    ASSERT_EQ(ours.front(0), reference.front());
+    ours.pop_front(0);
+    reference.pop_front();
+  }
+  EXPECT_TRUE(ours.empty(0));
+  EXPECT_GT(peak, 100000u);
+  EXPECT_LE(ours.chunks_carved(), (peak + kChunk - 1) / kChunk + 1);
+}
+
+// The writer's 9-byte record (a key and a flag, packed): records straddle
+// word boundaries inside a chunk, and every bit of the key and the flag
+// must come back.
+TEST(PooledQueues, PackedNineByteRecordsRoundTrip) {
+  struct [[gnu::packed]] KeyAndFlag {
+    BlockKey key;
+    bool flag;
+  };
+  static_assert(sizeof(KeyAndFlag) == 9);
+  PooledQueues<KeyAndFlag> queues(1);
+  std::deque<KeyAndFlag> reference;
+  Rng rng(31);
+  const BlockKey edges[] = {0, ~BlockKey{0}, MakeBlockKey(0xFFFFFF, 0), MakeBlockKey(0, 1),
+                            uint64_t{1} << 63};
+  for (uint64_t i = 0; i < 5 * kChunk; ++i) {
+    const BlockKey key = i < std::size(edges) ? edges[i] : rng.Next();
+    const KeyAndFlag record{key, rng.NextBounded(2) == 0};
+    queues.push_back(0, record);
+    reference.push_back(record);
+  }
+  for (; !reference.empty(); reference.pop_front()) {
+    const KeyAndFlag got = queues.front(0);
+    // Copies: a reference cannot bind to a packed field.
+    ASSERT_EQ(BlockKey{got.key}, BlockKey{reference.front().key});
+    ASSERT_EQ(bool{got.flag}, bool{reference.front().flag});
+    queues.pop_front(0);
+  }
+  EXPECT_TRUE(queues.empty(0));
 }
 
 }  // namespace
